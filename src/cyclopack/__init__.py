@@ -8,7 +8,7 @@ rational certificate that the packing volume 4^g V exceeds m - epsilon.
 """
 
 from .cyclotomic import CycloElement, CyclotomicContext, context_new, cyclotomic_polynomial
-from .geometry import ComplexPoint, embed, g_act, gram, norm_sq, pairing
+from .geometry import ComplexPoint, g_act, gram, norm_sq, pairing
 from .intervals import IntervalValue, pi_interval
 from .lattice import PolarizedLattice, build_lattice
 from .search import (Certificate, SearchConfig, chi, chi_norm_sq, count_N,
@@ -24,7 +24,7 @@ __all__ = [
     "CyclotomicContext", "IntervalValue", "PolarizedLattice", "SearchConfig",
     "ball_volume", "bound_table", "build_lattice", "chi", "chi_norm_sq",
     "context_new", "count_N", "cyclotomic_polynomial", "default_r_grid",
-    "embed", "enumerate_in_ball", "g_act", "gram", "inverse_phi_max",
+    "enumerate_in_ball", "g_act", "gram", "inverse_phi_max",
     "j_value", "lll_reduce", "norm_sq", "packing_density", "pairing", "phi",
     "pi_interval", "primorial_row", "sample_x", "search", "select_r",
     "shortest_norm_sq",

@@ -244,9 +244,6 @@ class CyclotomicContext:
     def zeta(self, e: int = 1) -> CycloElement:
         return CycloElement(self, self._zeta_coords[e % self.m])
 
-    def from_rational(self, q) -> CycloElement:
-        return CycloElement(self, [Fraction(q)] + [Fraction(0)] * (self.g - 1))
-
     # -- field operations -----------------------------------------------------
 
     def mul(self, a: CycloElement, b: CycloElement) -> CycloElement:

@@ -4,14 +4,12 @@ K sits inside C^g via its g complex embeddings; E is the real span of K, and
 C^g = E + iE. The euclidean pairing on rational points of E is the exact trace
 form <a, b> = Tr(a * conj(b)). Points of C^g handled here are restricted to
 pairs of field elements (rational points), which keeps every norm and pairing
-an exact rational; the floating embeddings are diagnostics only.
+an exact rational.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -62,22 +60,3 @@ def g_act(k: int, p: ComplexPoint) -> ComplexPoint:
     zk = p.ctx.zeta(k)
     return ComplexPoint(zk * p.x, zk.conj() * p.y)
 
-
-def embed(a: CycloElement, precision: int = 53):
-    """The g complex embeddings of a, ordered by increasing exponent k
-    coprime to m; mpmath values at the requested bit precision.
-
-    Diagnostics only: no certified quantity depends on this.
-    """
-    if precision < 53:
-        raise ValueError("precision must be at least 53 bits")
-    ctx = a.ctx
-    with mpmath.workprec(precision + 16):
-        out = []
-        for k in sorted(ctx.power_map):
-            root = mpmath.expjpi(mpmath.mpf(2 * k) / ctx.m)
-            acc = mpmath.mpc(0)
-            for c in reversed(a.coords):
-                acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
-            out.append(+acc)
-    return out

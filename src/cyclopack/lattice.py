@@ -25,14 +25,13 @@ class PolarizedLattice:
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
-                 generators, conjugate_f: bool = True) -> None:
+                 generators) -> None:
         r_sq = Fraction(r_sq)
         if r_sq <= 0:
             raise ValueError(f"r^2 must be positive, got {r_sq}")
         self.ctx = ctx
         self.r_sq = r_sq
         self.x = x
-        self.conjugate_f = conjugate_f
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
         us = [u for u, _ in self.generators]
@@ -71,7 +70,7 @@ class PolarizedLattice:
         return linalg.determinant(self.real_gram)
 
     def _offset(self, v: CycloElement) -> CycloElement:
-        return self.x * (v.conj() if self.conjugate_f else v)
+        return self.x * v.conj()
 
     def coordinates_of(self, u: CycloElement, v: CycloElement):
         """Rational coordinates of the point r*u + (i/r)*v in the generator
@@ -113,15 +112,8 @@ class PolarizedLattice:
         }
 
 
-def build_lattice(ctx: CyclotomicContext, r_sq, x: CycloElement,
-                  conjugate_f: bool = True) -> PolarizedLattice:
-    """Construct the lattice for scale r^2 > 0 and twist point x.
-
-    conjugate_f=False replaces the twist map y -> x*conj(y) by y -> x*y; that
-    variant is not unit-stable and exists only as a negative control.
-    """
+def build_lattice(ctx: CyclotomicContext, r_sq, x: CycloElement) -> PolarizedLattice:
+    """Construct the lattice for scale r^2 > 0 and twist point x."""
     gens = [(a, ctx.zero()) for a in ctx.codiff_basis]
-    for b in ctx.ok_basis:
-        off = x * (b.conj() if conjugate_f else b)
-        gens.append((off, b))
-    return PolarizedLattice(ctx, r_sq, x, gens, conjugate_f=conjugate_f)
+    gens += [(x * b.conj(), b) for b in ctx.ok_basis]
+    return PolarizedLattice(ctx, r_sq, x, gens)

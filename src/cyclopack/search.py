@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -112,24 +113,30 @@ class Certificate:
                 and self.bound_lo > self.m - self.epsilon)
 
 
-# -- the cut-off function chi -------------------------------------------------
+# -- precision refinement ----------------------------------------------------
 
-def _compare_ball_multiple(two_g: int, q_pow: Fraction, bound: Fraction,
-                           precision: int) -> str:
-    """Certified comparison of v_{two_g} * q_pow with bound: 'le', 'gt', or
-    'tie' when undecided at the precision cap (possible only for an exact
-    boundary value, which rationals cannot produce for q_pow != 0)."""
-    p = max(precision, 16)
+def refine(enclose, decided, precision: int):
+    """enclose(p) at p = precision, 2p, ... up to MAX_PRECISION: the first
+    enclosure that decided accepts, or the one at the cap. Deterministic, so
+    every certified quantity reproduces from its starting precision."""
+    p = precision
     while True:
-        v = ball_volume(two_g, p)
-        if v.hi * q_pow <= bound:
-            return "le"
-        if v.lo * q_pow > bound:
-            return "gt"
-        if p >= MAX_PRECISION:
-            return "tie"
+        out = enclose(p)
+        if decided(out) or p >= MAX_PRECISION:
+            return out
         p = min(2 * p, MAX_PRECISION)
 
+
+def _exceeds(two_g: int, q_pow: Fraction, bound: Fraction, precision: int) -> bool:
+    """Certified test of v_{two_g} * q_pow > bound. Undecided at the cap
+    (possible only for an exact boundary value, which rationals cannot
+    produce for q_pow != 0) counts as not exceeding."""
+    v = refine(lambda p: ball_volume(two_g, p) * q_pow,
+               lambda v: v.hi <= bound or v.lo > bound, precision)
+    return v.lo > bound
+
+
+# -- the cut-off function chi -------------------------------------------------
 
 def chi_norm_sq(two_g: int, nsq: Fraction, bound: Fraction, precision: int = 128) -> bool:
     """chi on a point of known squared norm: true iff v_2g * |z|^2g <= bound.
@@ -140,7 +147,7 @@ def chi_norm_sq(two_g: int, nsq: Fraction, bound: Fraction, precision: int = 128
     if nsq == 0:
         return True
     q_pow = Fraction(nsq) ** (two_g // 2)
-    return _compare_ball_multiple(two_g, q_pow, bound, precision) != "gt"
+    return not _exceeds(two_g, q_pow, bound, precision)
 
 
 def chi(p: ComplexPoint, epsilon, precision: int = 128) -> bool:
@@ -207,17 +214,12 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
         r_sq = Fraction(r_sq)
         if r_sq <= 0:
             continue
-        q_pow = (r_sq * lam_codiff) ** g
-        if _compare_ball_multiple(2 * g, q_pow, bound, precision) != "gt":
+        if not _exceeds(2 * g, (r_sq * lam_codiff) ** g, bound, precision):
             continue
-        p = precision
-        while True:
-            j = j_value(ctx, r_sq, epsilon, p)
-            if j.hi < m:
-                return r_sq
-            if j.lo >= m or p >= MAX_PRECISION:
-                break
-            p = min(2 * p, MAX_PRECISION)
+        j = refine(lambda p: j_value(ctx, r_sq, epsilon, p),
+                   lambda j: j.hi < m or j.lo >= m, precision)
+        if j.hi < m:
+            return r_sq
     raise NoQualifyingRadius(
         f"m={m}: no r^2 in the grid passes both certified conditions; enlarge the grid")
 
@@ -290,23 +292,18 @@ def _cached_context(m: int) -> CyclotomicContext:
 
 
 def _count_task(args) -> int:
-    m, r_sq_s, coords, eps_s, precision = args
+    m, r_sq, coords, epsilon, precision = args
     ctx = _cached_context(m)
-    x = ctx.element([parse_rat(s) for s in coords])
-    return count_N(ctx, parse_rat(r_sq_s), x, parse_rat(eps_s), precision)
+    return count_N(ctx, r_sq, ctx.element(coords), epsilon, precision)
 
 
 def certified_lower_bound(two_g: int, lambda1_sq: Fraction, target: Fraction,
                           precision: int) -> Fraction:
-    """Rational lower bound of v_2g * lambda1^2g, refined (deterministically)
-    until it exceeds target or the precision cap is reached."""
+    """Rational lower bound of v_2g * lambda1^2g, refined until it exceeds
+    target or the precision cap is reached."""
     q_pow = Fraction(lambda1_sq) ** (two_g // 2)
-    p = precision
-    while True:
-        cand = ball_volume(two_g, p).lo * q_pow
-        if cand > target or p >= MAX_PRECISION:
-            return cand
-        p = min(2 * p, MAX_PRECISION)
+    return refine(lambda p: ball_volume(two_g, p) * q_pow,
+                  lambda v: v.lo > target, precision).lo
 
 
 def run_checks(lat) -> dict[str, bool]:
@@ -339,43 +336,31 @@ def search(config: SearchConfig) -> Certificate:
     SearchBudgetExceeded when the certified witness cannot be produced
     within the configured resources."""
     config.validate()
-    ctx = CyclotomicContext(config.m)
+    ctx = _cached_context(config.m)
     r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
-
     rng = random.Random(config.seed)
 
-    def candidate(i: int) -> CycloElement:
-        return ctx.zero() if i == 0 else sample_x(ctx, config.denom, rng)
-
+    # deterministic regardless of pool size: candidates are drawn from the
+    # seeded stream in index order and the smallest zero-count index wins;
+    # a serial run counts one candidate at a time, so none past the winner
+    pooled = config.workers > 1
+    chunk = 4 * config.workers if pooled else 1
     best_n: int | None = None
     winner: tuple[int, CycloElement] | None = None
-
-    if config.workers == 1:
-        for i in range(config.budget):
-            x = candidate(i)
-            n = count_N(ctx, r_sq, x, config.epsilon, config.precision)
-            best_n = n if best_n is None else min(best_n, n)
-            if n == 0:
-                winner = (i, x)
+    with ProcessPoolExecutor(max_workers=config.workers) if pooled else nullcontext() as pool:
+        count_map = pool.map if pooled else map
+        for start in range(0, config.budget, chunk):
+            xs = [ctx.zero() if i == 0 else sample_x(ctx, config.denom, rng)
+                  for i in range(start, min(start + chunk, config.budget))]
+            args = [(config.m, r_sq, x.coords, config.epsilon, config.precision)
+                    for x in xs]
+            for i, (x, n) in enumerate(zip(xs, count_map(_count_task, args)), start):
+                best_n = n if best_n is None else min(best_n, n)
+                if n == 0:
+                    winner = (i, x)
+                    break
+            if winner is not None:
                 break
-    else:
-        # deterministic regardless of pool size: candidates are drawn from the
-        # seeded stream in index order and the smallest zero-count index wins
-        eps_s = fmt_rat(config.epsilon)
-        r_s = fmt_rat(r_sq)
-        chunk = 4 * config.workers
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            i = 0
-            while i < config.budget and winner is None:
-                xs = [candidate(j) for j in range(i, min(i + chunk, config.budget))]
-                args = [(config.m, r_s, tuple(fmt_rat(c) for c in x.coords), eps_s,
-                         config.precision) for x in xs]
-                for off, n in enumerate(pool.map(_count_task, args)):
-                    best_n = n if best_n is None else min(best_n, n)
-                    if n == 0:
-                        winner = (i + off, xs[off])
-                        break
-                i += len(xs)
 
     if winner is None:
         raise SearchBudgetExceeded(config.m, config.budget, best_n or 0)
@@ -403,8 +388,10 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_json_dict(d: dict) -> Certificate:
+    """Parse a stored certificate and check that its inputs lie in the domain
+    a search accepts, before any recomputation starts."""
     try:
-        return Certificate(
+        cert = Certificate(
             m=int(d["m"]), g=int(d["g"]),
             epsilon=parse_rat(d["epsilon"]),
             r_sq=parse_rat(d["r_sq"]),
@@ -417,8 +404,13 @@ def certificate_from_json_dict(d: dict) -> Certificate:
             seed=int(d["seed"]),
             sample_index=int(d["sample_index"]),
         )
+        SearchConfig(m=cert.m, epsilon=cert.epsilon,
+                     precision=cert.precision_bits).validate()
+        if cert.r_sq <= 0:
+            raise ValueError(f"r^2 must be positive, got {cert.r_sq}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CertificateFormatError(f"malformed certificate: {exc}") from exc
+    return cert
 
 
 def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:

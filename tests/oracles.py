@@ -14,19 +14,31 @@ from math import gcd, isqrt
 import mpmath
 
 
-def trace_by_embeddings(m: int, coords) -> Fraction:
-    """Sum of a over all embeddings zeta -> e^(2 pi i k / m), gcd(k, m) = 1,
-    at 60-digit precision, rounded to the nearest small rational."""
-    with mpmath.workdps(60):
-        total = mpmath.mpc(0)
+def embed(a, precision: int = 53):
+    """The g complex embeddings zeta -> e^(2 pi i k / m), gcd(k, m) = 1, of
+    the field element a, ordered by increasing k; mpmath values at the
+    requested bit precision."""
+    if precision < 53:
+        raise ValueError("precision must be at least 53 bits")
+    m = a.ctx.m
+    with mpmath.workprec(precision + 16):
+        out = []
         for k in range(1, m):
             if gcd(k, m) != 1:
                 continue
             root = mpmath.expjpi(mpmath.mpf(2 * k) / m)
             acc = mpmath.mpc(0)
-            for c in reversed([Fraction(c) for c in coords]):
+            for c in reversed(a.coords):
                 acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
-            total += acc
+            out.append(+acc)
+    return out
+
+
+def trace_by_embeddings(a) -> Fraction:
+    """Sum of the embeddings of a at 60-digit precision, rounded to the
+    nearest small rational."""
+    with mpmath.workdps(60):
+        total = mpmath.fsum(embed(a, mpmath.mp.prec))
         assert abs(total.imag) < mpmath.mpf(10) ** -40
         return Fraction(str(total.real)).limit_denominator(10 ** 12)
 

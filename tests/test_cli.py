@@ -1,14 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from cyclopack import linalg
 from cyclopack.cli import main
 from cyclopack.cyclotomic import CyclotomicContext
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(code: str, *argv):
+    """Run code in a fresh interpreter that imports cyclopack from src."""
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_construct_ok(tmp_path, capsys):
@@ -75,6 +91,27 @@ def test_certify_malformed_file(tmp_path, capsys):
     missing.write_text('{"m": 4}')
     assert run(capsys, "certify", str(missing))[0] == 2
     assert run(capsys, "certify", str(tmp_path / "nope.json"))[0] == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
+])
+def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "search", "--m", "4", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc[field] = value
+    cert.write_text(json.dumps(doc))
+    proc = run_python("from cyclopack.cli import entry; entry()", "certify", str(cert))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_cli_import_does_not_load_mpmath():
+    proc = run_python("import sys, cyclopack.cli; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_ok(capsys):

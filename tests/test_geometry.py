@@ -5,8 +5,9 @@ import mpmath
 import pytest
 
 from cyclopack import linalg
-from cyclopack.geometry import ComplexPoint, embed, g_act, gram, norm_sq, pairing
+from cyclopack.geometry import ComplexPoint, g_act, gram, norm_sq, pairing
 from conftest import get_ctx
+from oracles import embed
 from test_cyclotomic import random_element
 
 

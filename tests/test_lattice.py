@@ -126,10 +126,20 @@ def test_g_stability():
             assert build_lattice(ctx, Fraction(rng.randint(4, 32), 8), x).is_g_stable()
 
 
+class UnconjugatedLattice(PolarizedLattice):
+    """Negative control: the twist map y -> x*y in place of y -> x*conj(y),
+    which is not unit-stable."""
+
+    def _offset(self, v):
+        return self.x * v
+
+
 def test_g_stability_requires_conjugated_twist(ctx4):
     x = Fraction(1, 3) * ctx4.zeta(1)
-    good = build_lattice(ctx4, 1, x, conjugate_f=True)
-    bad = build_lattice(ctx4, 1, x, conjugate_f=False)
+    good = build_lattice(ctx4, 1, x)
+    gens = ([(a, ctx4.zero()) for a in ctx4.codiff_basis]
+            + [(x * b, b) for b in ctx4.ok_basis])
+    bad = UnconjugatedLattice(ctx4, 1, x, gens)
     assert good.is_g_stable()
     assert not bad.is_g_stable()
 
