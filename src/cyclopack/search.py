@@ -83,8 +83,11 @@ class SearchConfig:
             raise ValueError(f"m must be >= 3, got {self.m}")
         if not (0 < self.epsilon < self.m):
             raise ValueError(f"epsilon must satisfy 0 < epsilon < m, got {self.epsilon}")
-        if self.denom < 1 or self.budget < 1 or self.precision < 16 or self.workers < 1:
-            raise ValueError("denom, budget and workers must be >= 1, precision >= 16")
+        if self.denom < 1 or self.budget < 1 or self.workers < 1:
+            raise ValueError("denom, budget and workers must be >= 1")
+        if not (16 <= self.precision <= MAX_PRECISION):
+            raise ValueError(f"precision must lie in [16, {MAX_PRECISION}], "
+                             f"got {self.precision}")
         if not self.r_grid:
             raise ValueError("r_grid must be nonempty")
 
@@ -241,6 +244,9 @@ def count_N(ctx: CyclotomicContext, r_sq, x: CycloElement, epsilon,
     bound = ctx.m - epsilon
     guard = precision + 32
     r2 = chi_radius_sq(ctx, epsilon, guard)
+    # b -> -coords_in_codiff(x conj(b)) is Z-linear in b: one column per
+    # power-basis vector, so each center is an integer combination of these
+    cols = [[-c for c in ctx.coords_in_codiff(x * e.conj())] for e in ctx.ok_basis]
     total = 0
     for bvec, t in enumerate_in_ball_with_norms(ctx.ok_gram, None, r_sq * r2.hi):
         if not any(bvec):
@@ -248,8 +254,7 @@ def count_N(ctx: CyclotomicContext, r_sq, x: CycloElement, epsilon,
         rem_hi = (r2.hi - t / r_sq) / r_sq
         if rem_hi < 0:
             continue
-        b = ctx.element(bvec)
-        center = [-c for c in ctx.coords_in_codiff(x * b.conj())]
+        center = [sum(bj * col[i] for bj, col in zip(bvec, cols) if bj) for i in range(g)]
         for _, qa in enumerate_in_ball_with_norms(ctx.codiff_gram, center, rem_hi):
             nsq = r_sq * qa + t / r_sq
             if chi_norm_sq(2 * g, nsq, bound, precision):

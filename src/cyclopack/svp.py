@@ -4,18 +4,23 @@ matrices, plus certified packing-density evaluation.
 Enumeration is Fincke-Pohst after an exact-rational LLL: the integer range at
 each level is computed from an integer square root, never from floating
 bounds, so the point lists are complete by construction and the returned
-minima are exact. This trades a little speed for soundness; at desk scale
-(dimension 2g <= 24) it is not the bottleneck.
+minima are exact. The LLL reduction, the LDL factors of the reduced form and
+the inverse transform depend only on the Gram matrix, so each Gram is
+prepared once (PreparedForm) and kept in a small cache keyed by its entries;
+a search enumerates hundreds of balls in the same two forms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt
 
 from . import linalg
 from .intervals import IntervalValue, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
+# distinct Gram matrices kept prepared; one search needs three
+PREPARED_CACHE_SIZE = 32
 
 
 def ball_volume(n: int, precision: int = 128) -> IntervalValue:
@@ -168,25 +173,65 @@ def _enumerate(d, nu, center, radius_sq):
     return out
 
 
+def _frozen(rows):
+    return tuple(map(tuple, rows))
+
+
+class PreparedForm:
+    """A quadratic form made ready for repeated enumeration: the LLL
+    transform U and reduced form R = U G U^T, the LDL factors (d, nu) of R,
+    and the inverse of U^T, which maps a center into reduced coordinates.
+    Every field is a tuple, since the cache hands one form to all callers."""
+
+    __slots__ = ("transform", "reduced", "d", "nu", "ut_inv")
+
+    def __init__(self, gram) -> None:
+        U, R = lll_reduce(gram)
+        d, nu = _ldl(R)
+        n = len(U)
+        # U is unimodular, so the inverse of U^T is an integer matrix
+        ut_inv = linalg.inverse([[U[i][j] for i in range(n)] for j in range(n)])
+        self.transform, self.reduced, self.nu = _frozen(U), _frozen(R), _frozen(nu)
+        self.d = tuple(d)
+        self.ut_inv = tuple(tuple(int(x) for x in row) for row in ut_inv)
+
+    def enumerate(self, center, radius_sq: Fraction):
+        """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq."""
+        U = self.transform
+        n = len(U)
+        cprime = linalg.mat_vec(self.ut_inv, center)
+        return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
+                for s, q in _enumerate(self.d, self.nu, cprime, radius_sq)]
+
+    def shortest_norm_sq(self) -> Fraction:
+        """Exact lambda_1^2 by exhaustive enumeration below the smallest
+        diagonal entry of R, which some basis vector attains."""
+        n = len(self.reduced)
+        best = min(self.reduced[i][i] for i in range(n))
+        for s, q in _enumerate(self.d, self.nu, [Fraction(0)] * n, best):
+            if q < best and any(s):
+                best = q
+        return best
+
+
+@lru_cache(maxsize=PREPARED_CACHE_SIZE)
+def _prepared(key) -> PreparedForm:
+    return PreparedForm(key)
+
+
+def prepare(gram) -> PreparedForm:
+    """The prepared form of gram, built once and then looked up by entries."""
+    return _prepared(_frozen(gram))
+
+
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
     """As enumerate_in_ball, but paired with the exact value of the form."""
-    n = len(gram)
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
     if center is None:
-        center = [Fraction(0)] * n
-    center = [Fraction(c) for c in center]
-    U, R = lll_reduce(gram)
-    ut = [[Fraction(U[i][j]) for i in range(n)] for j in range(n)]
-    cprime = linalg.solve(ut, center)
-    assert cprime is not None  # U is unimodular
-    d, nu = _ldl(R)
-    out = []
-    for s, q in _enumerate(d, nu, cprime, radius_sq):
-        t = tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n))
-        out.append((t, q))
-    return out
+        center = [Fraction(0)] * len(gram)
+    return prepare(gram).enumerate([Fraction(c) for c in center], radius_sq)
 
 
 def enumerate_in_ball(gram, center=None, radius_sq=0):
@@ -196,21 +241,8 @@ def enumerate_in_ball(gram, center=None, radius_sq=0):
 
 
 def shortest_norm_sq(gram) -> Fraction:
-    """Exact lambda_1^2: the minimal nonzero value of the form over Z^n.
-
-    Certified by exhaustive enumeration below the smallest diagonal entry of
-    the LLL-reduced Gram matrix, which some basis vector attains.
-    """
-    _, R = lll_reduce(gram)
-    d, nu = _ldl(R)
-    n = len(R)
-    bound = min(R[i][i] for i in range(n))
-    zero = [Fraction(0)] * n
-    best = bound
-    for s, q in _enumerate(d, nu, zero, bound):
-        if q < best and any(s):
-            best = q
-    return best
+    """Exact lambda_1^2: the minimal nonzero value of the form over Z^n."""
+    return prepare(gram).shortest_norm_sq()
 
 
 def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:

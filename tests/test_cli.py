@@ -20,11 +20,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_python(code: str, *argv):
-    """Run code in a fresh interpreter that imports cyclopack from src."""
-    return subprocess.run([sys.executable, "-c", code, *argv],
+def run_python(*argv):
+    """Run a fresh interpreter with these arguments, importing cyclopack
+    from src; a run past the timeout fails the test instead of hanging it."""
+    return subprocess.run([sys.executable, *argv],
                           env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_construct_ok(tmp_path, capsys):
@@ -95,6 +96,7 @@ def test_certify_malformed_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
+    ("precision_bits", 1000000),
 ])
 def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     cert = tmp_path / "cert.json"
@@ -102,16 +104,22 @@ def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     doc = json.loads(cert.read_text())
     doc[field] = value
     cert.write_text(json.dumps(doc))
-    proc = run_python("from cyclopack.cli import entry; entry()", "certify", str(cert))
+    proc = run_python("-c", "from cyclopack.cli import entry; entry()", "certify", str(cert))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
 
 
 def test_cli_import_does_not_load_mpmath():
-    proc = run_python("import sys, cyclopack.cli; print('mpmath' in sys.modules)")
+    proc = run_python("-c", "import sys, cyclopack.cli; print('mpmath' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_python_m_cyclopack_runs_cli():
+    proc = run_python("-m", "cyclopack", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "certify" in proc.stdout
 
 
 def test_verify_ok(capsys):

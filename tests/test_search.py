@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from cyclopack import svp
 from cyclopack.geometry import ComplexPoint
 from cyclopack.ioutil import dump_json
 from cyclopack.search import (NoQualifyingRadius,
                               SearchBudgetExceeded, SearchConfig,
                               certificate_from_json_dict,
                               certificate_to_json_dict, chi, chi_norm_sq,
-                              count_N, default_r_grid, j_value,
+                              chi_radius_sq, count_N, default_r_grid, j_value,
                               recompute_certificate, sample_x, search,
                               select_r)
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
+from oracles import box_points_in_ball
 
 EPS = Fraction(1, 2)
 
@@ -116,6 +118,60 @@ def test_count_positive_when_twist_vanishes():
     r_sq = select_r(ctx, EPS, default_r_grid())
     n0 = count_N(ctx, r_sq, ctx.zero(), EPS)
     assert n0 > 0 and n0 % 6 == 0
+
+
+def _quad(gram, v):
+    return sum(gram[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
+    """count_N by box scans: every nonzero ring vector b, its center
+    -coords_in_codiff(x conj(b)) computed in the field, every codifferent
+    vector a near it, and chi on |r a + r x conj(b) + (i/r) b|^2."""
+    r_sq = Fraction(r_sq)
+    r2_hi = chi_radius_sq(ctx, epsilon, precision + 32).hi
+    total = 0
+    for bvec in box_points_in_ball(ctx.ok_gram, None, r_sq * r2_hi):
+        if not any(bvec):
+            continue
+        t = _quad(ctx.ok_gram, bvec)
+        rem_hi = (r2_hi - t / r_sq) / r_sq
+        center = [-c for c in ctx.coords_in_codiff(x * ctx.element(bvec).conj())]
+        for avec in box_points_in_ball(ctx.codiff_gram, center, rem_hi):
+            qa = _quad(ctx.codiff_gram, [a - c for a, c in zip(avec, center)])
+            if chi_norm_sq(2 * ctx.g, r_sq * qa + t / r_sq, ctx.m - epsilon, precision):
+                total += 1
+    return total
+
+
+def test_count_matches_box_scan_on_twists():
+    rng = random.Random(67)
+    for m in (4, 5, 6):
+        ctx = get_ctx(m)
+        xs = [ctx.zero()] + [sample_x(ctx, 8, rng) for _ in range(3)]
+        # the selected scale, and a larger one at which most counts are nonzero
+        for r_sq in (select_r(ctx, EPS, default_r_grid()), Fraction(5)):
+            for x in xs:
+                assert count_N(ctx, r_sq, x, EPS) == brute_count_N(ctx, r_sq, x), (m, r_sq, x)
+
+
+def test_count_prepares_each_gram_once(monkeypatch):
+    ctx = get_ctx(8)
+    r_sq = select_r(ctx, EPS, default_r_grid())
+    x = sample_x(ctx, 8, random.Random(71))
+    seen = []
+    lll_reduce = svp.lll_reduce
+
+    def counting(gram, *args):
+        seen.append(tuple(map(tuple, gram)))
+        return lll_reduce(gram, *args)
+
+    monkeypatch.setattr(svp, "lll_reduce", counting)
+    svp._prepared.cache_clear()
+    for twist in (ctx.zero(), x):
+        count_N(ctx, r_sq, twist, EPS)
+    assert len(seen) <= 2
+    assert set(seen) <= {ctx.ok_gram, ctx.codiff_gram}
 
 
 # -- sampling ----------------------------------------------------------------------

@@ -131,11 +131,13 @@ def test_enumerate_matches_box_scan_random():
     for trial in range(50):
         n = rng.randint(1, 4)
         g = random_pd_gram(n, rng)
-        center = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-        radius = Fraction(rng.randint(1, 40), rng.randint(1, 4))
-        got = enumerate_in_ball(g, center, radius)
-        expect = box_points_in_ball(g, center, radius)
-        assert got == expect, (trial, g, center, radius)
+        # the second and third balls reuse the form prepared for the first
+        for _ in range(3):
+            center = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            radius = Fraction(rng.randint(1, 40), rng.randint(1, 4))
+            got = enumerate_in_ball(g, center, radius)
+            expect = box_points_in_ball(g, center, radius)
+            assert got == expect, (trial, g, center, radius)
 
 
 def test_enumerate_norms_are_exact():
