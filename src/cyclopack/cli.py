@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed checks or certificate mismatch, 2 invalid
-input or malformed file, 3 search resources exhausted. Output files are
-written atomically (write-then-rename); rationals are serialized as exact
-"p/q" strings so certificates round-trip bit-for-bit.
+input or malformed file, 3 no witness within the sample budget. Output
+files are written atomically (write-then-rename); rationals are serialized
+as exact "p/q" strings so certificates round-trip bit-for-bit.
 """
 from __future__ import annotations
 
@@ -12,29 +12,25 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from .cyclotomic import CyclotomicContext
 from .ioutil import atomic_write, dump_json, parse_rat
 from .lattice import build_lattice
-from .search import (CertificateFormatError, NoQualifyingRadius,
-                     SearchBudgetExceeded, SearchConfig,
-                     certificate_from_json_dict, certificate_to_json_dict,
-                     default_r_grid, recompute_certificate, run_checks, search)
+from .search import (SearchConfig, SearchError, certificate_from_json_dict,
+                     certificate_to_json_dict, recompute_certificate, run_checks,
+                     search)
 from .tables import bound_table, bound_table_csv, primorial_row
 from .verify import run_suites
 
-DEFAULT_PRECISION = 128
 
-
-def _env_precision() -> int:
-    raw = os.environ.get("CYCLOPACK_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CYCLOPACK_PRECISION must be an integer, got {raw!r}") from exc
+def _precision(flag: int | None) -> int:
+    """--precision, else CYCLOPACK_PRECISION, else the SearchConfig default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("CYCLOPACK_PRECISION", str(SearchConfig.precision))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"CYCLOPACK_PRECISION must be a decimal integer, got {raw!r}")
+    return int(raw)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,14 +51,8 @@ def _parse_x(ctx: CyclotomicContext, raw: str):
 
 
 def cmd_construct(args) -> int:
-    try:
-        ctx = CyclotomicContext(args.m)
-        r_sq = parse_rat(args.r2)
-        x = _parse_x(ctx, args.x)
-        lat = build_lattice(ctx, r_sq, x)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = CyclotomicContext(args.m)
+    lat = build_lattice(ctx, parse_rat(args.r2), _parse_x(ctx, args.x))
     checks = run_checks(lat)
     doc = lat.to_json_dict()
     doc["checks"] = checks
@@ -74,24 +64,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        if args.rmax is not None and args.rmax < 1:
-            raise ValueError("--rmax must be >= 1")
-        grid = (default_r_grid() if args.rmax is None
-                else tuple(Fraction(k, 2) for k in range(1, 2 * args.rmax + 1)))
-        config = SearchConfig(m=args.m, epsilon=parse_rat(args.epsilon),
-                              denom=args.denom, budget=args.budget, seed=args.seed,
-                              precision=args.precision, workers=args.workers,
-                              r_grid=grid)
-        config.validate()
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cert = search(config)
-    except (NoQualifyingRadius, SearchBudgetExceeded) as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 3
+    cert = search(SearchConfig(m=args.m, epsilon=parse_rat(args.epsilon),
+                               denom=args.denom, budget=args.budget, seed=args.seed,
+                               precision=_precision(args.precision),
+                               workers=args.workers))
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)
     if cert.is_valid():
         return 0
@@ -100,18 +76,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        with open(args.cert_path) as f:
-            doc = json.load(f)
-        cert = certificate_from_json_dict(doc)
-    except (OSError, json.JSONDecodeError, CertificateFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        fresh, mismatches = recompute_certificate(cert)
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.cert_path) as f:
+        cert = certificate_from_json_dict(json.load(f))
+    fresh, mismatches = recompute_certificate(cert)
     if mismatches:
         print(f"certificate mismatch in fields: {mismatches}", file=sys.stderr)
         return 1
@@ -123,11 +90,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suites(args.m, args.trials, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suites(args.m, args.trials, args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
     failures = [r for r in results if not r.passed]
@@ -139,14 +102,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        gs = [int(p) for p in args.g.split(",")]
-        if any(g < 1 for g in gs):
-            raise ValueError("g values must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = bound_table(gs)
+    rows = bound_table([int(p) for p in args.g.split(",")])
     if args.format == "csv":
         _emit(bound_table_csv(rows), args.out)
     else:
@@ -155,12 +111,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_primorial(args) -> int:
-    try:
-        row = primorial_row(args.x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(dump_json(asdict(row)), args.out)
+    _emit(dump_json(asdict(primorial_row(args.x))), args.out)
     return 0
 
 
@@ -181,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a certified witness")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denom", type=int, default=8)
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--rmax", type=int, default=None,
-                   help="enlarge the r^2 grid to {k/2 : k <= 2*rmax}")
+    p.add_argument("--epsilon", default=str(SearchConfig.epsilon))
+    p.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--denom", type=int, default=SearchConfig.denom)
+    p.add_argument("--precision", type=int, default=None,
+                   help="interval precision in bits (default: $CYCLOPACK_PRECISION, "
+                        f"else {SearchConfig.precision})")
+    p.add_argument("--workers", type=int, default=SearchConfig.workers)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
 
@@ -218,15 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "precision", None) is None and hasattr(args, "precision"):
-        try:
-            args.precision = _env_precision()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    # the one place that maps errors to exit codes; a malformed certificate
+    # (CertificateFormatError, JSONDecodeError) is a ValueError
+    try:
+        return args.fn(args)
+    except SearchError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import linalg
 
@@ -126,15 +125,11 @@ class CycloElement:
     def inverse(self) -> "CycloElement":
         return self.ctx.inverse(self)
 
-    def is_integral(self) -> bool:
-        """True iff the element lies in Z[zeta], i.e. all coordinates are integers."""
-        return all(c.denominator == 1 for c in self.coords)
-
 
 class CyclotomicContext:
     """All precomputed data of Q(zeta_m): reduction tables, traces of powers,
-    Galois action matrices, and bases of the ring of integers and of its
-    trace-dual (codifferent) lattice.
+    the complex conjugation matrix, and bases of the ring of integers and of
+    its trace-dual (codifferent) lattice.
 
     Immutable after construction; every operation is pure, so a context can be
     shared freely across workers.
@@ -165,12 +160,10 @@ class CyclotomicContext:
         # traces of zeta^j for 0 <= j <= 2g-2 via Newton's identities on Phi_m
         self.trace_vec: tuple[int, ...] = self._newton_traces()
 
-        # Galois action zeta -> zeta^k for every k coprime to m
-        self.power_map: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for k in range(1, m):
-            if gcd(k, m) == 1:
-                cols = [self._zeta_coords[(j * k) % m] for j in range(g)]
-                self.power_map[k] = tuple(tuple(cols[j][i] for j in range(g)) for i in range(g))
+        # complex conjugation zeta -> zeta^(m-1): column j is zeta^(-j)
+        cols = [self._zeta_coords[-j % m] for j in range(g)]
+        self.conj_matrix: tuple[tuple[int, ...], ...] = tuple(
+            tuple(cols[j][i] for j in range(g)) for i in range(g))
 
         self.ok_basis: tuple[CycloElement, ...] = tuple(
             CycloElement(self, self._zeta_coords[j]) for j in range(g)
@@ -267,14 +260,7 @@ class CyclotomicContext:
 
     def conj(self, a: CycloElement) -> CycloElement:
         """Complex conjugation zeta -> zeta^(m-1)."""
-        return self.apply_power(self.m - 1, a)
-
-    def apply_power(self, k: int, a: CycloElement) -> CycloElement:
-        """Galois action zeta -> zeta^k; requires gcd(k, m) = 1."""
-        mat = self.power_map.get(k % self.m)
-        if mat is None:
-            raise ValueError(f"k={k} is not coprime to m={self.m}")
-        return CycloElement(self, linalg.mat_vec(mat, a.coords))
+        return CycloElement(self, linalg.mat_vec(self.conj_matrix, a.coords))
 
     def trace(self, a: CycloElement) -> Fraction:
         return sum((c * t for c, t in zip(a.coords, self.trace_vec)), Fraction(0))

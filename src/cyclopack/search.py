@@ -4,10 +4,11 @@ certificate of the resulting packing bound.
 
 Pipeline for a given m and rational epsilon in (0, m):
 
-  1. select_r scans a grid of rational r^2 for a value where the pure
-     codifferent vectors are already long enough (certified interval lower
-     bound) while the mean obstruction count J(r) stays below m (certified
-     interval upper bound).
+  1. select_r scans r^2 = 1/2, 1, 3/2, ... for the first value where the
+     pure codifferent vectors are already long enough (certified interval
+     lower bound) while the mean obstruction count J(r) stays below m
+     (certified interval upper bound). The scan has no upper end; it stops
+     because J(r) tends to m - epsilon < m.
   2. Twist points x are sampled from the fundamental parallelepiped of the
      codifferent; x = 0 is always tried first. count_N(x) is an exact
      integer; the first x with count zero wins. Since the count is divisible
@@ -23,11 +24,13 @@ r^2, x, precision).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .cyclotomic import CycloElement, CyclotomicContext
 from .geometry import ComplexPoint, norm_sq
@@ -46,7 +49,8 @@ class SearchError(Exception):
 
 
 class NoQualifyingRadius(SearchError):
-    """No grid value passed both certified conditions; enlarge the grid."""
+    """No value of a finite r^2 sequence passed both certified conditions.
+    The default scan is unbounded and always finds one."""
 
 
 class SearchBudgetExceeded(SearchError):
@@ -62,9 +66,9 @@ class CertificateFormatError(ValueError):
     pass
 
 
-def default_r_grid() -> tuple[Fraction, ...]:
-    """r^2 in {k/2 : 1 <= k <= 32}, scanned in increasing order."""
-    return tuple(Fraction(k, 2) for k in range(1, 33))
+def default_r_grid() -> Iterator[Fraction]:
+    """The unbounded stream r^2 = k/2, k = 1, 2, 3, ..., in increasing order."""
+    return count(Fraction(1, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,13 @@ class SearchConfig:
     budget: int = 1000
     seed: int = 0
     precision: int = 128
-    r_grid: tuple[Fraction, ...] = field(default_factory=default_r_grid)
     workers: int = 1
+
+    @property
+    def r_grid(self) -> Iterator[Fraction]:
+        """The r^2 values a search scans: a fresh default_r_grid() on each
+        access, so one config serves any number of searches."""
+        return default_r_grid()
 
     def validate(self) -> None:
         if self.m < 3:
@@ -88,8 +97,6 @@ class SearchConfig:
         if not (16 <= self.precision <= MAX_PRECISION):
             raise ValueError(f"precision must lie in [16, {MAX_PRECISION}], "
                              f"got {self.precision}")
-        if not self.r_grid:
-            raise ValueError("r_grid must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -207,8 +214,14 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
 
 
 def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> Fraction:
-    """First grid value r^2 such that, with certainty from interval bounds,
-    v_2g (r^2 lambda1^2(I))^g > m - epsilon and J(r) < m."""
+    """First value r^2 of r_grid such that, with certainty from interval
+    bounds, v_2g (r^2 lambda1^2(I))^g > m - epsilon and J(r) < m.
+
+    On an unbounded increasing sequence such as default_r_grid() the scan
+    terminates: the first condition holds for every large r^2, and J(r)
+    tends to m - epsilon < m, so its certified upper bound eventually drops
+    below m. A finite sequence with no such value raises NoQualifyingRadius.
+    """
     epsilon = Fraction(epsilon)
     m, g = ctx.m, ctx.g
     bound = m - epsilon
@@ -224,7 +237,7 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
         if j.hi < m:
             return r_sq
     raise NoQualifyingRadius(
-        f"m={m}: no r^2 in the grid passes both certified conditions; enlarge the grid")
+        f"m={m}: no r^2 in the given sequence passes both certified conditions")
 
 
 # -- N(x): the exact obstruction count ----------------------------------------
@@ -392,22 +405,28 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
     }
 
 
+def _typed(value, kind: type, name: str):
+    """value itself if its type is exactly kind (so a JSON true is no integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def certificate_from_json_dict(d: dict) -> Certificate:
     """Parse a stored certificate and check that its inputs lie in the domain
-    a search accepts, before any recomputation starts."""
+    a search accepts, before any recomputation starts. Integers must be JSON
+    integers, rationals "p/q" strings and checks JSON booleans: nothing is
+    coerced, so a file verifies only as written."""
     try:
+        ints = {k: _typed(d[k], int, k)
+                for k in ("m", "g", "n_value", "precision_bits", "seed", "sample_index")}
+        rats = {k: parse_rat(_typed(d[k], str, k))
+                for k in ("epsilon", "r_sq", "lambda1_sq", "bound_lo")}
         cert = Certificate(
-            m=int(d["m"]), g=int(d["g"]),
-            epsilon=parse_rat(d["epsilon"]),
-            r_sq=parse_rat(d["r_sq"]),
-            x_coords=tuple(parse_rat(s) for s in d["x"]),
-            lambda1_sq=parse_rat(d["lambda1_sq"]),
-            n_value=int(d["n_value"]),
-            bound_lo=parse_rat(d["bound_lo"]),
-            checks={k: bool(d["checks"][k]) for k in CHECK_NAMES},
-            precision_bits=int(d["precision_bits"]),
-            seed=int(d["seed"]),
-            sample_index=int(d["sample_index"]),
+            **ints, **rats,
+            x_coords=tuple(parse_rat(_typed(v, str, "x"))
+                           for v in _typed(d["x"], list, "x")),
+            checks={k: _typed(d["checks"][k], bool, k) for k in CHECK_NAMES},
         )
         SearchConfig(m=cert.m, epsilon=cert.epsilon,
                      precision=cert.precision_bits).validate()

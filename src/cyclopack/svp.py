@@ -43,9 +43,11 @@ def _round_half_up(x: Fraction) -> int:
 def lll_reduce(gram, delta: Fraction = LLL_DELTA):
     """LLL-reduce a symmetric positive definite rational Gram matrix.
 
-    Returns (transform, reduced) with transform an integer matrix of
+    Returns (transform, reduced, d, nu) with transform an integer matrix of
     determinant +-1 and reduced = transform * gram * transform^T satisfying
-    the Lovasz condition for the given delta. Non-PD input raises ValueError.
+    the Lovasz condition for the given delta. The final Gram-Schmidt data are
+    the LDL factors of reduced: Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
+    exactly. Non-PD input raises ValueError.
     """
     n = len(gram)
     G = [[Fraction(x) for x in row] for row in gram]
@@ -114,25 +116,9 @@ def lll_reduce(gram, delta: Fraction = LLL_DELTA):
             for l in range(k - 2, -1, -1):
                 reduce_row(k, l)
             k += 1
-    return U, G
-
-
-def _ldl(gram):
-    """Factor Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2, exactly."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    nu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            nu[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= nu[i][r] * a[i][c]
-    return d, nu
+    # row j of G is b_j = b*_j + sum_{i<j} mu_ji b*_i, so nu is mu transposed
+    nu = [[mu[j][i] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    return U, G, B, nu
 
 
 def _coeff_range(center: Fraction, bound: Fraction):
@@ -186,8 +172,7 @@ class PreparedForm:
     __slots__ = ("transform", "reduced", "d", "nu", "ut_inv")
 
     def __init__(self, gram) -> None:
-        U, R = lll_reduce(gram)
-        d, nu = _ldl(R)
+        U, R, d, nu = lll_reduce(gram)
         n = len(U)
         # U is unimodular, so the inverse of U^T is an integer matrix
         ut_inv = linalg.inverse([[U[i][j] for i in range(n)] for j in range(n)])

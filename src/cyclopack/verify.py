@@ -122,6 +122,8 @@ ALL_SUITES = (
 
 
 def run_suites(m: int, trials: int, seed: int = 0) -> list[SuiteResult]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     ctx = CyclotomicContext(m)
     results = []
     for fn in ALL_SUITES:

@@ -9,6 +9,7 @@ import pytest
 from cyclopack import linalg
 from cyclopack.cli import main
 from cyclopack.cyclotomic import CyclotomicContext
+from cyclopack.search import CHECK_NAMES
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -44,6 +45,13 @@ def test_construct_invalid_inputs(capsys):
     assert run(capsys, "construct", "--m", "2", "--r2", "1")[0] == 2
     assert run(capsys, "construct", "--m", "3", "--r2", "-1")[0] == 2
     assert run(capsys, "construct", "--m", "3", "--r2", "1", "--x", "1/2")[0] == 2
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "construct", "--m", "4", "--r2", "2",
+                       "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_search_and_certify_roundtrip(tmp_path, capsys):
@@ -96,7 +104,8 @@ def test_certify_malformed_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
-    ("precision_bits", 1000000),
+    ("precision_bits", 1000000), ("m", 4.9), ("precision_bits", 128.7),
+    ("n_value", False), ("checks", dict.fromkeys(CHECK_NAMES, "false")), ("x", "00"),
 ])
 def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     cert = tmp_path / "cert.json"
@@ -132,6 +141,14 @@ def test_verify_m12(capsys):
     code, out, _ = run(capsys, "verify", "--m", "12", "--trials", "25")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--m", "4", "--trials", trials)
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error:")
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

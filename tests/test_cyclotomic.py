@@ -104,7 +104,7 @@ def test_conj(ctx4, ctx3):
 def test_conjugation_matrix_is_involution():
     for m in (3, 4, 5, 8, 12, 15):
         ctx = get_ctx(m)
-        p = ctx.power_map[m - 1]
+        p = ctx.conj_matrix
         assert linalg.mat_mul([list(r) for r in p], [list(r) for r in p]) == linalg.identity(ctx.g)
 
 

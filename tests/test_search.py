@@ -81,6 +81,11 @@ def test_select_r_known_values(ctx3, ctx4):
     assert select_r(ctx3, EPS, default_r_grid()) == Fraction(3, 2)
 
 
+def test_select_r_scans_past_the_old_grid():
+    # 41/2 > 16: the scan has no fixed upper end
+    assert select_r(get_ctx(28), EPS, default_r_grid()) == Fraction(41, 2)
+
+
 def test_select_r_reports_failure(ctx4):
     with pytest.raises(NoQualifyingRadius):
         select_r(ctx4, EPS, (Fraction(1, 100),))
@@ -233,6 +238,14 @@ def test_search_deterministic_bytes():
     assert a == b
 
 
+def test_search_config_reuse_gives_identical_bytes():
+    # r_grid is a fresh stream per access, so a second search on the same
+    # config scans from r^2 = 1/2 again
+    config = SearchConfig(m=6, seed=5)
+    first = dump_json(certificate_to_json_dict(search(config)))
+    assert dump_json(certificate_to_json_dict(search(config))) == first
+
+
 def test_search_parallel_matches_sequential():
     # the winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2)
     for seed in (0, 1, 2):
@@ -248,6 +261,8 @@ def test_search_validates_config():
         search(SearchConfig(m=2))
     with pytest.raises(ValueError):
         search(SearchConfig(m=4, budget=0))
+    with pytest.raises(TypeError):  # the r^2 scan is not configurable
+        SearchConfig(m=4, r_grid=())
 
 
 def test_certificate_roundtrip_and_recompute():

@@ -68,7 +68,7 @@ def test_ball_volume_rejects_odd_or_tiny():
 
 def test_lll_identity_fixed():
     g = linalg.identity(4)
-    u, r = lll_reduce(g)
+    u, r, _, _ = lll_reduce(g)
     assert u == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert r == g
 
@@ -78,11 +78,16 @@ def test_lll_preserves_determinant_and_matches_transform():
     for n in (2, 3, 4, 6):
         for _ in range(10):
             g = random_pd_gram(n, rng)
-            u, r = lll_reduce(g)
+            u, r, d, nu = lll_reduce(g)
             uf = frac_mat(u)
             assert linalg.determinant(uf) in (1, -1)
             assert linalg.mat_mul(linalg.mat_mul(uf, g), linalg.transpose(uf)) == r
             assert linalg.determinant(r) == linalg.determinant(g)
+            # (d, nu) are the LDL factors of r: r = N^T diag(d) N, N unit upper
+            unit = [[Fraction(1) if i == j else nu[i][j] if j > i else Fraction(0)
+                     for j in range(n)] for i in range(n)]
+            dn = [[d[i] * x for x in row] for i, row in enumerate(unit)]
+            assert linalg.mat_mul(linalg.transpose(unit), dn) == r
 
 
 def test_lll_lovasz_condition_holds():
@@ -90,7 +95,7 @@ def test_lll_lovasz_condition_holds():
     delta = Fraction(99, 100)
     for _ in range(10):
         g = random_pd_gram(5, rng)
-        _, r = lll_reduce(g)
+        _, r, _, _ = lll_reduce(g)
         # recompute GSO from scratch and check both LLL conditions
         n = len(r)
         mu = [[Fraction(0)] * n for _ in range(n)]
@@ -106,7 +111,7 @@ def test_lll_lovasz_condition_holds():
 
 
 def test_lll_example_gram(ctx12):
-    _, r = lll_reduce([list(row) for row in ctx12.ok_gram])
+    _, r, _, _ = lll_reduce([list(row) for row in ctx12.ok_gram])
     assert r[0][0] <= 4
 
 
