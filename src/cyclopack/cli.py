@@ -16,9 +16,9 @@ from dataclasses import asdict
 from .cyclotomic import CyclotomicContext
 from .ioutil import atomic_write, dump_json, parse_rat
 from .lattice import build_lattice
-from .search import (SearchConfig, SearchError, certificate_from_json_dict,
-                     certificate_to_json_dict, recompute_certificate, run_checks,
-                     search)
+from .search import (CertificateFormatError, SearchConfig, SearchError,
+                     certificate_from_json_dict, certificate_to_json_dict,
+                     recompute_certificate, run_checks, search)
 from .tables import bound_table, bound_table_csv, primorial_row
 from .verify import run_suites
 
@@ -77,7 +77,11 @@ def cmd_search(args) -> int:
 
 def cmd_certify(args) -> int:
     with open(args.cert_path) as f:
-        cert = certificate_from_json_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except RecursionError as exc:  # nesting deeper than the parser's stack
+            raise CertificateFormatError("malformed certificate: nested too deeply") from exc
+    cert = certificate_from_json_dict(doc)
     fresh, mismatches = recompute_certificate(cert)
     if mismatches:
         print(f"certificate mismatch in fields: {mismatches}", file=sys.stderr)

@@ -6,7 +6,9 @@ r * (codifferent basis) together with the vectors r * t * conj(b) + (i/r) * b
 for b running over the power basis of the ring of integers. A lattice point
 r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
 every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
-be extracted as a real number.
+be extracted as a real number. Both forms are assembled from the trace form
+Tr(a conj(b)) on power-basis coordinates, so building a lattice needs no
+field multiplication beyond its generators.
 """
 from __future__ import annotations
 
@@ -34,21 +36,20 @@ class PolarizedLattice:
         self.x = x
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
-        us = [u for u, _ in self.generators]
-        vs = [v for _, v in self.generators]
-        ucon = [u.conj() for u in us]
-        vcon = [v.conj() for v in vs]
+        # with T = ok_gram, Tr(a conj(b)) = a^T T b on power-basis coordinates;
+        # over the coordinate rows U, V of the u and v parts, real_gram is
+        # r^2 U T U^T + r^-2 V T V^T and symplectic is V T U^T - U T V^T, whose
+        # second term is the transpose of the first because T is symmetric
+        us = [u.coords for u, _ in self.generators]
+        vs = [v.coords for _, v in self.generators]
+        ut, vt = linalg.mat_mul(us, ctx.ok_gram), linalg.mat_mul(vs, ctx.ok_gram)
+        uu, vv, vu = (linalg.mat_mul(a, linalg.transpose(b))
+                      for a, b in ((ut, us), (vt, vs), (vt, us)))
         n = len(self.generators)
         inv_r_sq = 1 / r_sq
-        self.real_gram = [
-            [r_sq * (us[j] * ucon[k]).trace() + inv_r_sq * (vs[j] * vcon[k]).trace()
-             for k in range(n)]
-            for j in range(n)
-        ]
-        self.symplectic = [
-            [(vs[j] * ucon[k]).trace() - (us[j] * vcon[k]).trace() for k in range(n)]
-            for j in range(n)
-        ]
+        self.real_gram = [[r_sq * uu[j][k] + inv_r_sq * vv[j][k] for k in range(n)]
+                          for j in range(n)]
+        self.symplectic = [[vu[j][k] - vu[k][j] for k in range(n)] for j in range(n)]
 
     # -- checks ----------------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
 from .lattice import build_lattice
 from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
+from .tables import phi
 
 MAX_PRECISION = 4096
 
@@ -244,35 +245,22 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
 
 def count_N(ctx: CyclotomicContext, r_sq, x: CycloElement, epsilon,
             precision: int = 128) -> int:
-    """Exact number of pairs (a, b), b != 0, whose lattice vector
-    r a + r x conj(b) + (i/r) b lands inside the chi ball.
+    """Exact number of vectors of the twisted lattice build_lattice(ctx, r_sq, x)
+    whose ring part b (the last g coefficients) is nonzero and that lie
+    inside the chi ball.
 
-    Candidates are enumerated against the outer interval bound of the chi
-    radius and each one is confirmed by the certified chi itself, so the
-    count is exact despite the irrational threshold.
+    Candidates are enumerated in the lattice's own Gram matrix against the
+    outer interval bound of the chi radius and each one is confirmed by the
+    certified chi itself, so the count is exact despite the irrational
+    threshold. The SVP of a certified twist enumerates the same Gram, so it
+    is prepared once.
     """
-    r_sq = Fraction(r_sq)
-    epsilon = Fraction(epsilon)
     g = ctx.g
-    bound = ctx.m - epsilon
-    guard = precision + 32
-    r2 = chi_radius_sq(ctx, epsilon, guard)
-    # b -> -coords_in_codiff(x conj(b)) is Z-linear in b: one column per
-    # power-basis vector, so each center is an integer combination of these
-    cols = [[-c for c in ctx.coords_in_codiff(x * e.conj())] for e in ctx.ok_basis]
-    total = 0
-    for bvec, t in enumerate_in_ball_with_norms(ctx.ok_gram, None, r_sq * r2.hi):
-        if not any(bvec):
-            continue
-        rem_hi = (r2.hi - t / r_sq) / r_sq
-        if rem_hi < 0:
-            continue
-        center = [sum(bj * col[i] for bj, col in zip(bvec, cols) if bj) for i in range(g)]
-        for _, qa in enumerate_in_ball_with_norms(ctx.codiff_gram, center, rem_hi):
-            nsq = r_sq * qa + t / r_sq
-            if chi_norm_sq(2 * g, nsq, bound, precision):
-                total += 1
-    return total
+    bound = ctx.m - Fraction(epsilon)
+    r2 = chi_radius_sq(ctx, epsilon, precision + 32)
+    lat = build_lattice(ctx, r_sq, x)
+    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lat.real_gram, None, r2.hi)
+               if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
 
 
 # -- twist sampling -----------------------------------------------------------
@@ -430,6 +418,10 @@ def certificate_from_json_dict(d: dict) -> Certificate:
         )
         SearchConfig(m=cert.m, epsilon=cert.epsilon,
                      precision=cert.precision_bits).validate()
+        # phi(m) >= sqrt(m/2) rejects a huge m before phi or a context is computed
+        k = len(cert.x_coords)
+        if cert.m > 2 * k * k + 1 or phi(cert.m) != k:
+            raise ValueError(f"x has {k} coordinates, expected phi(m) for m={cert.m}")
         if cert.r_sq <= 0:
             raise ValueError(f"r^2 must be positive, got {cert.r_sq}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -441,9 +433,6 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     """Recompute every derived field from (m, epsilon, r^2, x) at the stored
     precision and list all fields that disagree with the stored values."""
     ctx = CyclotomicContext(cert.m)
-    if len(cert.x_coords) != ctx.g:
-        raise CertificateFormatError(
-            f"x has {len(cert.x_coords)} coordinates, expected g={ctx.g}")
     x = ctx.element(cert.x_coords)
     n = count_N(ctx, cert.r_sq, x, cert.epsilon, cert.precision_bits)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,

@@ -7,7 +7,8 @@ bounds, so the point lists are complete by construction and the returned
 minima are exact. The LLL reduction, the LDL factors of the reduced form and
 the inverse transform depend only on the Gram matrix, so each Gram is
 prepared once (PreparedForm) and kept in a small cache keyed by its entries;
-a search enumerates hundreds of balls in the same two forms.
+the obstruction count of a twist and the shortest vector of its lattice
+enumerate the same Gram.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from . import linalg
 from .intervals import IntervalValue, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
-# distinct Gram matrices kept prepared; one search needs three
+# distinct Gram matrices kept prepared; a search needs the ring and codifferent
+# forms for its scale and then one twisted-lattice Gram per twist it counts
 PREPARED_CACHE_SIZE = 32
 
 
@@ -40,12 +42,12 @@ def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def lll_reduce(gram, delta: Fraction = LLL_DELTA):
+def lll_reduce(gram):
     """LLL-reduce a symmetric positive definite rational Gram matrix.
 
     Returns (transform, reduced, d, nu) with transform an integer matrix of
     determinant +-1 and reduced = transform * gram * transform^T satisfying
-    the Lovasz condition for the given delta. The final Gram-Schmidt data are
+    the Lovasz condition for LLL_DELTA. The final Gram-Schmidt data are
     the LDL factors of reduced: Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
     exactly. Non-PD input raises ValueError.
     """
@@ -94,7 +96,7 @@ def lll_reduce(gram, delta: Fraction = LLL_DELTA):
             kmax = k
             gso_row(k)
         reduce_row(k, k - 1)
-        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        if B[k] < (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
             U[k - 1], U[k] = U[k], U[k - 1]
             G[k - 1], G[k] = G[k], G[k - 1]
             for r in range(n):

@@ -100,12 +100,16 @@ def test_certify_malformed_file(tmp_path, capsys):
     missing.write_text('{"m": 4}')
     assert run(capsys, "certify", str(missing))[0] == 2
     assert run(capsys, "certify", str(tmp_path / "nope.json"))[0] == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)  # nested past the JSON parser's recursion limit
+    assert run(capsys, "certify", str(deep))[0] == 2
 
 
 @pytest.mark.parametrize("field, value", [
     ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
     ("precision_bits", 1000000), ("m", 4.9), ("precision_bits", 128.7),
     ("n_value", False), ("checks", dict.fromkeys(CHECK_NAMES, "false")), ("x", "00"),
+    ("m", 10**12), ("m", 10**7),
 ])
 def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     cert = tmp_path / "cert.json"

@@ -31,9 +31,18 @@ def test_m4_unit_gram(ctx4):
     assert lat.is_riemann_integral() and lat.is_unimodular()
 
 
+def _perturbed_pairs(ctx):
+    """The generators of build_lattice(ctx, 1, 0) with the first u part moved
+    by half a codifferent basis vector: no longer a lattice of this family."""
+    pairs = list(build_lattice(ctx, 1, ctx.zero()).generators)
+    u0, v0 = pairs[0]
+    pairs[0] = (u0 + Fraction(1, 2) * ctx.codiff_basis[0], v0)
+    return pairs
+
+
 def test_gram_formulas_match_oracle():
     rng = random.Random(51)
-    for m in (3, 5, 8, 12):
+    for m in (3, 5, 8, 12, 30):
         ctx = get_ctx(m)
         for _ in range(5):
             r_sq = Fraction(rng.randint(4, 32), 8)
@@ -42,6 +51,14 @@ def test_gram_formulas_match_oracle():
             re, im = gram_oracle(ctx, r_sq, x, lat.generators)
             assert lat.real_gram == re
             assert lat.symplectic == im
+    # the forms are bilinear in arbitrary generators, not only in this family
+    for m in (3, 12):
+        ctx = get_ctx(m)
+        pairs = _perturbed_pairs(ctx)
+        lat = PolarizedLattice(ctx, Fraction(3, 2), ctx.zero(), pairs)
+        re, im = gram_oracle(ctx, Fraction(3, 2), ctx.zero(), pairs)
+        assert lat.real_gram == re
+        assert lat.symplectic == im
 
 
 def test_symplectic_block_structure_at_zero_twist():
@@ -80,13 +97,9 @@ def test_riemann_integrality_random():
 
 
 def test_integrality_breaks_under_half_codifferent_perturbation(ctx3):
-    lat = build_lattice(ctx3, 1, ctx3.zero())
-    assert lat.is_riemann_integral()
-    w = Fraction(1, 2) * ctx3.codiff_basis[0]  # in (1/2)I but not I
-    pairs = list(lat.generators)
-    u0, v0 = pairs[0]
-    pairs[0] = (u0 + w, v0)
-    broken = PolarizedLattice(ctx3, 1, ctx3.zero(), pairs)
+    assert build_lattice(ctx3, 1, ctx3.zero()).is_riemann_integral()
+    # u0 moves by an element of (1/2)I that is not in I
+    broken = PolarizedLattice(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3))
     assert not broken.is_riemann_integral()
 
 

@@ -7,6 +7,7 @@ import pytest
 from cyclopack import svp
 from cyclopack.geometry import ComplexPoint
 from cyclopack.ioutil import dump_json
+from cyclopack.lattice import build_lattice
 from cyclopack.search import (NoQualifyingRadius,
                               SearchBudgetExceeded, SearchConfig,
                               certificate_from_json_dict,
@@ -160,23 +161,28 @@ def test_count_matches_box_scan_on_twists():
                 assert count_N(ctx, r_sq, x, EPS) == brute_count_N(ctx, r_sq, x), (m, r_sq, x)
 
 
-def test_count_prepares_each_gram_once(monkeypatch):
+def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
+    # count_N and the SVP enumerate the same Gram: one LLL per certificate
+    cert = search(SearchConfig(m=8))
     ctx = get_ctx(8)
-    r_sq = select_r(ctx, EPS, default_r_grid())
-    x = sample_x(ctx, 8, random.Random(71))
+    gram = build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)).real_gram
     seen = []
     lll_reduce = svp.lll_reduce
 
-    def counting(gram, *args):
-        seen.append(tuple(map(tuple, gram)))
-        return lll_reduce(gram, *args)
+    def counting(g):
+        seen.append(tuple(map(tuple, g)))
+        return lll_reduce(g)
 
     monkeypatch.setattr(svp, "lll_reduce", counting)
     svp._prepared.cache_clear()
-    for twist in (ctx.zero(), x):
-        count_N(ctx, r_sq, twist, EPS)
-    assert len(seen) <= 2
-    assert set(seen) <= {ctx.ok_gram, ctx.codiff_gram}
+    _, mismatches = recompute_certificate(cert)
+    assert mismatches == []
+    assert seen == [tuple(map(tuple, gram))]
+
+    x = sample_x(ctx, 8, random.Random(71))
+    seen.clear()
+    assert count_N(ctx, cert.r_sq, x, EPS) == count_N(ctx, cert.r_sq, x, EPS)
+    assert len(seen) == 1
 
 
 # -- sampling ----------------------------------------------------------------------
