@@ -38,18 +38,17 @@ class PolarizedLattice:
 
         # with T = ok_gram, Tr(a conj(b)) = a^T T b on power-basis coordinates;
         # over the coordinate rows U, V of the u and v parts, real_gram is
-        # r^2 U T U^T + r^-2 V T V^T and symplectic is V T U^T - U T V^T, whose
-        # second term is the transpose of the first because T is symmetric
+        # r^2 U T U^T + r^-2 V T V^T (formed row by row) and symplectic is
+        # V T U^T - U T V^T = V T U^T - (V T U^T)^T, as T is symmetric
         us = [u.coords for u, _ in self.generators]
         vs = [v.coords for _, v in self.generators]
         ut, vt = linalg.mat_mul(us, ctx.ok_gram), linalg.mat_mul(vs, ctx.ok_gram)
-        uu, vv, vu = (linalg.mat_mul(a, linalg.transpose(b))
-                      for a, b in ((ut, us), (vt, vs), (vt, us)))
-        n = len(self.generators)
         inv_r_sq = 1 / r_sq
-        self.real_gram = [[r_sq * uu[j][k] + inv_r_sq * vv[j][k] for k in range(n)]
-                          for j in range(n)]
-        self.symplectic = [[vu[j][k] - vu[k][j] for k in range(n)] for j in range(n)]
+        self.real_gram = [[r_sq * a + inv_r_sq * b
+                           for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
+                          for uj, vj in zip(ut, vt)]
+        vu = [linalg.mat_vec(us, vj) for vj in vt]
+        self.symplectic = [[a - b for a, b in zip(row, col)] for row, col in zip(vu, zip(*vu))]
 
     # -- checks ----------------------------------------------------------------
 

@@ -258,8 +258,8 @@ def count_N(ctx: CyclotomicContext, r_sq, x: CycloElement, epsilon,
     g = ctx.g
     bound = ctx.m - Fraction(epsilon)
     r2 = chi_radius_sq(ctx, epsilon, precision + 32)
-    lat = build_lattice(ctx, r_sq, x)
-    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lat.real_gram, None, r2.hi)
+    gram = build_lattice(ctx, r_sq, x).real_gram
+    return sum(1 for v, nsq in enumerate_in_ball_with_norms(gram, None, r2.hi)
                if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
 
 

@@ -4,11 +4,10 @@ matrices, plus certified packing-density evaluation.
 Enumeration is Fincke-Pohst after an exact-rational LLL: the integer range at
 each level is computed from an integer square root, never from floating
 bounds, so the point lists are complete by construction and the returned
-minima are exact. The LLL reduction, the LDL factors of the reduced form and
-the inverse transform depend only on the Gram matrix, so each Gram is
-prepared once (PreparedForm) and kept in a small cache keyed by its entries;
-the obstruction count of a twist and the shortest vector of its lattice
-enumerate the same Gram.
+minima are exact. The LLL reduction and the LDL factors of the reduced form
+depend only on the Gram matrix, so each Gram is prepared once (PreparedForm)
+and kept in a small cache keyed by its entries; the obstruction count of a
+twist and the shortest vector of its lattice enumerate the same Gram.
 """
 from __future__ import annotations
 
@@ -20,9 +19,9 @@ from . import linalg
 from .intervals import IntervalValue, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
-# distinct Gram matrices kept prepared; a search needs the ring and codifferent
-# forms for its scale and then one twisted-lattice Gram per twist it counts
-PREPARED_CACHE_SIZE = 32
+# distinct Gram matrices kept prepared; every reuse is back to back (J(r) on
+# the ring form, a twist's count then its SVP), so one form is enough
+PREPARED_CACHE_SIZE = 1
 
 
 def ball_volume(n: int, precision: int = 128) -> IntervalValue:
@@ -167,34 +166,31 @@ def _frozen(rows):
 
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
-    transform U and reduced form R = U G U^T, the LDL factors (d, nu) of R,
-    and the inverse of U^T, which maps a center into reduced coordinates.
-    Every field is a tuple, since the cache hands one form to all callers."""
+    transform U and the LDL factors (d, nu) and least diagonal entry of the
+    reduced form R = U G U^T. Fields are immutable: the cache shares them."""
 
-    __slots__ = ("transform", "reduced", "d", "nu", "ut_inv")
+    __slots__ = ("transform", "min_diagonal", "d", "nu")
 
     def __init__(self, gram) -> None:
         U, R, d, nu = lll_reduce(gram)
-        n = len(U)
-        # U is unimodular, so the inverse of U^T is an integer matrix
-        ut_inv = linalg.inverse([[U[i][j] for i in range(n)] for j in range(n)])
-        self.transform, self.reduced, self.nu = _frozen(U), _frozen(R), _frozen(nu)
-        self.d = tuple(d)
-        self.ut_inv = tuple(tuple(int(x) for x in row) for row in ut_inv)
+        self.transform, self.nu, self.d = _frozen(U), _frozen(nu), tuple(d)
+        self.min_diagonal = min(R[i][i] for i in range(len(R)))
 
     def enumerate(self, center, radius_sq: Fraction):
         """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq."""
         U = self.transform
         n = len(U)
-        cprime = linalg.mat_vec(self.ut_inv, center)
+        # in reduced coordinates the center is the solution of U^T c' = center
+        cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
+                  if any(center) else center)
         return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
                 for s, q in _enumerate(self.d, self.nu, cprime, radius_sq)]
 
     def shortest_norm_sq(self) -> Fraction:
         """Exact lambda_1^2 by exhaustive enumeration below the smallest
         diagonal entry of R, which some basis vector attains."""
-        n = len(self.reduced)
-        best = min(self.reduced[i][i] for i in range(n))
+        n = len(self.d)
+        best = self.min_diagonal
         for s, q in _enumerate(self.d, self.nu, [Fraction(0)] * n, best):
             if q < best and any(s):
                 best = q

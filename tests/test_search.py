@@ -183,6 +183,9 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
     seen.clear()
     assert count_N(ctx, cert.r_sq, x, EPS) == count_N(ctx, cert.r_sq, x, EPS)
     assert len(seen) == 1
+    # a counted twist is not prepared again, so its form is not kept resident
+    count_N(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(72)), EPS)
+    assert svp._prepared.cache_info().currsize == 1
 
 
 # -- sampling ----------------------------------------------------------------------
