@@ -8,11 +8,14 @@ r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
 every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
 be extracted as a real number. Both forms are assembled from the trace form
 Tr(a conj(b)) on power-basis coordinates, so building a lattice needs no
-field multiplication beyond its generators.
+field multiplication beyond its generators, and the products run on
+integers: the generator coordinates are cleared of their common denominator
+once, and each entry becomes a single Fraction at the end.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -36,19 +39,32 @@ class PolarizedLattice:
         self.x = x
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
-        # with T = ok_gram, Tr(a conj(b)) = a^T T b on power-basis coordinates;
-        # over the coordinate rows U, V of the u and v parts, real_gram is
-        # r^2 U T U^T + r^-2 V T V^T (formed row by row) and symplectic is
-        # V T U^T - U T V^T = V T U^T - (V T U^T)^T, as T is symmetric
-        us = [u.coords for u, _ in self.generators]
-        vs = [v.coords for _, v in self.generators]
-        ut, vt = linalg.mat_mul(us, ctx.ok_gram), linalg.mat_mul(vs, ctx.ok_gram)
-        inv_r_sq = 1 / r_sq
-        self.real_gram = [[r_sq * a + inv_r_sq * b
+        # with T = ok_gram (integral), Tr(a conj(b)) = a^T T b on power-basis
+        # coordinates. Over the integer coordinate rows U, V of D times the u
+        # and v parts, D the common denominator of all generator coordinates,
+        # real_gram is (r^2 U T U^T + r^-2 V T V^T) / D^2 (formed row by row)
+        # and symplectic is (V T U^T - U T V^T) / D^2 = (C - C^T) / D^2 with
+        # C = V T U^T, as T is symmetric. With r^2 = p/q each entry is a
+        # single Fraction (p^2 A + q^2 B) / (p q D^2) of integers A, B.
+        den = lcm(*(c.denominator for pair in self.generators for e in pair
+                    for c in e.coords))
+
+        def scaled(e: CycloElement) -> list[int]:
+            return [c.numerator * (den // c.denominator) for c in e.coords]
+
+        us = [scaled(u) for u, _ in self.generators]
+        vs = [scaled(v) for _, v in self.generators]
+        T = [[int(t) for t in row] for row in ctx.ok_gram]
+        ut, vt = linalg.mat_mul(us, T), linalg.mat_mul(vs, T)
+        p, q = r_sq.numerator, r_sq.denominator
+        pp, qq, gram_den = p * p, q * q, p * q * den * den
+        self.real_gram = [[Fraction(pp * a + qq * b, gram_den)
                            for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
                           for uj, vj in zip(ut, vt)]
         vu = [linalg.mat_vec(us, vj) for vj in vt]
-        self.symplectic = [[a - b for a, b in zip(row, col)] for row, col in zip(vu, zip(*vu))]
+        dd = den * den
+        self.symplectic = [[Fraction(a - b, dd) for a, b in zip(row, col)]
+                           for row, col in zip(vu, zip(*vu))]
 
     # -- checks ----------------------------------------------------------------
 

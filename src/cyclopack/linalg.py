@@ -1,4 +1,5 @@
-"""Small dense exact linear algebra over Fraction matrices.
+"""Small dense exact linear algebra over Fraction matrices (mat_mul and
+mat_vec serve integer matrices as well).
 
 Everything here is plain Gaussian elimination with exact rationals; the
 matrices in this package are at most 2g x 2g with g = phi(m) at desk scale,
@@ -7,6 +8,7 @@ so no effort is spent on asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -22,11 +24,11 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [mat_vec(bt, row) for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def determinant(a: Matrix) -> Fraction:

@@ -24,6 +24,7 @@ r^2, x, precision).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -55,12 +56,17 @@ class NoQualifyingRadius(SearchError):
 
 
 class SearchBudgetExceeded(SearchError):
-    def __init__(self, m: int, tried: int, best_n: int) -> None:
-        super().__init__(f"m={m}: no zero-count twist found in {tried} samples "
-                         f"(best count seen: {best_n})")
+    """No twist of the sample budget has count zero. histogram maps each
+    value of N(x)/m seen to the number of counted twists with that value."""
+
+    def __init__(self, m: int, tried: int, histogram: dict[Fraction, int]) -> None:
         self.m = m
         self.tried = tried
-        self.best_n = best_n
+        self.histogram = dict(sorted(histogram.items()))
+        self.best_n = int(min(self.histogram) * m)
+        shown = ", ".join(f"{k}: {v}" for k, v in self.histogram.items())
+        super().__init__(f"m={m}: no zero-count twist found in {tried} samples "
+                         f"(best count seen: {self.best_n}; twists by N/m: {shown})")
 
 
 class CertificateFormatError(ValueError):
@@ -351,7 +357,7 @@ def search(config: SearchConfig) -> Certificate:
     # a serial run counts one candidate at a time, so none past the winner
     pooled = config.workers > 1
     chunk = 4 * config.workers if pooled else 1
-    best_n: int | None = None
+    histogram: Counter[Fraction] = Counter()
     winner: tuple[int, CycloElement] | None = None
     with ProcessPoolExecutor(max_workers=config.workers) if pooled else nullcontext() as pool:
         count_map = pool.map if pooled else map
@@ -361,15 +367,15 @@ def search(config: SearchConfig) -> Certificate:
             args = [(config.m, r_sq, x.coords, config.epsilon, config.precision)
                     for x in xs]
             for i, (x, n) in enumerate(zip(xs, count_map(_count_task, args)), start):
-                best_n = n if best_n is None else min(best_n, n)
                 if n == 0:
                     winner = (i, x)
                     break
+                histogram[Fraction(n, config.m)] += 1
             if winner is not None:
                 break
 
     if winner is None:
-        raise SearchBudgetExceeded(config.m, config.budget, best_n or 0)
+        raise SearchBudgetExceeded(config.m, config.budget, histogram)
     idx, x0 = winner
     return _certificate_at(ctx, config, r_sq, x0, 0, idx)
 

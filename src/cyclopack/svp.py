@@ -1,19 +1,23 @@
 """Exact shortest-vector and point-in-ball enumeration on rational Gram
 matrices, plus certified packing-density evaluation.
 
-Enumeration is Fincke-Pohst after an exact-rational LLL: the integer range at
-each level is computed from an integer square root, never from floating
-bounds, so the point lists are complete by construction and the returned
-minima are exact. The LLL reduction and the LDL factors of the reduced form
-depend only on the Gram matrix, so each Gram is prepared once (PreparedForm)
-and kept in a small cache keyed by its entries; the obstruction count of a
-twist and the shortest vector of its lattice enumerate the same Gram.
+Enumeration is Fincke-Pohst after an integral LLL, both on Python ints: the
+LLL runs fraction-free on the Gram matrix times its common denominator, and
+the walk keeps every partial sum of the form as an integer over one common
+denominator, so the range at each level comes from an integer square root,
+never from floating bounds. The point lists are complete by construction and
+the returned minima are exact. The LLL reduction and the LDL factors of the
+reduced form depend only on the Gram matrix, so each Gram is prepared once
+(PreparedForm) and kept in a small cache keyed by its entries; the
+obstruction count of a twist and the shortest vector of its lattice
+enumerate the same Gram.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .intervals import IntervalValue, pi_interval
@@ -37,10 +41,6 @@ def ball_volume(n: int, precision: int = 128) -> IntervalValue:
     return (pi ** k / factorial(k)).outward(precision)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def lll_reduce(gram):
     """LLL-reduce a symmetric positive definite rational Gram matrix.
 
@@ -49,6 +49,13 @@ def lll_reduce(gram):
     the Lovasz condition for LLL_DELTA. The final Gram-Schmidt data are
     the LDL factors of reduced: Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
     exactly. Non-PD input raises ValueError.
+
+    The reduction is the integral LLL (Cohen, Algorithm 2.6.7) on c * gram,
+    c the least common denominator of the entries: it keeps the leading
+    minors D_k of the Gram matrix and lambda_kj = D_j mu_kj, all integers,
+    and so never reduces a fraction. Its size reductions (mu rounded half
+    up) and swaps are those of the rational algorithm, whose decisions are
+    invariant under scaling the form.
     """
     n = len(gram)
     G = [[Fraction(x) for x in row] for row in gram]
@@ -56,36 +63,41 @@ def lll_reduce(gram):
         for j in range(i):
             if G[i][j] != G[j][i]:
                 raise ValueError("gram matrix is not symmetric")
+    c = lcm(*(x.denominator for row in G for x in row))
+    b = [[x.numerator * (c // x.denominator) for x in row] for row in G]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    lam = [[0] * n for _ in range(n)]
+    # D[k] is the k-th leading minor of the current b; mu_kj = lam[k][j] / D[j+1]
+    # and the squared Gram-Schmidt length of row k is D[k+1] / D[k]
+    D = [1] + [0] * n
+    alpha, beta = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def gso_row(k: int) -> None:
-        for j in range(k):
-            v = G[k][j]
+        for j in range(k + 1):
+            u = b[k][j]
             for i in range(j):
-                v -= mu[j][i] * mu[k][i] * B[i]
-            mu[k][j] = v / B[j]
-        v = G[k][k]
-        for j in range(k):
-            v -= mu[k][j] * mu[k][j] * B[j]
-        if v <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        B[k] = v
+                u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("gram matrix is not positive definite")
+            else:
+                D[k + 1] = u
 
     def reduce_row(k: int, l: int) -> None:
-        q = _round_half_up(mu[k][l])
+        dl = D[l + 1]
+        q = (2 * lam[k][l] + dl) // (2 * dl)  # mu_kl rounded half up
         if q == 0:
             return
-        for c in range(n):
-            U[k][c] -= q * U[l][c]
-        for c in range(n):
-            G[k][c] -= q * G[l][c]
-        for r in range(n):
-            G[r][k] -= q * G[r][l]
-        mu[k][l] -= q
+        Uk, Ul, bk, bl = U[k], U[l], b[k], b[l]
+        for i in range(n):
+            Uk[i] -= q * Ul[i]
+            bk[i] -= q * bl[i]
+        for row in b:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * dl
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lam[k][i] -= q * lam[l][i]
 
     gso_row(0)
     kmax = 0
@@ -95,86 +107,105 @@ def lll_reduce(gram):
             kmax = k
             gso_row(k)
         reduce_row(k, k - 1)
-        if B[k] < (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
+        lk = lam[k][k - 1]
+        # B_k < (delta - mu_k,k-1^2) B_k-1 times beta D[k] D[k-1], with
+        # B_k = D[k+1] / D[k] and mu_k,k-1 = lk / D[k]
+        if beta * D[k + 1] * D[k - 1] < alpha * D[k] * D[k] - beta * lk * lk:
             U[k - 1], U[k] = U[k], U[k - 1]
-            G[k - 1], G[k] = G[k], G[k - 1]
-            for r in range(n):
-                G[r][k - 1], G[r][k] = G[r][k], G[r][k - 1]
-            # incremental GSO update for the swap (Cohen, Algorithm 2.6.3)
-            m_ = mu[k][k - 1]
-            Bn = B[k] + m_ * m_ * B[k - 1]
-            mu[k][k - 1] = m_ * B[k - 1] / Bn
-            B[k] = B[k - 1] * B[k] / Bn
-            B[k - 1] = Bn
-            for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for row in b:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            # swap update of the minors and multipliers (Cohen, Algorithm 2.6.7)
+            dk = (D[k - 1] * D[k + 1] + lk * lk) // D[k]
             for i in range(k + 1, kmax + 1):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_ * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (D[k + 1] * lam[i][k - 1] - lk * t) // D[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // D[k + 1]
+            D[k] = dk
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 reduce_row(k, l)
             k += 1
-    # row j of G is b_j = b*_j + sum_{i<j} mu_ji b*_i, so nu is mu transposed
-    nu = [[mu[j][i] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
-    return U, G, B, nu
-
-
-def _coeff_range(center: Fraction, bound: Fraction):
-    """All integers t with (t - center)^2 <= bound, as an inclusive range."""
-    if bound < 0:
-        return 1, 0
-    p, q = center.numerator, center.denominator
-    m = bound.numerator * q * q // bound.denominator
-    r = isqrt(m)
-    return -((r - p) // q), (p + r) // q
-
-
-def _enumerate(d, nu, center, radius_sq):
-    """Integer vectors s with Q(s - center) <= radius_sq, with exact Q values."""
-    n = len(d)
-    s = [0] * n
-    out = []
-
-    def descend(i: int, rem: Fraction) -> None:
-        if i < 0:
-            out.append((tuple(s), radius_sq - rem))
-            return
-        c = center[i]
-        row = nu[i]
-        for j in range(i + 1, n):
-            if row[j]:
-                c -= row[j] * (s[j] - center[j])
-        lo, hi = _coeff_range(c, rem / d[i])
-        for si in range(lo, hi + 1):
-            y = si - c
-            contrib = d[i] * y * y
-            if contrib <= rem:
-                s[i] = si
-                descend(i - 1, rem - contrib)
-        s[i] = 0
-
-    descend(n - 1, Fraction(radius_sq))
-    return out
+    reduced = [[Fraction(x, c) for x in row] for row in b]
+    d = [Fraction(D[i + 1], D[i] * c) for i in range(n)]
+    # row j of b is b_j = b*_j + sum_{i<j} mu_ji b*_i, so nu is mu transposed
+    nu = [[Fraction(lam[j][i], D[i + 1]) if j > i else Fraction(0) for j in range(n)]
+          for i in range(n)]
+    return U, reduced, d, nu
 
 
 def _frozen(rows):
     return tuple(map(tuple, rows))
 
 
+def _numerators(values, den: int) -> tuple[int, ...]:
+    return tuple(x.numerator * (den // x.denominator) for x in values)
+
+
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
-    transform U and the LDL factors (d, nu) and least diagonal entry of the
-    reduced form R = U G U^T. Fields are immutable: the cache shares them."""
+    transform U, the least diagonal entry of the reduced form R = U G U^T and
+    the LDL factors (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
+    stored as integer numerators over the common denominators d_den and
+    nu_den (row i of nu holds the entries right of the diagonal). Fields are
+    immutable: the cache shares them."""
 
-    __slots__ = ("transform", "min_diagonal", "d", "nu")
+    __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den")
 
     def __init__(self, gram) -> None:
         U, R, d, nu = lll_reduce(gram)
-        self.transform, self.nu, self.d = _frozen(U), _frozen(nu), tuple(d)
+        upper = [row[i + 1:] for i, row in enumerate(nu)]
+        self.transform = _frozen(U)
         self.min_diagonal = min(R[i][i] for i in range(len(R)))
+        self.d_den = lcm(*(x.denominator for x in d))
+        self.nu_den = lcm(*(x.denominator for row in upper for x in row))
+        self.d = _numerators(d, self.d_den)
+        self.nu = tuple(_numerators(row, self.nu_den) for row in upper)
+
+    def _walk(self, center, radius_sq: Fraction):
+        """Fincke-Pohst on integers: the pairs (s, k) with
+        Q(s - center) = k / scale <= radius_sq, the top level outermost and
+        each level in ascending order, and scale.
+
+        With B = lcm(nu_den, denominators of the center), every partial sum
+        of Q is an integer over scale = d_den * B^4, so each level range is
+        an isqrt of an integer quotient and the walk builds no Fraction.
+        """
+        d, n = self.d, len(self.d)
+        B = lcm(self.nu_den, *(c.denominator for c in center))
+        e = [c.numerator * (B // c.denominator) for c in center]
+        f = B // self.nu_den
+        rows = [[(j, x * f) for j, x in enumerate(row, i + 1) if x]
+                for i, row in enumerate(self.nu)]
+        B2 = B * B
+        scale = self.d_den * B2 * B2
+        budget = radius_sq.numerator * scale // radius_sq.denominator
+        s = [0] * n
+        w = [-x for x in e]  # w_j = B (s_j - c_j)
+        out = []
+
+        def descend(i: int, rem: int) -> None:
+            # B^2 (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j)) = B^2 s_i - num,
+            # and d_i times its square is a t^2 / scale with t = B^2 s_i - num
+            num = B * e[i] - sum(x * w[j] for j, x in rows[i])
+            a = d[i]
+            r = isqrt(rem // a)
+            for si in range(-((r - num) // B2), (num + r) // B2 + 1):
+                t = B2 * si - num
+                s[i] = si
+                w[i] = B * si - e[i]
+                if i:
+                    descend(i - 1, rem - a * t * t)
+                else:
+                    out.append((tuple(s), budget - rem + a * t * t))
+            s[i] = 0
+            w[i] = -e[i]
+
+        if budget >= 0:
+            descend(n - 1, budget)
+        return out, scale
 
     def enumerate(self, center, radius_sq: Fraction):
         """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq."""
@@ -183,18 +214,17 @@ class PreparedForm:
         # in reduced coordinates the center is the solution of U^T c' = center
         cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
                   if any(center) else center)
-        return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
-                for s, q in _enumerate(self.d, self.nu, cprime, radius_sq)]
+        cols = tuple(zip(*U))
+        pairs, scale = self._walk(cprime, radius_sq)
+        return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
+                for s, k in pairs]
 
     def shortest_norm_sq(self) -> Fraction:
         """Exact lambda_1^2 by exhaustive enumeration below the smallest
-        diagonal entry of R, which some basis vector attains."""
-        n = len(self.d)
-        best = self.min_diagonal
-        for s, q in _enumerate(self.d, self.nu, [Fraction(0)] * n, best):
-            if q < best and any(s):
-                best = q
-        return best
+        diagonal entry of R, which some basis vector attains (so the ball
+        holds a nonzero point)."""
+        pairs, scale = self._walk([Fraction(0)] * len(self.d), self.min_diagonal)
+        return Fraction(min(k for s, k in pairs if any(s)), scale)
 
 
 @lru_cache(maxsize=PREPARED_CACHE_SIZE)

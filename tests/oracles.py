@@ -102,3 +102,127 @@ def box_shortest_norm_sq(gram) -> Fraction:
         if q < best:
             best = q
     return best
+
+
+# -- rational reference implementations ----------------------------------------
+#
+# The LLL reduction and Fincke-Pohst walk as they ran on Fractions before the
+# library moved them onto integers over a common denominator. The integer
+# versions must reproduce these results and orders exactly.
+
+def _round_half_up(x: Fraction) -> int:
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def rational_lll_reduce(gram, delta=Fraction(99, 100)):
+    """LLL on Fractions: (transform, reduced, d, nu) with (d, nu) the final
+    Gram-Schmidt data, i.e. the LDL factors of reduced."""
+    n = len(gram)
+    G = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i):
+            if G[i][j] != G[j][i]:
+                raise ValueError("gram matrix is not symmetric")
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+
+    def gso_row(k: int) -> None:
+        for j in range(k):
+            v = G[k][j]
+            for i in range(j):
+                v -= mu[j][i] * mu[k][i] * B[i]
+            mu[k][j] = v / B[j]
+        v = G[k][k]
+        for j in range(k):
+            v -= mu[k][j] * mu[k][j] * B[j]
+        if v <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        B[k] = v
+
+    def reduce_row(k: int, l: int) -> None:
+        q = _round_half_up(mu[k][l])
+        if q == 0:
+            return
+        for c in range(n):
+            U[k][c] -= q * U[l][c]
+        for c in range(n):
+            G[k][c] -= q * G[l][c]
+        for r in range(n):
+            G[r][k] -= q * G[r][l]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    gso_row(0)
+    kmax = 0
+    k = 1
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gso_row(k)
+        reduce_row(k, k - 1)
+        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            U[k - 1], U[k] = U[k], U[k - 1]
+            G[k - 1], G[k] = G[k], G[k - 1]
+            for r in range(n):
+                G[r][k - 1], G[r][k] = G[r][k], G[r][k - 1]
+            m_ = mu[k][k - 1]
+            Bn = B[k] + m_ * m_ * B[k - 1]
+            mu[k][k - 1] = m_ * B[k - 1] / Bn
+            B[k] = B[k - 1] * B[k] / Bn
+            B[k - 1] = Bn
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            for i in range(k + 1, kmax + 1):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m_ * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce_row(k, l)
+            k += 1
+    nu = [[mu[j][i] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    return U, G, B, nu
+
+
+def rational_enumerate(d, nu, center, radius_sq):
+    """Fincke-Pohst on Fractions: the integer s with
+    sum_i d_i (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j))^2 <= radius_sq, as
+    ordered (s, value) pairs, the top level outermost, each level ascending."""
+    n = len(d)
+    s = [0] * n
+    out = []
+
+    def descend(i: int, rem: Fraction) -> None:
+        if i < 0:
+            out.append((tuple(s), radius_sq - rem))
+            return
+        c = center[i]
+        row = nu[i]
+        for j in range(i + 1, n):
+            if row[j]:
+                c -= row[j] * (s[j] - center[j])
+        for si in _sqrt_range(c, rem / d[i]):
+            y = si - c
+            contrib = d[i] * y * y
+            if contrib <= rem:
+                s[i] = si
+                descend(i - 1, rem - contrib)
+        s[i] = 0
+
+    descend(n - 1, Fraction(radius_sq))
+    return out
+
+
+def rational_enumerate_in_ball(gram, center, radius_sq):
+    """The ordered (v, Q(v - center)) pairs of the rational pipeline: LLL,
+    the center in reduced coordinates, the walk, and back by the transform."""
+    U, _, d, nu = rational_lll_reduce(gram)
+    n = len(U)
+    center = [Fraction(c) for c in (center if center is not None else [0] * n)]
+    inv_ut = _inverse([[U[i][j] for i in range(n)] for j in range(n)])
+    cprime = [sum(a * c for a, c in zip(row, center)) for row in inv_ut]
+    return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
+            for s, q in rational_enumerate(d, nu, cprime, Fraction(radius_sq))]

@@ -79,6 +79,7 @@ def test_search_budget_exhaustion(capsys):
     code, _, err = run(capsys, "search", "--m", "6", "--budget", "1")
     assert code == 3
     assert "best count seen: 6" in err
+    assert "twists by N/m: 1: 1" in err
 
 
 def test_certify_detects_tampering(tmp_path, capsys):

@@ -51,6 +51,17 @@ def test_gram_formulas_match_oracle():
             re, im = gram_oracle(ctx, r_sq, x, lat.generators)
             assert lat.real_gram == re
             assert lat.symplectic == im
+    # non-integral r^2 = p/q with a 53-bit twist, where the common
+    # denominator p q D^2 of the integer assembly is largest
+    for m in (5, 12, 30):
+        ctx = get_ctx(m)
+        x = sum((Fraction(rng.getrandbits(53), 1 << 53) * a for a in ctx.codiff_basis),
+                ctx.zero())
+        for r_sq in (Fraction(21, 2), Fraction(7, 3)):
+            lat = build_lattice(ctx, r_sq, x)
+            re, im = gram_oracle(ctx, r_sq, x, lat.generators)
+            assert lat.real_gram == re
+            assert lat.symplectic == im
     # the forms are bilinear in arbitrary generators, not only in this family
     for m in (3, 12):
         ctx = get_ctx(m)

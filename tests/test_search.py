@@ -239,6 +239,16 @@ def test_search_budget_exhaustion_reports_best():
             search(SearchConfig(m=6, denom=denom, budget=budget, workers=workers))
         assert exc.value.best_n == 6
         assert exc.value.tried == budget
+        # every counted twist is x = 0, with N = 6 = 1 * m
+        assert exc.value.histogram == {1: budget}
+        assert str(exc.value).endswith("twists by N/m: 1: %d)" % budget)
+    # three twists with counts 8, 8 and 16 at m = 8, serial and in one pooled chunk
+    for workers in (1, 2):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(SearchConfig(m=8, denom=2, budget=3, seed=4, workers=workers))
+        assert exc.value.histogram == {1: 2, 2: 1}
+        assert exc.value.best_n == 8
+        assert str(exc.value).endswith("twists by N/m: 1: 2, 2: 1)")
 
 
 def test_search_deterministic_bytes():

@@ -5,10 +5,14 @@ import mpmath
 import pytest
 
 from cyclopack import linalg
+from cyclopack.lattice import build_lattice
+from cyclopack.search import chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball,
                            enumerate_in_ball_with_norms, lll_reduce,
                            packing_density, shortest_norm_sq)
-from oracles import box_points_in_ball, box_shortest_norm_sq
+from conftest import get_ctx
+from oracles import (box_points_in_ball, box_shortest_norm_sq,
+                     rational_enumerate_in_ball, rational_lll_reduce)
 
 
 def frac_mat(rows):
@@ -153,6 +157,60 @@ def test_enumerate_norms_are_exact():
         d = [Fraction(t) - c for t, c in zip(v, center)]
         direct = sum(g[i][j] * d[i] * d[j] for i in range(3) for j in range(3))
         assert direct == q
+
+
+# -- the integer core against the rational reference ----------------------------
+
+def random_rational_pd_gram(n, rng):
+    # M M^T + I/3 for a random rational matrix M is positive definite
+    a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+         for _ in range(n)]
+    return [[sum(x * y for x, y in zip(a[i], a[j])) + Fraction(i == j, 3)
+             for j in range(n)] for i in range(n)]
+
+
+def twisted_grams():
+    """real_gram of the twisted lattices at m = 11, 22, 30 at each field's
+    reference r^2, for x = 0, a 3-bit and a 53-bit twist."""
+    rng = random.Random(47)
+    for m, r_sq in ((11, Fraction(21, 2)), (22, Fraction(11)), (30, Fraction(7))):
+        ctx = get_ctx(m)
+        for bits in (0, 3, 53):
+            x = sum((Fraction(rng.getrandbits(bits), 1 << bits) * a
+                     for a in ctx.codiff_basis), ctx.zero())
+            yield ctx, build_lattice(ctx, r_sq, x).real_gram
+
+
+def test_lll_matches_rational_reference():
+    rng = random.Random(45)
+    grams = [random_rational_pd_gram(rng.randint(1, 6), rng) for _ in range(40)]
+    grams += [gram for _, gram in twisted_grams()]
+    for gram in grams:
+        assert lll_reduce(gram) == rational_lll_reduce(gram)
+
+
+def test_enumeration_order_matches_rational_reference():
+    rng = random.Random(46)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        g = random_rational_pd_gram(n, rng)
+        for _ in range(2):
+            center = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            radius = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            assert (enumerate_in_ball_with_norms(g, center, radius)
+                    == rational_enumerate_in_ball(g, center, radius)), (trial, g)
+
+
+def test_twisted_lattice_enumeration_matches_rational_reference():
+    # the ball count_N enumerates, and the one of the shortest-vector search
+    for ctx, gram in twisted_grams():
+        radius = chi_radius_sq(ctx, Fraction(1, 2), 160).hi
+        expect = rational_enumerate_in_ball(gram, None, radius)
+        assert enumerate_in_ball_with_norms(gram, None, radius) == expect
+        _, r, _, _ = rational_lll_reduce(gram)
+        least = min(r[i][i] for i in range(len(r)))
+        svp = [q for v, q in rational_enumerate_in_ball(gram, None, least) if any(v)]
+        assert shortest_norm_sq(gram) == min(svp)
 
 
 # -- shortest vectors ---------------------------------------------------------------
