@@ -131,6 +131,13 @@ class CyclotomicContext:
     the complex conjugation matrix, and bases of the ring of integers and of
     its trace-dual (codifferent) lattice.
 
+    The data beyond the multiplication table come from two primitives: the
+    integral trace form ok_gram = T, which gives every pairing
+    Tr(a conj(b)) = a^T T b, Gram matrix and discriminant, and the zeta-shift
+    (multiply by zeta), which gives the matrix of every fixed multiplication:
+    the codifferent basis, coordinates in it (multiplication by Phi_m'(zeta)),
+    and the system that inverse() solves.
+
     Immutable after construction; every operation is pure, so a context can be
     shared freely across workers.
     """
@@ -148,7 +155,7 @@ class CyclotomicContext:
         zp[0][0] = 1
         cur = zp[0]
         for e in range(1, m):
-            cur = self._shift_reduce_int(cur)
+            cur = self._shift(cur)
             zp[e] = cur
         self._zeta_coords: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in zp)
 
@@ -169,43 +176,46 @@ class CyclotomicContext:
             CycloElement(self, self._zeta_coords[j]) for j in range(g)
         )
 
+        # the euclidean pairing Tr(a conj(b)) is a^T T b on coordinates, with
+        # T integral and Toeplitz: Tr(zeta^j conj(zeta^k)) = Tr(zeta^|j-k|)
+        self.ok_gram: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.trace_vec[abs(j - k)] for k in range(g)) for j in range(g)
+        )
+        self.disc_abs: int = abs(int(linalg.determinant(self.ok_gram)))
+
+        # multiplication by Phi_m'(zeta) maps the codifferent basis
+        # codiff_gen * zeta^j to zeta^j, so its integer matrix (columns: the
+        # zeta-shifts of Phi_m'(zeta)) gives coordinates in the codifferent
         diff = self.different_generator()
+        self._diff_matrix = linalg.transpose(self._shifts([int(c) for c in diff.coords]))
         self.codiff_gen: CycloElement = self.inverse(diff)
         self.codiff_basis: tuple[CycloElement, ...] = tuple(
-            self.mul(self.codiff_gen, b) for b in self.ok_basis
+            CycloElement(self, c) for c in self._shifts(self.codiff_gen.coords)
         )
-
-        tgram = [[Fraction(self.trace_vec[i + j]) for j in range(g)] for i in range(g)]
-        self.disc_abs: int = abs(int(linalg.determinant(tgram)))
-
-        # Gram matrices of the euclidean pairing Tr(a conj(b)) on both bases;
-        # both are circulant in (j - k) mod m, so one trace per residue suffices
-        tcirc = [self.trace(self.zeta(e)) for e in range(m)]
-        self.ok_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(tcirc[(j - k) % m] for k in range(g)) for j in range(g)
-        )
-        w = self.mul(self.codiff_gen, self.conj(self.codiff_gen))
-        wcirc = [self.trace(self.mul(w, self.zeta(e))) for e in range(m)]
+        cd = [a.coords for a in self.codiff_basis]
         self.codiff_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(wcirc[(j - k) % m] for k in range(g)) for j in range(g)
+            tuple(linalg.mat_vec(cd, linalg.mat_vec(self.ok_gram, c))) for c in cd
         )
-
-        # power-basis coordinates of the codifferent basis, inverted once so
-        # membership tests in the codifferent lattice are a single mat-vec
-        cd_matrix = [[self.codiff_basis[j].coords[i] for j in range(g)] for i in range(g)]
-        self._codiff_inv = linalg.inverse(cd_matrix)
 
     # -- construction helpers -------------------------------------------------
 
-    def _shift_reduce_int(self, coords: list[int]) -> list[int]:
+    def _shift(self, coords) -> list:
         # multiply by zeta: shift up, fold the overflow back with Phi_m
         g = self.g
         top = coords[g - 1]
-        out = [0] + coords[: g - 1]
+        out = [0, *coords[: g - 1]]
         if top:
             for i in range(g):
                 out[i] -= top * self.phi_coeffs[i]
         return out
+
+    def _shifts(self, coords) -> list[list]:
+        """Coordinates of a * zeta^j for 0 <= j < g, given those of a: the
+        columns of the matrix of multiplication by a."""
+        cols = [list(coords)]
+        for _ in range(self.g - 1):
+            cols.append(self._shift(cols[-1]))
+        return cols
 
     def _newton_traces(self) -> tuple[int, ...]:
         # power sums of the roots of Phi_m from its coefficients; exact and
@@ -268,15 +278,8 @@ class CyclotomicContext:
     def inverse(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError("zero has no inverse in K")
-        # columns of the multiplication-by-a map, built by repeated zeta-shifts
-        g = self.g
-        cols = []
-        t = a
-        for _ in range(g):
-            cols.append(t.coords)
-            t = self.mul(t, self.zeta(1))
-        mat = [[cols[j][i] for j in range(g)] for i in range(g)]
-        e0 = [Fraction(1)] + [Fraction(0)] * (g - 1)
+        mat = linalg.transpose(self._shifts(a.coords))
+        e0 = [Fraction(1)] + [Fraction(0)] * (self.g - 1)
         sol = linalg.solve(mat, e0)
         assert sol is not None  # multiplication by a nonzero field element is invertible
         return CycloElement(self, sol)
@@ -289,8 +292,9 @@ class CyclotomicContext:
     # -- lattice coordinates --------------------------------------------------
 
     def coords_in_codiff(self, a: CycloElement) -> list[Fraction]:
-        """Coordinates of a in the codifferent basis codiff_gen * zeta^j."""
-        return linalg.mat_vec(self._codiff_inv, a.coords)
+        """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
+        which are the power-basis coordinates of a * Phi_m'(zeta)."""
+        return linalg.mat_vec(self._diff_matrix, a.coords)
 
     def in_codifferent(self, a: CycloElement) -> bool:
         return linalg.is_integral_vector(self.coords_in_codiff(a))

@@ -2,14 +2,17 @@
 
 K sits inside C^g via its g complex embeddings; E is the real span of K, and
 C^g = E + iE. The euclidean pairing on rational points of E is the exact trace
-form <a, b> = Tr(a * conj(b)). Points of C^g handled here are restricted to
-pairs of field elements (rational points), which keeps every norm and pairing
-an exact rational.
+form <a, b> = Tr(a * conj(b)), evaluated as a^T T b on power-basis
+coordinates with T = ctx.ok_gram, the one integral trace-form matrix of the
+context; no field multiplication is needed. Points of C^g handled here are
+restricted to pairs of field elements (rational points), which keeps every
+norm and pairing an exact rational.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -32,15 +35,16 @@ class ComplexPoint:
 
 
 def pairing(a: CycloElement, b: CycloElement) -> Fraction:
-    """Euclidean pairing Tr(a * conj(b)) on E; symmetric, positive definite."""
-    return (a * b.conj()).trace()
+    """Euclidean pairing Tr(a * conj(b)) = a^T T b on E; symmetric, positive
+    definite."""
+    a._check(b)
+    return sum(map(mul, a.coords, linalg.mat_vec(a.ctx.ok_gram, b.coords)))
 
 
 def gram(basis) -> list[list[Fraction]]:
     """Gram matrix of the pairing on a linearly independent family."""
     basis = list(basis)
-    conjs = [b.conj() for b in basis]
-    mat = [[(a * c).trace() for c in conjs] for a in basis]
+    mat = [[pairing(a, b) for b in basis] for a in basis]
     if linalg.determinant(mat) == 0:
         raise ValueError("family is linearly dependent")
     return mat

@@ -54,7 +54,7 @@ class PolarizedLattice:
 
         us = [scaled(u) for u, _ in self.generators]
         vs = [scaled(v) for _, v in self.generators]
-        T = [[int(t) for t in row] for row in ctx.ok_gram]
+        T = ctx.ok_gram
         ut, vt = linalg.mat_mul(us, T), linalg.mat_mul(vs, T)
         p, q = r_sq.numerator, r_sq.denominator
         pp, qq, gram_den = p * p, q * q, p * q * den * den

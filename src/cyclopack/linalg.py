@@ -3,7 +3,9 @@ mat_vec serve integer matrices as well).
 
 Everything here is plain Gaussian elimination with exact rationals; the
 matrices in this package are at most 2g x 2g with g = phi(m) at desk scale,
-so no effort is spent on asymptotics.
+so no effort is spent on asymptotics. No matrix is ever inverted: the field
+layer applies the integral trace form and integral multiplication matrices
+built from zeta-shifts, and solves one system per field inverse.
 """
 from __future__ import annotations
 
@@ -71,27 +73,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
                 for c in range(col, n + 1):
                     m[r][c] -= f * m[col][c]
     return [m[i][n] / m[i][i] for i in range(n)]
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        for c in range(2 * n):
-            m[col][c] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                for c in range(2 * n):
-                    m[r][c] -= f * m[col][c]
-    return [row[n:] for row in m]
 
 
 def is_integral_vector(v) -> bool:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -359,7 +358,12 @@ def search(config: SearchConfig) -> Certificate:
     chunk = 4 * config.workers if pooled else 1
     histogram: Counter[Fraction] = Counter()
     winner: tuple[int, CycloElement] | None = None
-    with ProcessPoolExecutor(max_workers=config.workers) if pooled else nullcontext() as pool:
+    pool = nullcontext()
+    if pooled:
+        # imported here, as it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=config.workers)
+    with pool:
         count_map = pool.map if pooled else map
         for start in range(0, config.budget, chunk):
             xs = [ctx.zero() if i == 0 else sample_x(ctx, config.denom, rng)

@@ -57,7 +57,7 @@ def suite_free_orbit(ctx, trials: int, rng) -> SuiteResult:
         p = ComplexPoint(_random_element(ctx, rng), _random_element(ctx, rng))
         if not p.x and not p.y:
             continue
-        orbit = {(g_act(k, p).x.coords, g_act(k, p).y.coords) for k in range(ctx.m)}
+        orbit = {(q.x.coords, q.y.coords) for q in (g_act(k, p) for k in range(ctx.m))}
         if len(orbit) != ctx.m:
             return _fail(name, trial=t, orbit_size=len(orbit))
     return SuiteResult(name, True)

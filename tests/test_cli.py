@@ -125,9 +125,11 @@ def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
 
 
 def test_cli_import_does_not_load_mpmath():
-    proc = run_python("-c", "import sys, cyclopack.cli; print('mpmath' in sys.modules)")
+    # nor the process pool, which only a run with --workers > 1 needs
+    proc = run_python("-c", "import sys, cyclopack.cli; "
+                            "print('mpmath' in sys.modules, 'multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_python_m_cyclopack_runs_cli():

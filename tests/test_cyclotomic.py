@@ -164,6 +164,20 @@ def test_codifferent_duality(m):
             assert (a * b.conj()).trace().denominator == 1
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 18, 20, 30])
+def test_codifferent_coordinates_roundtrip(m):
+    ctx = get_ctx(m)
+    g = ctx.g
+    for j, b in enumerate(ctx.codiff_basis):
+        assert b == ctx.codiff_gen * ctx.zeta(j)
+        assert ctx.coords_in_codiff(b) == [int(i == j) for i in range(g)]
+    rng = random.Random(m)
+    for _ in range(10):
+        a = random_element(ctx, rng)
+        c = ctx.coords_in_codiff(a)
+        assert sum((cj * b for cj, b in zip(c, ctx.codiff_basis)), ctx.zero()) == a
+
+
 @pytest.mark.parametrize("m", range(3, 31))
 def test_covolume_product_is_one(m):
     ctx = get_ctx(m)
@@ -171,6 +185,10 @@ def test_covolume_product_is_one(m):
     d_cd = linalg.determinant([list(r) for r in ctx.codiff_gram])
     assert d_ok == ctx.disc_abs
     assert d_ok * d_cd == 1
+    # the discriminant as det Tr(zeta^(i+j)), the trace form without conjugation
+    g = ctx.g
+    tgram = [[ctx.trace_vec[i + j] for j in range(g)] for i in range(g)]
+    assert abs(linalg.determinant(tgram)) == ctx.disc_abs
 
 
 def test_trace_form_positive_definite():

@@ -55,11 +55,31 @@ def test_gram_matrices(ctx3, ctx4, ctx12):
     assert linalg.determinant(g12) == 144
 
 
+def trace_form(basis):
+    # Tr(a conj(b)) by field multiplication: the reference for the pairing
+    return [[(a * b.conj()).trace() for b in basis] for a in basis]
+
+
 def test_gram_matches_precomputed():
     for m in (3, 4, 5, 8, 12, 18):
         ctx = get_ctx(m)
-        assert gram(ctx.ok_basis) == [list(r) for r in ctx.ok_gram]
-        assert gram(ctx.codiff_basis) == [list(r) for r in ctx.codiff_gram]
+        ok, cd = trace_form(ctx.ok_basis), trace_form(ctx.codiff_basis)
+        assert gram(ctx.ok_basis) == ok
+        assert [list(r) for r in ctx.ok_gram] == ok
+        assert gram(ctx.codiff_basis) == cd
+        assert [list(r) for r in ctx.codiff_gram] == cd
+
+
+def test_pairing_matches_trace_of_product():
+    rng = random.Random(31)
+    for m in (3, 4, 5, 7, 12, 15, 30):
+        ctx = get_ctx(m)
+        pairs = [(ctx.zero(), ctx.zero()), (ctx.zero(), random_element(ctx, rng))]
+        pairs += [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(10)]
+        for a, b in pairs:
+            p = pairing(a, b)
+            assert type(p) is Fraction
+            assert p == (a * b.conj()).trace()
 
 
 def test_gram_rejects_dependent_family(ctx4):
