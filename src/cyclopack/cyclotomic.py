@@ -136,7 +136,7 @@ class CyclotomicContext:
     Tr(a conj(b)) = a^T T b, Gram matrix and discriminant, and the zeta-shift
     (multiply by zeta), which gives the matrix of every fixed multiplication:
     the codifferent basis, coordinates in it (multiplication by Phi_m'(zeta)),
-    and the system that inverse() solves.
+    and the system that inverse() solves, all through mul_matrix.
 
     Immutable after construction; every operation is pure, so a context can be
     shared freely across workers.
@@ -187,7 +187,7 @@ class CyclotomicContext:
         # codiff_gen * zeta^j to zeta^j, so its integer matrix (columns: the
         # zeta-shifts of Phi_m'(zeta)) gives coordinates in the codifferent
         diff = self.different_generator()
-        self._diff_matrix = linalg.transpose(self._shifts([int(c) for c in diff.coords]))
+        self._diff_matrix = self.mul_matrix(diff)
         self.codiff_gen: CycloElement = self.inverse(diff)
         self.codiff_basis: tuple[CycloElement, ...] = tuple(
             CycloElement(self, c) for c in self._shifts(self.codiff_gen.coords)
@@ -278,11 +278,16 @@ class CyclotomicContext:
     def inverse(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError("zero has no inverse in K")
-        mat = linalg.transpose(self._shifts(a.coords))
-        e0 = [Fraction(1)] + [Fraction(0)] * (self.g - 1)
-        sol = linalg.solve(mat, e0)
+        sol = linalg.solve(self.mul_matrix(a), [1] + [0] * (self.g - 1))
         assert sol is not None  # multiplication by a nonzero field element is invertible
         return CycloElement(self, sol)
+
+    def mul_matrix(self, a: CycloElement) -> list[list]:
+        """Matrix of multiplication by a on power-basis coordinates: column j
+        holds a * zeta^j. For a ring integer it is integral, with int entries,
+        so it maps integer coordinate rows to integer rows."""
+        return linalg.transpose(self._shifts(
+            [c.numerator if c.denominator == 1 else c for c in a.coords]))
 
     def different_generator(self) -> CycloElement:
         """Phi_m'(zeta); its inverse generates the codifferent over Z[zeta]."""
@@ -297,7 +302,7 @@ class CyclotomicContext:
         return linalg.mat_vec(self._diff_matrix, a.coords)
 
     def in_codifferent(self, a: CycloElement) -> bool:
-        return linalg.is_integral_vector(self.coords_in_codiff(a))
+        return all(c.denominator == 1 for c in self.coords_in_codiff(a))
 
 
 def context_new(m: int) -> CyclotomicContext:

@@ -6,16 +6,19 @@ r * (codifferent basis) together with the vectors r * t * conj(b) + (i/r) * b
 for b running over the power basis of the ring of integers. A lattice point
 r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
 every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
-be extracted as a real number. Both forms are assembled from the trace form
-Tr(a conj(b)) on power-basis coordinates, so building a lattice needs no
-field multiplication beyond its generators, and the products run on
-integers: the generator coordinates are cleared of their common denominator
-once, and each entry becomes a single Fraction at the end.
+be extracted as a real number.
+
+A lattice keeps its generators as integer coordinate rows N over one common
+denominator D. Both forms are integer products with the trace form
+Tr(a conj(b)) on power-basis coordinates, one Fraction per entry at the end.
+Membership, and with it the unit action and real multiplication checks, is
+one fraction-free elimination in N itself, with units acting on N through
+their integral multiplication matrices: no field multiplication, and valid
+for any generators.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -46,23 +49,20 @@ class PolarizedLattice:
         # and symplectic is (V T U^T - U T V^T) / D^2 = (C - C^T) / D^2 with
         # C = V T U^T, as T is symmetric. With r^2 = p/q each entry is a
         # single Fraction (p^2 A + q^2 B) / (p q D^2) of integers A, B.
-        den = lcm(*(c.denominator for pair in self.generators for e in pair
-                    for c in e.coords))
-
-        def scaled(e: CycloElement) -> list[int]:
-            return [c.numerator * (den // c.denominator) for c in e.coords]
-
-        us = [scaled(u) for u, _ in self.generators]
-        vs = [scaled(v) for _, v in self.generators]
+        g = ctx.g
+        self._rows, self._den = linalg.integer_matrix(
+            [u.coords + v.coords for u, v in self.generators])
+        us = [r[:g] for r in self._rows]
+        vs = [r[g:] for r in self._rows]
         T = ctx.ok_gram
         ut, vt = linalg.mat_mul(us, T), linalg.mat_mul(vs, T)
         p, q = r_sq.numerator, r_sq.denominator
-        pp, qq, gram_den = p * p, q * q, p * q * den * den
+        dd = self._den ** 2
+        pp, qq, gram_den = p * p, q * q, p * q * dd
         self.real_gram = [[Fraction(pp * a + qq * b, gram_den)
                            for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
                           for uj, vj in zip(ut, vt)]
         vu = [linalg.mat_vec(us, vj) for vj in vt]
-        dd = den * den
         self.symplectic = [[Fraction(a - b, dd) for a, b in zip(row, col)]
                            for row, col in zip(vu, zip(*vu))]
 
@@ -85,35 +85,39 @@ class PolarizedLattice:
     def det_real_gram(self) -> Fraction:
         return linalg.determinant(self.real_gram)
 
-    def _offset(self, v: CycloElement) -> CycloElement:
-        return self.x * v.conj()
+    def _spans(self, rows) -> bool:
+        """True iff the integer rows W (D times point coordinates) are W = C N
+        for an integer C: eliminating [N^T | W^T] leaves d C^T on the right,
+        d = +-det N. False also when the generators are dependent."""
+        n = len(self._rows)
+        mat = [[*a, *w] for a, w in zip(zip(*self._rows), zip(*rows))]
+        d = linalg.gauss_jordan(mat, n)
+        return d != 0 and all(c % d == 0 for r in mat for c in r[n:])
 
-    def coordinates_of(self, u: CycloElement, v: CycloElement):
-        """Rational coordinates of the point r*u + (i/r)*v in the generator
-        basis, or None if (u, v) is not in the rational span (never happens
-        for field-element pairs)."""
-        # v determines the second block of coordinates directly (power basis),
-        # the first block is the codifferent coordinates of the remainder
-        t_b = list(v.coords)
-        w = u - self._offset(v)
-        t_a = self.ctx.coords_in_codiff(w)
-        return t_a + t_b
+    def _maps_into_itself(self, mu, mv) -> bool:
+        """True iff (u, v) -> (a u, b v) maps the lattice into itself, for
+        the integral multiplication matrices mu of a and mv of b."""
+        g = self.ctx.g
+        return self._spans([linalg.mat_vec(mu, r[:g]) + linalg.mat_vec(mv, r[g:])
+                            for r in self._rows])
 
     def contains(self, u: CycloElement, v: CycloElement) -> bool:
-        return linalg.is_integral_vector(self.coordinates_of(u, v))
+        """True iff r*u + (i/r)*v is a point of the lattice."""
+        (w,), e = linalg.integer_matrix([u.coords + v.coords])
+        return self._den % e == 0 and self._spans([[c * (self._den // e) for c in w]])
 
     def is_g_stable(self) -> bool:
         """Stability under the order-m unit group: it is enough to check the
         generator zeta, whose action sends (u, v) to (zeta u, conj(zeta) v)."""
-        z = self.ctx.zeta(1)
-        zc = z.conj()
-        return all(self.contains(z * u, zc * v) for u, v in self.generators)
+        ctx = self.ctx
+        return self._maps_into_itself(ctx.mul_matrix(ctx.zeta(1)),
+                                      ctx.mul_matrix(ctx.zeta(-1)))
 
     def has_real_multiplication(self) -> bool:
         """Stability under multiplication by zeta + zeta^-1, which generates
         the ring of integers of the maximal totally real subfield."""
-        b = self.ctx.zeta(1) + self.ctx.zeta(self.ctx.m - 1)
-        return all(self.contains(b * u, b * v) for u, v in self.generators)
+        b = self.ctx.mul_matrix(self.ctx.zeta(1) + self.ctx.zeta(-1))
+        return self._maps_into_itself(b, b)
 
     # -- serialization -----------------------------------------------------------
 

@@ -1,15 +1,15 @@
-"""Small dense exact linear algebra over Fraction matrices (mat_mul and
-mat_vec serve integer matrices as well).
+"""Small dense exact linear algebra on integer and Fraction matrices.
 
-Everything here is plain Gaussian elimination with exact rationals; the
-matrices in this package are at most 2g x 2g with g = phi(m) at desk scale,
-so no effort is spent on asymptotics. No matrix is ever inverted: the field
-layer applies the integral trace form and integral multiplication matrices
-built from zeta-shifts, and solves one system per field inverse.
+The one elimination is gauss_jordan, a fraction-free (Bareiss) Gauss-Jordan
+on integer rows in which every division is exact (Bareiss, Math. Comp. 22,
+1968); integer_matrix clears a rational matrix's common denominator once.
+determinant, solve and lattice membership wrap the two. The matrices are at
+most 2g x 2g with g = phi(m), and none is ever inverted.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 Vector = list[Fraction]
@@ -33,47 +33,48 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-preserving Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def integer_matrix(a) -> tuple[list[list[int]], int]:
+    """(rows, den): den the least common denominator of the int or Fraction
+    entries of a, and rows the integer matrix den * a."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def gauss_jordan(rows: list[list[int]], n: int) -> int:
+    """det(A) for the integer rows [A | B], A square of size n = len(rows),
+    by fraction-free Gauss-Jordan in place: after step k each entry is a
+    (k+1)-minor of [A | B] up to sign, so dividing by the last pivot is exact.
+    If det(A) != 0 the rows end as [d I | d A^-1 B], d = +-det(A)."""
+    det, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+        pk = rows[k][k:]
+        p = pk[0]
+        # left of column k only the diagonal is nonzero: it is filled at the end
+        for i, ri in enumerate(rows):
+            if i != k:
+                f = ri[k]
+                ri[k:] = [(p * a - f * b) // prev for a, b in zip(ri[k:], pk)]
+        prev = p
+    for i in range(n):
+        rows[i][i] = prev
+    return det * prev
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Exact determinant of a square int or Fraction matrix."""
+    rows, den = integer_matrix(a)
+    return Fraction(gauss_jordan(rows, len(rows)), den ** len(rows))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """Solve a square system exactly; None if the matrix is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return [m[i][n] / m[i][i] for i in range(n)]
-
-
-def is_integral_vector(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+    rows, _ = integer_matrix([[*row, c] for row, c in zip(a, b)])
+    if not gauss_jordan(rows, len(rows)):
+        return None
+    return [Fraction(r[-1], r[i]) for i, r in enumerate(rows)]

@@ -37,6 +37,7 @@ from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
 from .lattice import build_lattice
+from .linalg import integer_matrix
 from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
 from .tables import phi
 
@@ -441,22 +442,18 @@ def certificate_from_json_dict(d: dict) -> Certificate:
 
 def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     """Recompute every derived field from (m, epsilon, r^2, x) at the stored
-    precision and list all fields that disagree with the stored values."""
+    precision and list all fields that disagree with the stored values.
+    Raises CertificateFormatError first if r^2 puts the lattice vector (0, d),
+    d x in the codifferent, of squared norm d^2 g / r^2 in the chi ball."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
+    _, d = integer_matrix([ctx.coords_in_codiff(x)])
+    if d * d * ctx.g / cert.r_sq < chi_radius_sq(ctx, cert.epsilon, cert.precision_bits).lo:
+        raise CertificateFormatError(f"r^2 = {cert.r_sq} puts the lattice vector (0, {d}) "
+                                     "inside the chi ball, so N(x) >= 1")
     n = count_N(ctx, cert.r_sq, x, cert.epsilon, cert.precision_bits)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
                           precision=cert.precision_bits)
     fresh = _certificate_at(ctx, config, cert.r_sq, x, n, cert.sample_index)
-    mismatches = []
-    if fresh.g != cert.g:
-        mismatches.append("g")
-    if fresh.lambda1_sq != cert.lambda1_sq:
-        mismatches.append("lambda1_sq")
-    if fresh.n_value != cert.n_value:
-        mismatches.append("n_value")
-    if fresh.bound_lo != cert.bound_lo:
-        mismatches.append("bound_lo")
-    if fresh.checks != cert.checks:
-        mismatches.append("checks")
-    return fresh, mismatches
+    return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
+                   if getattr(fresh, k) != getattr(cert, k)]

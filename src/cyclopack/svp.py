@@ -58,13 +58,11 @@ def lll_reduce(gram):
     invariant under scaling the form.
     """
     n = len(gram)
-    G = [[Fraction(x) for x in row] for row in gram]
+    b, c = linalg.integer_matrix(gram)
     for i in range(n):
         for j in range(i):
-            if G[i][j] != G[j][i]:
+            if b[i][j] != b[j][i]:
                 raise ValueError("gram matrix is not symmetric")
-    c = lcm(*(x.denominator for row in G for x in row))
-    b = [[x.numerator * (c // x.denominator) for x in row] for row in G]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     lam = [[0] * n for _ in range(n)]
     # D[k] is the k-th leading minor of the current b; mu_kj = lam[k][j] / D[j+1]
@@ -140,10 +138,6 @@ def _frozen(rows):
     return tuple(map(tuple, rows))
 
 
-def _numerators(values, den: int) -> tuple[int, ...]:
-    return tuple(x.numerator * (den // x.denominator) for x in values)
-
-
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
     transform U, the least diagonal entry of the reduced form R = U G U^T and
@@ -159,10 +153,9 @@ class PreparedForm:
         upper = [row[i + 1:] for i, row in enumerate(nu)]
         self.transform = _frozen(U)
         self.min_diagonal = min(R[i][i] for i in range(len(R)))
-        self.d_den = lcm(*(x.denominator for x in d))
-        self.nu_den = lcm(*(x.denominator for row in upper for x in row))
-        self.d = _numerators(d, self.d_den)
-        self.nu = tuple(_numerators(row, self.nu_den) for row in upper)
+        (d,), self.d_den = linalg.integer_matrix([d])
+        nu, self.nu_den = linalg.integer_matrix(upper)
+        self.d, self.nu = tuple(d), _frozen(nu)
 
     def _walk(self, center, radius_sq: Fraction):
         """Fincke-Pohst on integers: the pairs (s, k) with

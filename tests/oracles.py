@@ -226,3 +226,60 @@ def rational_enumerate_in_ball(gram, center, radius_sq):
     cprime = [sum(a * c for a, c in zip(row, center)) for row in inv_ut]
     return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
             for s, q in rational_enumerate(d, nu, cprime, Fraction(radius_sq))]
+
+
+# -- Fraction elimination and the block membership formula ----------------------
+#
+# The determinant, solve and lattice membership as the library computed them
+# before it moved to one fraction-free elimination on integer rows.
+
+def fraction_determinant(a) -> Fraction:
+    """Determinant by Gaussian elimination on Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            f = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def fraction_solve(a, b):
+    """Solution of a square system by Gauss-Jordan on Fractions; None if
+    the matrix is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n + 1):
+                    m[r][c] -= f * m[col][c]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def block_contains(ctx, x, u, v) -> bool:
+    """Membership of (u, v) in build_lattice(ctx, r_sq, x), for any r_sq, by
+    the block shape of its generators: the coordinates on the ring part are
+    those of v in the power basis, and on the codifferent part those of
+    u - x conj(v) in the codifferent basis; both must be integers."""
+    coords = list(v.coords) + ctx.coords_in_codiff(u - x * v.conj())
+    return all(Fraction(c).denominator == 1 for c in coords)

@@ -110,7 +110,7 @@ def test_certify_malformed_file(tmp_path, capsys):
     ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
     ("precision_bits", 1000000), ("m", 4.9), ("precision_bits", 128.7),
     ("n_value", False), ("checks", dict.fromkeys(CHECK_NAMES, "false")), ("x", "00"),
-    ("m", 10**12), ("m", 10**7),
+    ("m", 10**12), ("m", 10**7), ("r_sq", "100/1"),
 ])
 def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     cert = tmp_path / "cert.json"

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cyclopack import linalg
+from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.lattice import PolarizedLattice, build_lattice
 from conftest import get_ctx
+from oracles import block_contains
 from test_cyclotomic import random_element
 
 
@@ -123,6 +125,10 @@ def test_unimodularity_breaks_on_index_two_sublattice(ctx4):
     assert sub.is_riemann_integral()
     assert not sub.is_unimodular()
     assert abs(linalg.determinant(sub.symplectic)) == 4
+    # membership and the unit action are decided in the sublattice's own
+    # generators: (u0, v0) is not in it, and neither is zeta (a1, 0) = (-a0, 0)
+    assert sub.contains(2 * u0, 2 * v0) and not sub.contains(u0, v0)
+    assert not sub.is_g_stable()
 
 
 def test_twist_translation_invariance():
@@ -140,6 +146,27 @@ def test_twist_translation_invariance():
             assert lat1.contains(u, v)
 
 
+def test_contains_matches_block_formula():
+    # integer combinations of the generators of build_lattice, with and
+    # without a half-step along one generator, against the block formula
+    rng = random.Random(65)
+    for m in (3, 4, 5, 8, 12):
+        ctx = get_ctx(m)
+        for _ in range(4):
+            x = random_element(ctx, rng)
+            lat = build_lattice(ctx, Fraction(rng.randint(4, 32), 8), x)
+            gens = lat.generators
+            for _ in range(5):
+                coeffs = [Fraction(rng.randint(-3, 3)) for _ in gens]
+                if rng.random() < 0.5:
+                    coeffs[rng.randrange(len(gens))] += Fraction(1, 2)
+                u = sum((c * a for c, (a, _) in zip(coeffs, gens)), ctx.zero())
+                v = sum((c * b for c, (_, b) in zip(coeffs, gens)), ctx.zero())
+                expected = all(c.denominator == 1 for c in coeffs)
+                assert block_contains(ctx, x, u, v) == expected
+                assert lat.contains(u, v) == expected
+
+
 def test_g_stability():
     rng = random.Random(57)
     for m in (3, 4, 5, 8, 12):
@@ -150,20 +177,14 @@ def test_g_stability():
             assert build_lattice(ctx, Fraction(rng.randint(4, 32), 8), x).is_g_stable()
 
 
-class UnconjugatedLattice(PolarizedLattice):
-    """Negative control: the twist map y -> x*y in place of y -> x*conj(y),
-    which is not unit-stable."""
-
-    def _offset(self, v):
-        return self.x * v
-
-
 def test_g_stability_requires_conjugated_twist(ctx4):
+    # negative control: the twist map y -> x*y in place of y -> x*conj(y),
+    # which is not unit-stable
     x = Fraction(1, 3) * ctx4.zeta(1)
     good = build_lattice(ctx4, 1, x)
     gens = ([(a, ctx4.zero()) for a in ctx4.codiff_basis]
             + [(x * b, b) for b in ctx4.ok_basis])
-    bad = UnconjugatedLattice(ctx4, 1, x, gens)
+    bad = PolarizedLattice(ctx4, 1, x, gens)
     assert good.is_g_stable()
     assert not bad.is_g_stable()
 
@@ -178,6 +199,20 @@ def test_real_multiplication():
         assert build_lattice(ctx5, 1, x).has_real_multiplication()
     ctx12 = get_ctx(12)
     assert build_lattice(ctx12, Fraction(5, 2), ctx12.zero()).has_real_multiplication()
+
+
+def test_checks_need_no_field_multiplication(monkeypatch):
+    # the unit action and real multiplication act on the integer generator
+    # rows through multiplication matrices, never through field products
+    ctx = get_ctx(12)
+    lat = build_lattice(ctx, Fraction(5, 2), Fraction(1, 8) * ctx.codiff_basis[1])
+
+    def no_field_arithmetic(*args):
+        raise AssertionError("field multiplication in a structural check")
+    monkeypatch.setattr(CyclotomicContext, "mul", no_field_arithmetic)
+    monkeypatch.setattr(CyclotomicContext, "conj", no_field_arithmetic)
+    assert lat.is_g_stable() and lat.has_real_multiplication()
+    assert lat.contains(*lat.generators[3])
 
 
 def test_serialization_schema(ctx4):

@@ -1,0 +1,60 @@
+import random
+from fractions import Fraction
+
+from cyclopack import linalg
+from oracles import fraction_determinant, fraction_solve
+
+
+def random_system(rng):
+    """A random rational n x n system, n <= 9, with many zero entries (so
+    that pivots need row swaps), and about one in four singular."""
+    n = rng.randint(1, 9)
+
+    def entry():
+        return Fraction(0) if rng.random() < 0.35 else Fraction(rng.randint(-9, 9),
+                                                               rng.randint(1, 6))
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        a[i] = [rng.randint(-2, 2) * x for x in a[j]]
+    return a, [entry() for _ in range(n)]
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(61)
+    singular = swapped = 0
+    for _ in range(1000):
+        a, b = random_system(rng)
+        det = fraction_determinant(a)
+        assert linalg.determinant(a) == det
+        assert linalg.solve(a, b) == fraction_solve(a, b)
+        singular += det == 0
+        swapped += a[0][0] == 0 and det != 0
+    assert singular > 100 and swapped > 100
+
+
+def test_gauss_jordan_end_state():
+    # [A | B] ends as [d I | d A^-1 B] with d = +-det A
+    rng = random.Random(63)
+    for _ in range(200):
+        a, _ = random_system(rng)
+        n = len(a)
+        b = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
+        ai, _ = linalg.integer_matrix(a)
+        rows = [ra + rb for ra, rb in zip(ai, b)]
+        det = linalg.gauss_jordan(rows, n)
+        assert det == fraction_determinant(ai)
+        if det == 0:
+            continue
+        d = rows[0][0]
+        assert d in (det, -det)
+        assert [r[:n] for r in rows] == [[d * (i == j) for j in range(n)] for i in range(n)]
+        x = [[Fraction(c, d) for c in r[n:]] for r in rows]
+        assert linalg.mat_mul(ai, x) == b
+
+
+def test_integer_matrix():
+    rows, den = linalg.integer_matrix([[Fraction(1, 2), 3], [Fraction(-5, 6), 0]])
+    assert den == 6
+    assert rows == [[3, 18], [-5, 0]]
+    assert linalg.integer_matrix([[1, 2]]) == ([[1, 2]], 1)
