@@ -193,9 +193,11 @@ class CyclotomicContext:
             CycloElement(self, c) for c in self._shifts(self.codiff_gen.coords)
         )
         cd = [a.coords for a in self.codiff_basis]
+        # codiff_pairing[j][k] = Tr(zeta^k conj(c_j)), integral on the codifferent
+        self.codiff_pairing: tuple[tuple[int, ...], ...] = tuple(
+            tuple(map(int, linalg.mat_vec(self.ok_gram, c))) for c in cd)
         self.codiff_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(linalg.mat_vec(cd, linalg.mat_vec(self.ok_gram, c))) for c in cd
-        )
+            tuple(linalg.mat_vec(cd, p)) for p in self.codiff_pairing)
 
     # -- construction helpers -------------------------------------------------
 
@@ -299,10 +301,8 @@ class CyclotomicContext:
     def coords_in_codiff(self, a: CycloElement) -> list[Fraction]:
         """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
         which are the power-basis coordinates of a * Phi_m'(zeta)."""
-        return linalg.mat_vec(self._diff_matrix, a.coords)
-
-    def in_codifferent(self, a: CycloElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords_in_codiff(a))
+        (row,), d = linalg.integer_matrix([a.coords])
+        return [Fraction(c, d) for c in linalg.mat_vec(self._diff_matrix, row)]
 
 
 def context_new(m: int) -> CyclotomicContext:

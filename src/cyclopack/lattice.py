@@ -8,13 +8,15 @@ r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
 every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
 be extracted as a real number.
 
-A lattice keeps its generators as integer coordinate rows N over one common
-denominator D. Both forms are integer products with the trace form
-Tr(a conj(b)) on power-basis coordinates, one Fraction per entry at the end.
-Membership, and with it the unit action and real multiplication checks, is
-one fraction-free elimination in N itself, with units acting on N through
-their integral multiplication matrices: no field multiplication, and valid
-for any generators.
+A lattice keeps its generators as integer rows N over one common
+denominator D, in codifferent coordinates for u and power-basis coordinates
+for v: build_lattice's rows are then [[I, 0], [X, I]] and D is the
+denominator of x in the codifferent. Both forms are integer products with the
+trace pairings of these bases, one Fraction per entry at the end. Membership,
+and with it the unit action and real multiplication checks, is one
+fraction-free elimination in N, with a ring integer acting through the same
+integral multiplication matrix in both bases: no field multiplication, and
+valid for any generators.
 """
 from __future__ import annotations
 
@@ -42,27 +44,25 @@ class PolarizedLattice:
         self.x = x
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
-        # with T = ok_gram (integral), Tr(a conj(b)) = a^T T b on power-basis
-        # coordinates. Over the integer coordinate rows U, V of D times the u
-        # and v parts, D the common denominator of all generator coordinates,
-        # real_gram is (r^2 U T U^T + r^-2 V T V^T) / D^2 (formed row by row)
-        # and symplectic is (V T U^T - U T V^T) / D^2 = (C - C^T) / D^2 with
-        # C = V T U^T, as T is symmetric. With r^2 = p/q each entry is a
-        # single Fraction (p^2 A + q^2 B) / (p q D^2) of integers A, B.
+        # rows: codifferent coordinates a of u, power-basis coordinates b of v.
+        # Tr(u conj(u')) = a G a'^T with G = codiff_gram = Gi / e, and
+        # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
+        # real_gram is (p^2 A + q^2 e B) / (p q e D^2) and symplectic is
+        # (C - C^T) / D^2, entry by entry, for integer matrices A, B and C.
         g = ctx.g
         self._rows, self._den = linalg.integer_matrix(
-            [u.coords + v.coords for u, v in self.generators])
+            [ctx.coords_in_codiff(u) + list(v.coords) for u, v in self.generators])
         us = [r[:g] for r in self._rows]
         vs = [r[g:] for r in self._rows]
-        T = ctx.ok_gram
-        ut, vt = linalg.mat_mul(us, T), linalg.mat_mul(vs, T)
+        gi, e = linalg.integer_matrix(ctx.codiff_gram)
+        ug, vt = linalg.mat_mul(us, gi), linalg.mat_mul(vs, ctx.ok_gram)
         p, q = r_sq.numerator, r_sq.denominator
         dd = self._den ** 2
-        pp, qq, gram_den = p * p, q * q, p * q * dd
+        pp, qq, gram_den = p * p, q * q * e, p * q * e * dd
         self.real_gram = [[Fraction(pp * a + qq * b, gram_den)
                            for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
-                          for uj, vj in zip(ut, vt)]
-        vu = [linalg.mat_vec(us, vj) for vj in vt]
+                          for uj, vj in zip(ug, vt)]
+        vu = [linalg.mat_vec(us, linalg.mat_vec(ctx.codiff_pairing, vj)) for vj in vs]
         self.symplectic = [[Fraction(a - b, dd) for a, b in zip(row, col)]
                            for row, col in zip(vu, zip(*vu))]
 
@@ -103,8 +103,8 @@ class PolarizedLattice:
 
     def contains(self, u: CycloElement, v: CycloElement) -> bool:
         """True iff r*u + (i/r)*v is a point of the lattice."""
-        (w,), e = linalg.integer_matrix([u.coords + v.coords])
-        return self._den % e == 0 and self._spans([[c * (self._den // e) for c in w]])
+        w = [c * self._den for c in self.ctx.coords_in_codiff(u) + list(v.coords)]
+        return all(c.denominator == 1 for c in w) and self._spans([[int(c) for c in w]])
 
     def is_g_stable(self) -> bool:
         """Stability under the order-m unit group: it is enough to check the

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from math import lcm
 
 from .cyclotomic import CycloElement, CyclotomicContext
 from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
 from .lattice import build_lattice
-from .linalg import integer_matrix
 from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
 from .tables import phi
 
@@ -447,7 +447,7 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     d x in the codifferent, of squared norm d^2 g / r^2 in the chi ball."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
-    _, d = integer_matrix([ctx.coords_in_codiff(x)])
+    d = lcm(*(c.denominator for c in ctx.coords_in_codiff(x)))
     if d * d * ctx.g / cert.r_sq < chi_radius_sq(ctx, cert.epsilon, cert.precision_bits).lo:
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts the lattice vector (0, {d}) "
                                      "inside the chi ball, so N(x) >= 1")

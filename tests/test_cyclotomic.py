@@ -157,8 +157,11 @@ def test_codifferent_duality(m):
            for j in range(g)]
     assert all(e.denominator == 1 for row in mat for e in row)
     assert abs(linalg.determinant(mat)) == 1
-    # both flavors of the pairing against the ring of integers are integral
-    for a in ctx.codiff_basis:
+    # both flavors of the pairing against the ring of integers are integral,
+    # and codiff_pairing holds the conjugated one as ints
+    for a, row in zip(ctx.codiff_basis, ctx.codiff_pairing):
+        assert list(row) == [(b * a.conj()).trace() for b in ctx.ok_basis]
+        assert all(type(e) is int for e in row)
         for b in ctx.ok_basis:
             assert (a * b).trace().denominator == 1
             assert (a * b.conj()).trace().denominator == 1
