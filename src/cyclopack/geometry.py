@@ -56,11 +56,11 @@ def norm_sq(p: ComplexPoint) -> Fraction:
 
 
 def g_act(k: int, p: ComplexPoint) -> ComplexPoint:
-    """Action of the unit zeta^k: x + iy maps to zeta^k x + i conj(zeta^k) y.
+    """Action of the unit zeta^k: x + iy maps to zeta^k x + i zeta^-k y.
 
     k is any exponent mod m; the acting group is the full cyclic group of
     order m generated by zeta, so k need not be coprime to m.
     """
-    zk = p.ctx.zeta(k)
-    return ComplexPoint(zk * p.x, zk.conj() * p.y)
+    zeta = p.ctx.zeta  # zeta^-k = conj(zeta^k)
+    return ComplexPoint(zeta(k) * p.x, zeta(-k) * p.y)
 

@@ -5,10 +5,10 @@ certificate of the resulting packing bound.
 Pipeline for a given m and rational epsilon in (0, m):
 
   1. select_r scans r^2 = 1/2, 1, 3/2, ... for the first value where the
-     pure codifferent vectors are already long enough (certified interval
-     lower bound) while the mean obstruction count J(r) stays below m
-     (certified interval upper bound). The scan has no upper end; it stops
-     because J(r) tends to m - epsilon < m.
+     pure codifferent vectors lie outside the chi ball while the mean
+     obstruction count J(r) stays below m (certified interval upper bound).
+     Like chi and N(x), it asks |z|^2 <= R^2 of one memoized R^2 enclosure.
+     The scan has no upper end; it stops because J(r) tends to m - epsilon < m.
   2. Twist points x are sampled from the fundamental parallelepiped of the
      codifferent; x = 0 is always tried first. count_N(x) is an exact
      integer; the first x with count zero wins. Since the count is divisible
@@ -144,27 +144,22 @@ def refine(enclose, decided, precision: int):
         p = min(2 * p, MAX_PRECISION)
 
 
-def _exceeds(two_g: int, q_pow: Fraction, bound: Fraction, precision: int) -> bool:
-    """Certified test of v_{two_g} * q_pow > bound. Undecided at the cap
-    (possible only for an exact boundary value, which rationals cannot
-    produce for q_pow != 0) counts as not exceeding."""
-    v = refine(lambda p: ball_volume(two_g, p) * q_pow,
-               lambda v: v.hi <= bound or v.lo > bound, precision)
-    return v.lo > bound
+# -- the chi ball ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _radius_sq(g: int, bound: Fraction, precision: int) -> IntervalValue:
+    """Enclosure of R^2 = (bound / v_2g)^(1/g); every chi-ball question reads it."""
+    return (IntervalValue.point(bound) / ball_volume(2 * g, precision)).nth_root(g, precision)
 
-# -- the cut-off function chi -------------------------------------------------
 
 def chi_norm_sq(two_g: int, nsq: Fraction, bound: Fraction, precision: int = 128) -> bool:
-    """chi on a point of known squared norm: true iff v_2g * |z|^2g <= bound.
-
-    Undecidable boundary ties resolve to inside, which can only inflate the
-    obstruction count, never weaken a certificate.
-    """
-    if nsq == 0:
-        return True
-    q_pow = Fraction(nsq) ** (two_g // 2)
-    return not _exceeds(two_g, q_pow, bound, precision)
+    """chi on a point of known squared norm: true iff nsq <= R^2, i.e.
+    v_2g * nsq^g <= bound. The R^2 enclosure is refined until nsq leaves it;
+    a tie at the precision cap counts as inside, which can only inflate the
+    obstruction count, never weaken a certificate."""
+    r = refine(lambda p: _radius_sq(two_g // 2, bound, p),
+               lambda r: nsq not in r, precision)
+    return nsq <= r.hi
 
 
 def chi(p: ComplexPoint, epsilon, precision: int = 128) -> bool:
@@ -173,14 +168,10 @@ def chi(p: ComplexPoint, epsilon, precision: int = 128) -> bool:
     return chi_norm_sq(2 * ctx.g, norm_sq(p), ctx.m - Fraction(epsilon), precision)
 
 
-# -- chi-ball radius ----------------------------------------------------------
-
 def chi_radius_sq(ctx: CyclotomicContext, epsilon, precision: int) -> IntervalValue:
     """Enclosure of R^2 = ((m - epsilon) / v_2g)^(1/g), the squared norm at
     which chi switches off."""
-    g = ctx.g
-    v2g = ball_volume(2 * g, precision)
-    return (IntervalValue.point(ctx.m - Fraction(epsilon)) / v2g).nth_root(g, precision)
+    return _radius_sq(ctx.g, ctx.m - Fraction(epsilon), precision)
 
 
 # -- J(r): the averaged count -------------------------------------------------
@@ -222,7 +213,8 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
 
 def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> Fraction:
     """First value r^2 of r_grid such that, with certainty from interval
-    bounds, v_2g (r^2 lambda1^2(I))^g > m - epsilon and J(r) < m.
+    bounds, the pure codifferent vectors lie outside the chi ball
+    (r^2 lambda1^2(I) > R^2, asked as not chi_norm_sq) and J(r) < m.
 
     On an unbounded increasing sequence such as default_r_grid() the scan
     terminates: the first condition holds for every large r^2, and J(r)
@@ -237,7 +229,7 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
         r_sq = Fraction(r_sq)
         if r_sq <= 0:
             continue
-        if not _exceeds(2 * g, (r_sq * lam_codiff) ** g, bound, precision):
+        if chi_norm_sq(2 * g, r_sq * lam_codiff, bound, precision):
             continue
         j = refine(lambda p: j_value(ctx, r_sq, epsilon, p),
                    lambda j: j.hi < m or j.lo >= m, precision)
@@ -443,17 +435,24 @@ def certificate_from_json_dict(d: dict) -> Certificate:
 def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     """Recompute every derived field from (m, epsilon, r^2, x) at the stored
     precision and list all fields that disagree with the stored values.
-    Raises CertificateFormatError first if r^2 puts the lattice vector (0, d),
-    d x in the codifferent, of squared norm d^2 g / r^2 in the chi ball."""
+    Raises CertificateFormatError before counting, which caps r^2 both ways,
+    if the chi ball holds the lattice vector (0, d), d x in the codifferent,
+    of squared norm d^2 g / r^2 (so N(x) >= 1), or a codifferent generator
+    (c_j, 0), of squared norm r^2 codiff_gram[j][j] (so lambda1 < R)."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
+    g, bound, precision = ctx.g, cert.m - cert.epsilon, cert.precision_bits
     d = lcm(*(c.denominator for c in ctx.coords_in_codiff(x)))
-    if d * d * ctx.g / cert.r_sq < chi_radius_sq(ctx, cert.epsilon, cert.precision_bits).lo:
+    if chi_norm_sq(2 * g, d * d * g / cert.r_sq, bound, precision):
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts the lattice vector (0, {d}) "
                                      "inside the chi ball, so N(x) >= 1")
-    n = count_N(ctx, cert.r_sq, x, cert.epsilon, cert.precision_bits)
+    if chi_norm_sq(2 * g, cert.r_sq * min(ctx.codiff_gram[j][j] for j in range(g)),
+                   bound, precision):
+        raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
+                                     "inside the chi ball, so lambda1 < R")
+    n = count_N(ctx, cert.r_sq, x, cert.epsilon, precision)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
-                          precision=cert.precision_bits)
+                          precision=precision)
     fresh = _certificate_at(ctx, config, cert.r_sq, x, n, cert.sample_index)
     return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
                    if getattr(fresh, k) != getattr(cert, k)]

@@ -13,6 +13,9 @@ from math import gcd, isqrt
 
 import mpmath
 
+from cyclopack.search import refine
+from cyclopack.svp import ball_volume
+
 
 def embed(a, precision: int = 53):
     """The g complex embeddings zeta -> e^(2 pi i k / m), gcd(k, m) = 1, of
@@ -283,3 +286,21 @@ def block_contains(ctx, x, u, v) -> bool:
     u - x conj(v) in the codifferent basis; both must be integers."""
     coords = list(v.coords) + ctx.coords_in_codiff(u - x * v.conj())
     return all(Fraction(c).denominator == 1 for c in coords)
+
+
+# -- the volume form of chi -----------------------------------------------------
+#
+# chi as the library decided it before every chi-ball question became a
+# comparison of a squared norm with an enclosure of R^2: raise the squared
+# norm to the g-th power and refine the ball volume until v_2g * nsq^g is
+# decided against the bound.
+
+def volume_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
+    """True iff v_2g * nsq^g <= bound; undecided at the precision cap counts
+    as inside."""
+    if nsq == 0:
+        return True
+    q_pow = Fraction(nsq) ** (two_g // 2)
+    v = refine(lambda p: ball_volume(two_g, p) * q_pow,
+               lambda v: v.hi <= bound or v.lo > bound, precision)
+    return not v.lo > bound

@@ -35,20 +35,23 @@ def paths(doc):
     return out
 
 
-def rational_paths(doc):
-    out = [(doc, k) for k in RATIONALS if isinstance(doc.get(k), str)]
+def rational_paths(doc, rationals=RATIONALS):
+    out = [(doc, k) for k in rationals if isinstance(doc.get(k), str)]
     if isinstance(doc.get("x"), list):
         out += [(doc["x"], i) for i, v in enumerate(doc["x"]) if isinstance(v, str)]
     return out
 
 
 @st.composite
-def mutated(draw):
-    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+def mutated(draw, docs=DOCS, kinds=("drop", "replace", "swap", "digit"),
+            rationals=RATIONALS):
+    """One of docs with 1 to 3 mutations of the given kinds; a digit
+    mutation changes one digit of x or of one of the named rationals."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("drop", "replace", "swap", "digit")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "digit":
-            places = [(c, k, i) for c, k in rational_paths(doc)
+            places = [(c, k, i) for c, k in rational_paths(doc, rationals)
                       for i, ch in enumerate(c[k]) if ch.isdigit()]
             if not places:
                 continue

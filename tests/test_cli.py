@@ -110,7 +110,7 @@ def test_certify_malformed_file(tmp_path, capsys):
     ("m", 2), ("epsilon", "5/1"), ("r_sq", "-1/1"), ("precision_bits", 4),
     ("precision_bits", 1000000), ("m", 4.9), ("precision_bits", 128.7),
     ("n_value", False), ("checks", dict.fromkeys(CHECK_NAMES, "false")), ("x", "00"),
-    ("m", 10**12), ("m", 10**7), ("r_sq", "100/1"),
+    ("m", 10**12), ("m", 10**7), ("r_sq", "100/1"), ("r_sq", "1/1"), ("r_sq", "1/1000000"),
 ])
 def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     cert = tmp_path / "cert.json"
@@ -159,13 +159,18 @@ def test_verify_rejects_nonpositive_trials(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    # simulate a broken conjugation: norm invariance must fail and the CLI
-    # must dump a minimal failing instance
+    # simulate a broken conjugation: build_lattice twists by conj(b), so the
+    # lattice loses its principal polarization and its unit action, while
+    # norm invariance holds (the trace form and the zeta^-k of the unit
+    # action need no conj); the CLI must dump the first failing instance
     monkeypatch.setattr(CyclotomicContext, "conj", lambda self, a: a)
     code, out, err = run(capsys, "verify", "--m", "4", "--trials", "10")
     assert code == 1
-    assert "FAIL" in out
-    assert "failing_instance" in err
+    lines = out.splitlines()
+    assert "FAIL principality" in lines and "FAIL stability" in lines
+    assert "PASS norm_invariance" in lines
+    assert json.loads(err)["suite"] == "principality"
+    assert "failing_instance" in json.loads(err)
 
 
 def test_table_csv(capsys):

@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
+import mpmath
 import pytest
 
 from cyclopack import svp
@@ -18,7 +20,7 @@ from cyclopack.search import (NoQualifyingRadius,
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import box_points_in_ball
+from oracles import box_points_in_ball, volume_chi_norm_sq
 
 EPS = Fraction(1, 2)
 
@@ -43,6 +45,26 @@ def test_chi_decides_near_threshold(ctx4):
     above = Fraction(8421687986955847797, 10 ** 19)
     assert chi_norm_sq(4, below, Fraction(7, 2))
     assert not chi_norm_sq(4, above, Fraction(7, 2))
+
+
+def _radius_sq_near(g: int, bound: Fraction) -> Fraction:
+    """A rational within 2^-1000 of R^2 = (bound g!)^(1/g) / pi, from mpmath."""
+    with mpmath.workprec(1100):
+        r2 = mpmath.root(mpmath.mpf(bound.numerator) / bound.denominator * factorial(g), g)
+        man, exp = (r2 / mpmath.pi).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("two_g", range(2, 26, 2))
+def test_chi_norm_sq_matches_volume_form(two_g):
+    # q = R^2 +- 2^-k decides only once the enclosure is finer than 2^-k, so
+    # k = 140, 200 and 300 refine past the default 128 bits on both sides
+    for bound in (Fraction(1, 3), Fraction(7, 2), Fraction(59, 2), Fraction(1000003, 7)):
+        r2 = _radius_sq_near(two_g // 2, bound)
+        for k in (8, 100, 140, 200, 300):
+            for q, inside in ((r2 - Fraction(1, 2 ** k), True), (r2 + Fraction(1, 2 ** k), False)):
+                assert chi_norm_sq(two_g, q, bound) is inside
+                assert volume_chi_norm_sq(two_g, q, bound) is inside
 
 
 # -- J(r) ------------------------------------------------------------------------
