@@ -1,10 +1,11 @@
 """Exact arithmetic in K = Q(zeta_m) with the power basis of Z[zeta_m].
 
 All coordinates are exact Fractions in the power basis {1, zeta, ...,
-zeta^(g-1)}, g = phi(m). The trace-dual of the ring of integers (the
-codifferent) is the fractional ideal generated by 1/Phi_m'(zeta); since
-Z[zeta_m] is the full ring of integers, this is exact, not an approximation.
-No floating point is used anywhere in this module.
+zeta^(g-1)}, g = phi(m); every product, conjugate, trace and codifferent
+coordinate is an integer matrix applied to integer numerators. The trace-dual
+of the ring of integers (the codifferent) is the fractional ideal generated by
+1/Phi_m'(zeta); since Z[zeta_m] is the full ring of integers, this is exact,
+not an approximation. No floating point is used anywhere in this module.
 """
 from __future__ import annotations
 
@@ -52,6 +53,14 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
             for j, y in enumerate(den):
                 rem[i - dd + j] -= c * y
     return quo, rem
+
+
+def _apply(mat, coords, den: int = 1) -> list[Fraction]:
+    """mat times the rational vector coords, divided by den: coords are
+    cleared of their common denominator once, the product is taken on ints,
+    and each result coordinate becomes one Fraction."""
+    (row,), d = linalg.integer_matrix([coords])
+    return [Fraction(c, d * den) for c in linalg.mat_vec(mat, row)]
 
 
 class CycloElement:
@@ -111,6 +120,7 @@ class CycloElement:
 
     def __truediv__(self, other):
         if isinstance(other, CycloElement):
+            self._check(other)
             return self * self.ctx.inverse(other)
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.ctx, [a / other for a in self.coords])
@@ -127,16 +137,16 @@ class CycloElement:
 
 
 class CyclotomicContext:
-    """All precomputed data of Q(zeta_m): reduction tables, traces of powers,
-    the complex conjugation matrix, and bases of the ring of integers and of
-    its trace-dual (codifferent) lattice.
+    """All precomputed data of Q(zeta_m): traces of powers, the complex
+    conjugation matrix, and bases of the ring of integers and of its
+    trace-dual (codifferent) lattice.
 
-    The data beyond the multiplication table come from two primitives: the
-    integral trace form ok_gram = T, which gives every pairing
-    Tr(a conj(b)) = a^T T b, Gram matrix and discriminant, and the zeta-shift
-    (multiply by zeta), which gives the matrix of every fixed multiplication:
-    the codifferent basis, coordinates in it (multiplication by Phi_m'(zeta)),
-    and the system that inverse() solves, all through mul_matrix.
+    The data rest on two primitives: the integral trace form ok_gram = T,
+    which gives every pairing Tr(a conj(b)) = a^T T b, Gram matrix,
+    discriminant and trace, and the zeta-shift (multiply by zeta), which gives
+    the matrix of every multiplication: products, the codifferent basis,
+    coordinates in it (multiplication by Phi_m'(zeta)), and the system that
+    inverse() solves.
 
     Immutable after construction; every operation is pure, so a context can be
     shared freely across workers.
@@ -158,11 +168,6 @@ class CyclotomicContext:
             cur = self._shift(cur)
             zp[e] = cur
         self._zeta_coords: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in zp)
-
-        # coordinates of zeta^j for g <= j <= 2g-2, used to reduce products
-        self.reduction_table: tuple[tuple[int, ...], ...] = tuple(
-            self._zeta_coords[j % m] for j in range(g, 2 * g - 1)
-        )
 
         # traces of zeta^j for 0 <= j <= 2g-2 via Newton's identities on Phi_m
         self.trace_vec: tuple[int, ...] = self._newton_traces()
@@ -252,30 +257,16 @@ class CyclotomicContext:
     # -- field operations -----------------------------------------------------
 
     def mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        g = self.g
-        ac, bc = a.coords, b.coords
-        conv = [Fraction(0)] * (2 * g - 1)
-        for i, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:g])
-        for j in range(g, 2 * g - 1):
-            c = conv[j]
-            if c:
-                red = self.reduction_table[j - g]
-                for i in range(g):
-                    if red[i]:
-                        out[i] += c * red[i]
-        return CycloElement(self, out)
+        """a * b: the zeta-shift matrix of a's numerators, applied to b."""
+        (row,), d = linalg.integer_matrix([a.coords])
+        return CycloElement(self, _apply(linalg.transpose(self._shifts(row)), b.coords, d))
 
     def conj(self, a: CycloElement) -> CycloElement:
         """Complex conjugation zeta -> zeta^(m-1)."""
-        return CycloElement(self, linalg.mat_vec(self.conj_matrix, a.coords))
+        return CycloElement(self, _apply(self.conj_matrix, a.coords))
 
     def trace(self, a: CycloElement) -> Fraction:
-        return sum((c * t for c, t in zip(a.coords, self.trace_vec)), Fraction(0))
+        return _apply(self.ok_gram[:1], a.coords)[0]  # row 0 holds Tr(zeta^k)
 
     def inverse(self, a: CycloElement) -> CycloElement:
         if not a:
@@ -301,8 +292,7 @@ class CyclotomicContext:
     def coords_in_codiff(self, a: CycloElement) -> list[Fraction]:
         """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
         which are the power-basis coordinates of a * Phi_m'(zeta)."""
-        (row,), d = linalg.integer_matrix([a.coords])
-        return [Fraction(c, d) for c in linalg.mat_vec(self._diff_matrix, row)]
+        return _apply(self._diff_matrix, a.coords)
 
 
 def context_new(m: int) -> CyclotomicContext:

@@ -2,11 +2,11 @@
 
 K sits inside C^g via its g complex embeddings; E is the real span of K, and
 C^g = E + iE. The euclidean pairing on rational points of E is the exact trace
-form <a, b> = Tr(a * conj(b)), evaluated as a^T T b on power-basis
-coordinates with T = ctx.ok_gram, the one integral trace-form matrix of the
-context; no field multiplication is needed. Points of C^g handled here are
-restricted to pairs of field elements (rational points), which keeps every
-norm and pairing an exact rational.
+form <a, b> = Tr(a * conj(b)), evaluated without field multiplication as
+a^T T b / d^2 on the integer numerators of the power-basis coordinates over
+one denominator d, with T = ctx.ok_gram the integral trace-form matrix. Points
+of C^g handled here are pairs of field elements (rational points), which keeps
+every norm and pairing an exact rational.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ def pairing(a: CycloElement, b: CycloElement) -> Fraction:
     """Euclidean pairing Tr(a * conj(b)) = a^T T b on E; symmetric, positive
     definite."""
     a._check(b)
-    return sum(map(mul, a.coords, linalg.mat_vec(a.ctx.ok_gram, b.coords)))
+    (ra, rb), d = linalg.integer_matrix([a.coords, b.coords])
+    return Fraction(sum(map(mul, ra, linalg.mat_vec(a.ctx.ok_gram, rb))), d * d)
 
 
 def gram(basis) -> list[list[Fraction]]:

@@ -23,6 +23,7 @@ r^2, x, precision).
 """
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from collections.abc import Iterator
@@ -280,12 +281,8 @@ def sample_x(ctx: CyclotomicContext, denom: int, rng: random.Random) -> CycloEle
     coordinates u_j / denom, u_j uniform in [0, denom)."""
     if denom < 1:
         raise ValueError("denom must be >= 1")
-    acc = ctx.zero()
-    for a in ctx.codiff_basis:
-        u = _randbelow(rng, denom)
-        if u:
-            acc = acc + Fraction(u, denom) * a
-    return acc
+    return ctx.codiff_gen * ctx.element([Fraction(_randbelow(rng, denom), denom)
+                                         for _ in range(ctx.g)])
 
 
 # -- the full search ----------------------------------------------------------
@@ -346,16 +343,18 @@ def search(config: SearchConfig) -> Certificate:
 
     # deterministic regardless of pool size: candidates are drawn from the
     # seeded stream in index order and the smallest zero-count index wins;
-    # a serial run counts one candidate at a time, so none past the winner
-    pooled = config.workers > 1
-    chunk = 4 * config.workers if pooled else 1
+    # a serial run counts one candidate at a time, so none past the winner.
+    # The pool is capped at the CPU count: under fork all workers start at once
+    workers = min(config.workers, os.cpu_count() or 1)
+    pooled = workers > 1
+    chunk = 4 * workers if pooled else 1
     histogram: Counter[Fraction] = Counter()
     winner: tuple[int, CycloElement] | None = None
     pool = nullcontext()
     if pooled:
         # imported here, as it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=config.workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         count_map = pool.map if pooled else map
         for start in range(0, config.budget, chunk):

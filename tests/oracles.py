@@ -1,18 +1,21 @@
 """Independent oracles the tests check the package against.
 
 These deliberately avoid the library's own algorithms: traces come from
-floating embedding sums, point counts from naive coefficient-box scans, and
-integrals from Monte-Carlo estimates. Expected values in the test files were
-produced by these oracles.
+floating embedding sums, point counts from naive coefficient-box scans,
+integrals from Monte-Carlo estimates, and field products from polynomial
+long division by Phi_m. Expected values in the test files were produced by
+these oracles.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
 
+from cyclopack.cyclotomic import cyclotomic_polynomial
 from cyclopack.search import refine
 from cyclopack.svp import ball_volume
 
@@ -304,3 +307,49 @@ def volume_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
     v = refine(lambda p: ball_volume(two_g, p) * q_pow,
                lambda v: v.hi <= bound or v.lo > bound, precision)
     return not v.lo > bound
+
+
+# -- field arithmetic as polynomials modulo Phi_m --------------------------------
+#
+# Products, conjugates and traces in Q(zeta_m) computed on coefficient lists,
+# by schoolbook multiplication and long division by Phi_m on Fractions: no
+# zeta-shift, multiplication matrix or conjugation matrix of the library.
+
+def poly_mul_mod(a, b, m: int) -> list[Fraction]:
+    """Power-basis coordinates of a(zeta) * b(zeta) in Q(zeta_m), for
+    coefficient lists a and b of any length: the schoolbook product,
+    reduced by exact division by Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    g = len(phi) - 1
+    rem = [Fraction(0)] * (len(a) + len(b) + g)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            rem[i + j] += Fraction(x) * y
+    for i in range(len(rem) - 1, g - 1, -1):
+        c = rem[i] / phi[g]
+        if c:
+            for j, y in enumerate(phi):
+                rem[i - g + j] -= c * y
+    return rem[:g]
+
+
+def poly_conj(a, m: int) -> list[Fraction]:
+    """sum_j a_j zeta^(-j), each zeta^(-j) written as zeta^((-j) mod m)."""
+    p = [Fraction(0)] * m
+    for j, c in enumerate(a):
+        p[-j % m] += c
+    return poly_mul_mod(p, [1], m)
+
+
+@lru_cache(maxsize=None)
+def _power_traces(m: int) -> tuple[Fraction, ...]:
+    # Tr(zeta^j) as the trace of the matrix of x -> zeta^j x on the power basis
+    g = len(cyclotomic_polynomial(m)) - 1
+    unit = [[0] * i + [1] for i in range(g)]
+    return tuple(sum(poly_mul_mod(unit[j], unit[i], m)[i] for i in range(g))
+                 for j in range(g))
+
+
+def poly_trace(a, m: int) -> Fraction:
+    """Tr(a) = sum_j a_j Tr(zeta^j), by linearity."""
+    return sum((c * t for c, t in zip(a, _power_traces(m))), Fraction(0))

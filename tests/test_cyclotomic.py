@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 
 from cyclopack import linalg
 from cyclopack.cyclotomic import CyclotomicContext, context_new, cyclotomic_polynomial
+from cyclopack.geometry import pairing
 from conftest import get_ctx
-from oracles import trace_by_embeddings
+from oracles import poly_conj, poly_mul_mod, poly_trace, trace_by_embeddings
 
 
 def random_element(ctx, rng):
@@ -66,6 +68,34 @@ def test_mul_basic(ctx4, ctx3):
     assert (z4 * z4).coords == (Fraction(-1), Fraction(0))
     z3 = ctx3.zeta(1)
     assert (z3 * z3).coords == (Fraction(-1), Fraction(-1))
+
+
+@pytest.mark.parametrize("m", [*range(3, 31), 60])
+def test_field_operations_match_polynomial_oracle(m):
+    ctx = get_ctx(m)
+    g = ctx.g
+    rng = random.Random(m)
+    big = 2 ** 64
+    elements = [ctx.zero(), ctx.zeta(1), ctx.zeta(-1), ctx.zeta(rng.randrange(m)),
+                ctx.element([rng.randint(-9, 9) for _ in range(g)]),
+                *(ctx.element([Fraction(rng.randint(-big, big), rng.randint(1, big))
+                               for _ in range(g)]) for _ in range(2))]
+    for a in elements:
+        assert list(a.conj().coords) == poly_conj(a.coords, m)
+        assert a.trace() == poly_trace(a.coords, m)
+        # the codifferent basis is codiff_gen * zeta^j
+        assert poly_mul_mod(ctx.coords_in_codiff(a), ctx.codiff_gen.coords, m) == list(a.coords)
+        for b in elements:
+            assert list((a * b).coords) == poly_mul_mod(a.coords, b.coords, m)
+            assert pairing(a, b) == poly_trace(poly_mul_mod(a.coords, poly_conj(b.coords, m), m), m)
+
+
+def test_operations_reject_other_fields(ctx3, ctx4):
+    # phi(3) = phi(4) = 2, phi(5) = 4
+    for other in (ctx4.zeta(1), get_ctx(5).one()):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError):
+                op(ctx3.one(), other)
 
 
 def test_mul_inverse_roundtrip():

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 import random
 from fractions import Fraction
 from math import factorial
@@ -15,8 +17,8 @@ from cyclopack.search import (NoQualifyingRadius,
                               certificate_from_json_dict,
                               certificate_to_json_dict, chi, chi_norm_sq,
                               chi_radius_sq, count_N, default_r_grid, j_value,
-                              recompute_certificate, sample_x, search,
-                              select_r)
+                              _randbelow, recompute_certificate, sample_x,
+                              search, select_r)
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
@@ -236,6 +238,18 @@ def test_sample_x_translation_inequivalent(ctx4):
         seen[key] = x
 
 
+def test_sample_x_codifferent_coordinates_are_the_draws():
+    # u_0, ..., u_(g-1) are drawn in order, and x = sum_j (u_j / denom) c_j
+    for m in (3, 5, 12, 30):
+        ctx = get_ctx(m)
+        for denom in (1, 2, 8, 2 ** 20):
+            for seed in range(5):
+                x = sample_x(ctx, denom, random.Random(seed))
+                rng = random.Random(seed)
+                assert ctx.coords_in_codiff(x) == [Fraction(_randbelow(rng, denom), denom)
+                                                   for _ in range(ctx.g)]
+
+
 def test_sample_x_rejects_bad_denom(ctx4):
     with pytest.raises(ValueError):
         sample_x(ctx4, 0, random.Random(0))
@@ -293,6 +307,33 @@ def test_search_parallel_matches_sequential():
         seq = search(SearchConfig(m=8, seed=seed))
         par = search(SearchConfig(m=8, seed=seed, workers=2))
         assert certificate_to_json_dict(seq) == certificate_to_json_dict(par)
+
+
+def test_search_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # an in-process pool that records its size, so no process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    serial = certificate_to_json_dict(search(SearchConfig(m=8)))
+    for cpus, pools in ((2, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cert = search(SearchConfig(m=8, workers=10 ** 6))
+        assert sizes == pools
+        assert certificate_to_json_dict(cert) == serial
 
 
 def test_search_validates_config():
