@@ -7,7 +7,7 @@ for a twist point making the obstruction count vanish, and emits an exact
 rational certificate that the packing volume 4^g V exceeds m - epsilon.
 """
 
-from .cyclotomic import CycloElement, CyclotomicContext, context_new, cyclotomic_polynomial
+from .cyclotomic import CycloElement, CyclotomicContext, cyclotomic_polynomial
 from .geometry import ComplexPoint, g_act, gram, norm_sq, pairing
 from .intervals import IntervalValue, pi_interval
 from .lattice import PolarizedLattice, build_lattice
@@ -23,7 +23,7 @@ __all__ = [
     "BoundRow", "Certificate", "ComplexPoint", "CycloElement",
     "CyclotomicContext", "IntervalValue", "PolarizedLattice", "SearchConfig",
     "ball_volume", "bound_table", "build_lattice", "chi", "chi_norm_sq",
-    "context_new", "count_N", "cyclotomic_polynomial", "default_r_grid",
+    "count_N", "cyclotomic_polynomial", "default_r_grid",
     "enumerate_in_ball", "g_act", "gram", "inverse_phi_max",
     "j_value", "lll_reduce", "norm_sq", "packing_density", "pairing", "phi",
     "pi_interval", "primorial_row", "sample_x", "search", "select_r",

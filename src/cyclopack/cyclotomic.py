@@ -1,58 +1,41 @@
 """Exact arithmetic in K = Q(zeta_m) with the power basis of Z[zeta_m].
 
 All coordinates are exact Fractions in the power basis {1, zeta, ...,
-zeta^(g-1)}, g = phi(m); every product, conjugate, trace and codifferent
-coordinate is an integer matrix applied to integer numerators. The trace-dual
-of the ring of integers (the codifferent) is the fractional ideal generated by
-1/Phi_m'(zeta); since Z[zeta_m] is the full ring of integers, this is exact,
-not an approximation. No floating point is used anywhere in this module.
+zeta^(g-1)}, g = phi(m). The constants of K are closed forms in the prime
+factors of m (tables.mobius_pairs): Phi_m as a Mobius product, the traces
+Tr(zeta^j) as Ramanujan sums and |disc| = m^g / prod_p p^(g/(p-1)). Every
+product, conjugate, trace and codifferent coordinate is an integer matrix
+applied to integer numerators. The trace-dual of the ring of integers (the
+codifferent) is the fractional ideal generated by 1/Phi_m'(zeta); since
+Z[zeta_m] is the full ring of integers, this is exact, not an approximation.
+No floating point is used anywhere in this module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 
 from . import linalg
+from .tables import mobius_pairs, phi, prime_factors
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, low degree first, by exact division
-    of x^m - 1 by the product of Phi_d over proper divisors d of m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    quo, rem = _poly_divmod_int(num, den)
-    assert all(c == 0 for c in rem), "cyclotomic division must be exact"
-    return tuple(quo)
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic here, so the quotient stays integral
-    assert den[-1] == 1
-    rem = list(num)
-    dd = len(den) - 1
-    quo = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - dd] = c
-            for j, y in enumerate(den):
-                rem[i - dd + j] -= c * y
-    return quo, rem
+    """Integer coefficients of Phi_m, low degree first. For m >= 2, Phi_m is
+    the product of (1 - x^d)^mu(m/d) over the divisors d of m (Mobius
+    inversion of x^m - 1 = prod_{d|m} Phi_d; the signs cancel because the
+    mu(m/d) sum to 0). The identity holds in Z[[x]], so the series is
+    truncated at degree phi(m): multiplying by 1 - x^d subtracts the
+    coefficients d places lower, dividing by it adds them."""
+    if m == 1:
+        return (-1, 1)
+    g = phi(m)
+    c = [1] + [0] * g
+    for d, mu in mobius_pairs(m):
+        # downwards, c[i - d] is still the old coefficient (multiply);
+        # upwards, it is already the new one (divide)
+        for i in range(g, d - 1, -1) if mu > 0 else range(d, g + 1):
+            c[i] -= mu * c[i - d]
+    return tuple(c)
 
 
 def _apply(mat, coords, den: int = 1) -> list[Fraction]:
@@ -69,7 +52,7 @@ class CycloElement:
     __slots__ = ("ctx", "coords")
 
     def __init__(self, ctx: "CyclotomicContext", coords) -> None:
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) != ctx.g:
             raise ValueError(f"expected {ctx.g} coordinates, got {len(coords)}")
         self.ctx = ctx
@@ -142,8 +125,9 @@ class CyclotomicContext:
     trace-dual (codifferent) lattice.
 
     The data rest on two primitives: the integral trace form ok_gram = T,
-    which gives every pairing Tr(a conj(b)) = a^T T b, Gram matrix,
-    discriminant and trace, and the zeta-shift (multiply by zeta), which gives
+    Toeplitz in the Ramanujan sums Tr(zeta^j), which gives every pairing
+    Tr(a conj(b)) = a^T T b, Gram matrix and trace (its determinant, the
+    discriminant, is taken from the closed form), and the zeta-shift (multiply by zeta), which gives
     the matrix of every multiplication: products, the codifferent basis,
     coordinates in it (multiplication by Phi_m'(zeta)), and the system that
     inverse() solves.
@@ -169,8 +153,11 @@ class CyclotomicContext:
             zp[e] = cur
         self._zeta_coords: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in zp)
 
-        # traces of zeta^j for 0 <= j <= 2g-2 via Newton's identities on Phi_m
-        self.trace_vec: tuple[int, ...] = self._newton_traces()
+        # Tr(zeta^j) for 0 <= j <= 2g-2 is the Ramanujan sum c_m(j): the sum
+        # of mu(m/d) d over the divisors d of gcd(j, m)
+        pairs = mobius_pairs(m)
+        self.trace_vec: tuple[int, ...] = tuple(
+            sum(mu * d for d, mu in pairs if j % d == 0) for j in range(2 * g - 1))
 
         # complex conjugation zeta -> zeta^(m-1): column j is zeta^(-j)
         cols = [self._zeta_coords[-j % m] for j in range(g)]
@@ -186,7 +173,8 @@ class CyclotomicContext:
         self.ok_gram: tuple[tuple[int, ...], ...] = tuple(
             tuple(self.trace_vec[abs(j - k)] for k in range(g)) for j in range(g)
         )
-        self.disc_abs: int = abs(int(linalg.determinant(self.ok_gram)))
+        # |disc| = |det T| = m^g / prod_{p | m} p^(g/(p-1))
+        self.disc_abs: int = m ** g // prod(p ** (g // (p - 1)) for p in prime_factors(m))
 
         # multiplication by Phi_m'(zeta) maps the codifferent basis
         # codiff_gen * zeta^j to zeta^j, so its integer matrix (columns: the
@@ -197,12 +185,12 @@ class CyclotomicContext:
         self.codiff_basis: tuple[CycloElement, ...] = tuple(
             CycloElement(self, c) for c in self._shifts(self.codiff_gen.coords)
         )
-        cd = [a.coords for a in self.codiff_basis]
+        cd, e = linalg.integer_matrix([a.coords for a in self.codiff_basis])
         # codiff_pairing[j][k] = Tr(zeta^k conj(c_j)), integral on the codifferent
         self.codiff_pairing: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(int, linalg.mat_vec(self.ok_gram, c))) for c in cd)
+            tuple(v // e for v in linalg.mat_vec(self.ok_gram, c)) for c in cd)
         self.codiff_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(linalg.mat_vec(cd, p)) for p in self.codiff_pairing)
+            tuple(_apply(cd, p, e)) for p in self.codiff_pairing)
 
     # -- construction helpers -------------------------------------------------
 
@@ -223,22 +211,6 @@ class CyclotomicContext:
         for _ in range(self.g - 1):
             cols.append(self._shift(cols[-1]))
         return cols
-
-    def _newton_traces(self) -> tuple[int, ...]:
-        # power sums of the roots of Phi_m from its coefficients; exact and
-        # float-free (the embedding-sum computation is kept as a test oracle)
-        g, c = self.g, self.phi_coeffs
-        t = [0] * (2 * g - 1)
-        t[0] = g
-        for k in range(1, 2 * g - 1):
-            s = 0
-            for i in range(1, min(k, g) + 1):
-                if i < k:
-                    s += c[g - i] * t[k - i]
-            if k <= g:
-                s += k * c[g - k]
-            t[k] = -s
-        return tuple(t)
 
     # -- element factories ----------------------------------------------------
 
@@ -294,7 +266,3 @@ class CyclotomicContext:
         which are the power-basis coordinates of a * Phi_m'(zeta)."""
         return _apply(self._diff_matrix, a.coords)
 
-
-def context_new(m: int) -> CyclotomicContext:
-    """Build the full precomputed context for Q(zeta_m); rejects m < 3."""
-    return CyclotomicContext(m)

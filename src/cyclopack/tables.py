@@ -1,4 +1,9 @@
-"""Totient arithmetic and the derived bound tables.
+"""Arithmetic of m from its prime factors, and the derived bound tables.
+
+prime_factors and mobius_pairs factor m; the totient here, and the
+cyclotomic polynomial, the traces of powers of zeta (Ramanujan sums) and the
+discriminant in the cyclotomic module, are sums and products over them. This
+module imports nothing from the package.
 
 For each dimension g the best witness is the largest m with phi(m) = g, giving
 the packing bound 4^g V_g >= m; the tables compare it against the classical
@@ -13,22 +18,36 @@ from dataclasses import dataclass
 EULER_GAMMA = 0.5772156649015329  # diagnostic use only
 
 
-def phi(m: int) -> int:
-    """Euler totient by trial-division factorization."""
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending, by trial division."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    result = m
-    n = m
+    primes = []
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def mobius_pairs(m: int) -> list[tuple[int, int]]:
+    """The pairs (d, mu(m/d)) over the divisors d of m with m/d squarefree,
+    the only divisors on which mu(m/d) is nonzero: one pair per set of primes
+    dividing m/d, so each prime doubles the list."""
+    pairs = [(m, 1)]
+    for p in prime_factors(m):
+        pairs += [(d // p, -mu) for d, mu in pairs]
+    return pairs
+
+
+def phi(m: int) -> int:
+    """Euler totient, sum of mu(m/d) d over the divisors d of m."""
+    return sum(mu * d for d, mu in mobius_pairs(m))
 
 
 def inverse_phi_max(g: int) -> int:

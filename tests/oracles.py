@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: traces come from
 floating embedding sums, point counts from naive coefficient-box scans,
 integrals from Monte-Carlo estimates, and field products from polynomial
-long division by Phi_m. Expected values in the test files were produced by
-these oracles.
+long division by Phi_m (itself pinned by the product identity
+prod_{d | m} Phi_d = x^m - 1). Expected values in the test files were
+produced by these oracles.
 """
 from __future__ import annotations
 
@@ -342,14 +343,25 @@ def poly_conj(a, m: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _power_traces(m: int) -> tuple[Fraction, ...]:
-    # Tr(zeta^j) as the trace of the matrix of x -> zeta^j x on the power basis
+def power_traces(m: int) -> tuple[Fraction, ...]:
+    """Tr(zeta^j) for 0 <= j <= 2g - 2, each the trace of the matrix of
+    x -> zeta^j x on the power basis, whose column i is the schoolbook product
+    zeta^j zeta^i = zeta^((i + j) mod m) reduced by Phi_m."""
     g = len(cyclotomic_polynomial(m)) - 1
-    unit = [[0] * i + [1] for i in range(g)]
-    return tuple(sum(poly_mul_mod(unit[j], unit[i], m)[i] for i in range(g))
-                 for j in range(g))
+    powers = [poly_mul_mod([0] * k + [1], [1], m) for k in range(m)]
+    return tuple(sum(powers[(i + j) % m][i] for i in range(g)) for j in range(2 * g - 1))
 
 
 def poly_trace(a, m: int) -> Fraction:
     """Tr(a) = sum_j a_j Tr(zeta^j), by linearity."""
-    return sum((c * t for c, t in zip(a, _power_traces(m))), Fraction(0))
+    return sum((c * t for c, t in zip(a, power_traces(m))), Fraction(0))
+
+
+def poly_mul(a, b) -> list[int]:
+    """Schoolbook product of two integer coefficient lists, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out

@@ -1,14 +1,16 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cyclopack import linalg
-from cyclopack.cyclotomic import CyclotomicContext, context_new, cyclotomic_polynomial
+from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial
 from cyclopack.geometry import pairing
 from conftest import get_ctx
-from oracles import poly_conj, poly_mul_mod, poly_trace, trace_by_embeddings
+from oracles import (poly_conj, poly_mul, poly_mul_mod, poly_trace, power_traces,
+                     trace_by_embeddings)
 
 
 def random_element(ctx, rng):
@@ -37,9 +39,34 @@ def test_phi_divides_x_m_minus_1(m):
     assert all(c == 0 for c in rem)
 
 
+def test_cyclotomic_product_identity():
+    # prod_{d | m} Phi_d = x^m - 1 and deg Phi_m = #{k <= m : gcd(k, m) = 1}
+    # determine every Phi_m by induction on m
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    for m in range(1, 301):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+        assert len(cyclotomic_polynomial(m)) - 1 == sum(gcd(k, m) == 1 for k in range(1, m + 1))
+
+
+def test_trace_vec_matches_multiplication_matrix_oracle():
+    for m in range(3, 61):
+        assert get_ctx(m).trace_vec == power_traces(m), m
+
+
+def test_disc_abs_is_the_trace_form_determinant():
+    # 210, 330 and 420 have three odd primes and g >= 48
+    for m in [*range(3, 101), 210, 330, 420]:
+        ctx = CyclotomicContext(m)
+        assert ctx.disc_abs == abs(linalg.determinant(ctx.ok_gram)), m
+
+
 def test_context_rejects_small_m():
     with pytest.raises(ValueError):
-        context_new(2)
+        CyclotomicContext(2)
     with pytest.raises(ValueError):
         CyclotomicContext(1)
 

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from cyclopack.tables import (bound_table, bound_table_csv,
-                              inverse_phi_max, phi, primes_up_to,
-                              primorial_row)
+                              inverse_phi_max, mobius_pairs, phi,
+                              prime_factors, primes_up_to, primorial_row)
 
 
 def test_phi_values():
@@ -12,8 +12,22 @@ def test_phi_values():
     assert phi(1) == 1
     assert phi(30) == 8
     assert phi(2 ** 10) == 2 ** 9
-    for m in range(1, 200):
+    for m in range(1, 501):
         assert phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def test_factorization_against_brute_force():
+    for m in range(1, 501):
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        primes = [p for p in divisors if p > 1 and all(p % k for k in range(2, p))]
+        assert prime_factors(m) == primes, m
+
+        def mu(q):
+            ps = [p for p in primes if q % p == 0]
+            return (-1) ** len(ps) if q == math.prod(ps) else 0
+
+        expected = sorted((d, mu(m // d)) for d in divisors if mu(m // d))
+        assert sorted(mobius_pairs(m)) == expected, m
 
 
 def test_phi_rejects_nonpositive():
