@@ -9,8 +9,12 @@ Pipeline for a given m and rational epsilon in (0, m):
      obstruction count J(r) stays below m (certified interval upper bound).
      Like chi and N(x), it asks |z|^2 <= R^2 of one memoized R^2 enclosure.
      The scan has no upper end; it stops because J(r) tends to m - epsilon < m.
+     J(r) depends on the ring only through the norms |b|^2 of its nonzero
+     integers, so one streamed enumeration of the ring per field serves it
+     (ring_norms).
   2. Twist points x are sampled from the fundamental parallelepiped of the
-     codifferent; x = 0 is always tried first. count_N(x) is an exact
+     codifferent; x = 0 is always tried first, and its count is read off the
+     same ring norms, since its lattice splits. count_N(x) is an exact
      integer; the first x with count zero wins. Since the count is divisible
      by m and has mean J(r0) < m, such x exist in abundance.
   3. The certificate's bound is NOT inferred from the counting argument: the
@@ -39,7 +43,7 @@ from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
 from .lattice import build_lattice
-from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
+from .svp import ball_volume, enumerate_in_ball_with_norms, norm_counts, shortest_norm_sq
 from .tables import phi
 
 MAX_PRECISION = 4096
@@ -175,7 +179,27 @@ def chi_radius_sq(ctx: CyclotomicContext, epsilon, precision: int) -> IntervalVa
     return _radius_sq(ctx.g, ctx.m - Fraction(epsilon), precision)
 
 
-# -- J(r): the averaged count -------------------------------------------------
+# -- the ring norms: J(r) and N(0) ---------------------------------------------
+
+# m -> (radius, ring norms up to it); the norms do not depend on r or epsilon
+_RING_NORMS: dict[int, tuple[Fraction, list[tuple[Fraction, int]]]] = {}
+
+
+def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
+    """Sorted pairs (t, k): the k nonzero ring integers b with |b|^2 = t, for
+    every t <= radius_sq; the start of the theta series of Z[zeta_m] under
+    the trace form. Each k is a multiple of m (the units zeta^j act freely).
+
+    One enumeration per field serves every request inside its radius; a
+    larger request enumerates again at exactly that radius. The walk only
+    tallies norms, so memory is set by the distinct norms, not the vectors.
+    """
+    radius_sq = Fraction(radius_sq)
+    cached = _RING_NORMS.get(ctx.m)
+    if cached is None or cached[0] < radius_sq:
+        cached = _RING_NORMS[ctx.m] = (radius_sq, norm_counts(ctx.ok_gram, radius_sq))
+    return [(t, k) for t, k in cached[1] if t <= radius_sq]
+
 
 def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> IntervalValue:
     """Enclosure of the mean obstruction count at scale r.
@@ -186,30 +210,47 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
         J(r) = nu(F') * r^-g * v_g * sum_b (R^2 - |b|^2 / r^2)^(g/2)
 
     over nonzero ring integers b with |b|^2 < r^2 R^2, with nu(F') the
-    covolume sqrt(|disc|) of the ring of integers. Validated against a
-    Monte-Carlo estimate of the defining integral in the test suite.
+    covolume sqrt(|disc|) of the ring of integers. The sum runs over the
+    distinct norms t = |b|^2, each term times its multiplicity; interval sums
+    and integer multiples are exact, so the endpoints are those of the sum
+    taken vector by vector. Validated against a Monte-Carlo estimate of the
+    defining integral in the test suite.
     """
     r_sq = Fraction(r_sq)
     g = ctx.g
     guard = precision + 32
     r2 = chi_radius_sq(ctx, epsilon, guard)
-    vecs = enumerate_in_ball_with_norms(ctx.ok_gram, None, r_sq * r2.hi)
     total = IntervalValue.point(0)
     nonempty = False
-    for v, t in vecs:
-        if not any(v):
-            continue
+    for t, k in ring_norms(ctx, r_sq * r2.hi):
         term = r2 - t / r_sq
         if term.hi <= 0:
             continue
         nonempty = True
-        total = total + term.clamp_nonnegative() ** (g // 2)
+        total = total + term.clamp_nonnegative() ** (g // 2) * k
     if not nonempty:
         return IntervalValue.point(0)
     nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
     vg = ball_volume(g, guard)
     out = (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
     return IntervalValue(max(out.lo, Fraction(0)), out.hi)
+
+
+def count_zero_twist(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> int:
+    """count_N(ctx, r_sq, ctx.zero(), epsilon, precision), read off the ring
+    norms, for an r^2 at which select_r certified r^2 lambda1^2(I) outside
+    the chi ball.
+
+    At x = 0 the lattice splits as r I + (1/r) Z[zeta_m], so a vector (a, b)
+    has squared norm r^2 |a|^2 + |b|^2 / r^2. Any a != 0 puts it outside the
+    ball, so N(0) counts the b != 0 with chi at |b|^2 / r^2, taken over the
+    norms up to the radius r^2 R^2 that count_N enumerates.
+    """
+    r_sq = Fraction(r_sq)
+    bound = ctx.m - Fraction(epsilon)
+    r2 = chi_radius_sq(ctx, epsilon, precision + 32)
+    return sum(k for t, k in ring_norms(ctx, r_sq * r2.hi)
+               if chi_norm_sq(2 * ctx.g, t / r_sq, bound, precision))
 
 
 def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> Fraction:
@@ -220,24 +261,30 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
     On an unbounded increasing sequence such as default_r_grid() the scan
     terminates: the first condition holds for every large r^2, and J(r)
     tends to m - epsilon < m, so its certified upper bound eventually drops
-    below m. A finite sequence with no such value raises NoQualifyingRadius.
+    below m. A finite sequence with no such value raises NoQualifyingRadius,
+    which names the condition each r^2 failed.
     """
     epsilon = Fraction(epsilon)
     m, g = ctx.m, ctx.g
     bound = m - epsilon
     lam_codiff = shortest_norm_sq(ctx.codiff_gram)
+    failed = []
     for r_sq in r_grid:
         r_sq = Fraction(r_sq)
         if r_sq <= 0:
             continue
         if chi_norm_sq(2 * g, r_sq * lam_codiff, bound, precision):
+            failed.append(f"r^2 = {r_sq}: codifferent inside the chi ball")
             continue
         j = refine(lambda p: j_value(ctx, r_sq, epsilon, p),
                    lambda j: j.hi < m or j.lo >= m, precision)
         if j.hi < m:
             return r_sq
+        failed.append(f"r^2 = {r_sq}: J(r) in [{float(j.lo):.6g}, {float(j.hi):.6g}] "
+                      f"is not below m = {m}")
     raise NoQualifyingRadius(
-        f"m={m}: no r^2 in the given sequence passes both certified conditions")
+        f"m={m}: no r^2 in the given sequence passes both certified conditions"
+        + "".join(f"; {why}" for why in failed))
 
 
 # -- N(x): the exact obstruction count ----------------------------------------
@@ -335,11 +382,23 @@ def _certificate_at(ctx: CyclotomicContext, config: SearchConfig, r_sq: Fraction
 def search(config: SearchConfig) -> Certificate:
     """Run the full pipeline; raises NoQualifyingRadius or
     SearchBudgetExceeded when the certified witness cannot be produced
-    within the configured resources."""
+    within the configured resources.
+
+    Candidate 0 is x = 0, counted from the ring norms (count_zero_twist);
+    the sampled twists, indices 1, 2, ..., are counted by count_N, one at a
+    time or in chunks on a process pool."""
     config.validate()
     ctx = _cached_context(config.m)
     r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
     rng = random.Random(config.seed)
+
+    # x = 0 is candidate 0; its lattice splits, so its count is read off the
+    # ring norms that J(r) enumerated, and the sampled twists start at index 1
+    n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
+    if n0 == 0:
+        return _certificate_at(ctx, config, r_sq, ctx.zero(), 0, 0)
+    histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
+    winner: tuple[int, CycloElement] | None = None
 
     # deterministic regardless of pool size: candidates are drawn from the
     # seeded stream in index order and the smallest zero-count index wins;
@@ -348,8 +407,6 @@ def search(config: SearchConfig) -> Certificate:
     workers = min(config.workers, os.cpu_count() or 1)
     pooled = workers > 1
     chunk = 4 * workers if pooled else 1
-    histogram: Counter[Fraction] = Counter()
-    winner: tuple[int, CycloElement] | None = None
     pool = nullcontext()
     if pooled:
         # imported here, as it loads multiprocessing, which a serial run never needs
@@ -357,9 +414,9 @@ def search(config: SearchConfig) -> Certificate:
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         count_map = pool.map if pooled else map
-        for start in range(0, config.budget, chunk):
-            xs = [ctx.zero() if i == 0 else sample_x(ctx, config.denom, rng)
-                  for i in range(start, min(start + chunk, config.budget))]
+        for start in range(1, config.budget, chunk):
+            xs = [sample_x(ctx, config.denom, rng)
+                  for _ in range(start, min(start + chunk, config.budget))]
             args = [(config.m, r_sq, x.coords, config.epsilon, config.precision)
                     for x in xs]
             for i, (x, n) in enumerate(zip(xs, count_map(_count_task, args)), start):

@@ -5,7 +5,11 @@ Enumeration is Fincke-Pohst after an integral LLL, both on Python ints: the
 LLL runs fraction-free on the Gram matrix times its common denominator, and
 the walk keeps every partial sum of the form as an integer over one common
 denominator, so the range at each level comes from an integer square root,
-never from floating bounds. The point lists are complete by construction and
+never from floating bounds. The walk hands each point to a visitor instead
+of building a list: enumerate collects the points, mapped back to the input
+basis, and norm_counts only tallies the integer values of the form, which is
+all that a theta-series question (the ring norms behind J(r) and N(0)) or
+the shortest vector needs. The enumerations are complete by construction and
 the returned minima are exact. The LLL reduction and the LDL factors of the
 reduced form depend only on the Gram matrix, so each Gram is prepared once
 (PreparedForm) and kept in a small cache keyed by its entries; the
@@ -14,6 +18,7 @@ enumerate the same Gram.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, lcm
@@ -157,10 +162,11 @@ class PreparedForm:
         nu, self.nu_den = linalg.integer_matrix(upper)
         self.d, self.nu = tuple(d), _frozen(nu)
 
-    def _walk(self, center, radius_sq: Fraction):
-        """Fincke-Pohst on integers: the pairs (s, k) with
+    def _walk(self, center, radius_sq: Fraction, emit) -> int:
+        """Fincke-Pohst on integers: emit(s, k) for each integer s with
         Q(s - center) = k / scale <= radius_sq, the top level outermost and
-        each level in ascending order, and scale.
+        each level in ascending order; returns scale. s is the walk's own
+        list, so an emitter that keeps it copies it.
 
         With B = lcm(nu_den, denominators of the center), every partial sum
         of Q is an integer over scale = d_den * B^4, so each level range is
@@ -177,7 +183,6 @@ class PreparedForm:
         budget = radius_sq.numerator * scale // radius_sq.denominator
         s = [0] * n
         w = [-x for x in e]  # w_j = B (s_j - c_j)
-        out = []
 
         def descend(i: int, rem: int) -> None:
             # B^2 (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j)) = B^2 s_i - num,
@@ -192,13 +197,13 @@ class PreparedForm:
                 if i:
                     descend(i - 1, rem - a * t * t)
                 else:
-                    out.append((tuple(s), budget - rem + a * t * t))
+                    emit(s, budget - rem + a * t * t)
             s[i] = 0
             w[i] = -e[i]
 
         if budget >= 0:
             descend(n - 1, budget)
-        return out, scale
+        return scale
 
     def enumerate(self, center, radius_sq: Fraction):
         """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq."""
@@ -208,16 +213,30 @@ class PreparedForm:
         cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
                   if any(center) else center)
         cols = tuple(zip(*U))
-        pairs, scale = self._walk(cprime, radius_sq)
+        pairs = []
+        scale = self._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
         return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
                 for s, k in pairs]
+
+    def norm_counts(self, radius_sq: Fraction) -> list[tuple[Fraction, int]]:
+        """Sorted pairs (q, k): the k nonzero integer v with Q(v) = q, for each
+        value q <= radius_sq that Q takes on them. The walk feeds a counter
+        of integer numerators, so no point is kept, mapped back through U or
+        turned into a Fraction; the zero vector is the only point of value 0."""
+        counts = Counter()
+
+        def tally(s, k: int) -> None:
+            counts[k] += 1
+
+        scale = self._walk([0] * len(self.d), radius_sq, tally)
+        counts.pop(0, None)
+        return [(Fraction(k, scale), c) for k, c in sorted(counts.items())]
 
     def shortest_norm_sq(self) -> Fraction:
         """Exact lambda_1^2 by exhaustive enumeration below the smallest
         diagonal entry of R, which some basis vector attains (so the ball
         holds a nonzero point)."""
-        pairs, scale = self._walk([Fraction(0)] * len(self.d), self.min_diagonal)
-        return Fraction(min(k for s, k in pairs if any(s)), scale)
+        return self.norm_counts(self.min_diagonal)[0][0]
 
 
 @lru_cache(maxsize=PREPARED_CACHE_SIZE)
@@ -244,6 +263,12 @@ def enumerate_in_ball(gram, center=None, radius_sq=0):
     """Exactly the integer vectors v with Q(v - center) <= radius_sq for the
     quadratic form Q given by gram; sorted, no duplicates."""
     return sorted(v for v, _ in enumerate_in_ball_with_norms(gram, center, radius_sq))
+
+
+def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
+    """Sorted (value, multiplicity) pairs of the form over the nonzero integer
+    vectors v with Q(v) <= radius_sq: the start of the lattice's theta series."""
+    return prepare(gram).norm_counts(Fraction(radius_sq))
 
 
 def shortest_norm_sq(gram) -> Fraction:

@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own algorithms: traces come from
 floating embedding sums, point counts from naive coefficient-box scans,
-integrals from Monte-Carlo estimates, and field products from polynomial
-long division by Phi_m (itself pinned by the product identity
-prod_{d | m} Phi_d = x^m - 1). Expected values in the test files were
-produced by these oracles.
+integrals from Monte-Carlo estimates, J(r) from one term per ring vector,
+and field products from polynomial long division by Phi_m (itself pinned by
+the product identity prod_{d | m} Phi_d = x^m - 1). Expected values in the
+test files were produced by these oracles.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from math import gcd, isqrt
 import mpmath
 
 from cyclopack.cyclotomic import cyclotomic_polynomial
-from cyclopack.search import refine
-from cyclopack.svp import ball_volume
+from cyclopack.intervals import IntervalValue
+from cyclopack.search import chi_radius_sq, refine
+from cyclopack.svp import ball_volume, enumerate_in_ball_with_norms
 
 
 def embed(a, precision: int = 53):
@@ -308,6 +309,38 @@ def volume_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
     v = refine(lambda p: ball_volume(two_g, p) * q_pow,
                lambda v: v.hi <= bound or v.lo > bound, precision)
     return not v.lo > bound
+
+
+# -- J(r) vector by vector ----------------------------------------------------------
+#
+# The mean obstruction count as the library summed it before it read J(r) off
+# the distinct ring norms: enumerate every ring vector in the ball and add one
+# interval power per nonzero vector.
+
+def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> IntervalValue:
+    """Enclosure of J(r) = nu(F') r^-g v_g sum_b (R^2 - |b|^2 / r^2)^(g/2),
+    one term per nonzero ring vector b."""
+    r_sq = Fraction(r_sq)
+    g = ctx.g
+    guard = precision + 32
+    r2 = chi_radius_sq(ctx, epsilon, guard)
+    vecs = enumerate_in_ball_with_norms(ctx.ok_gram, None, r_sq * r2.hi)
+    total = IntervalValue.point(0)
+    nonempty = False
+    for v, t in vecs:
+        if not any(v):
+            continue
+        term = r2 - t / r_sq
+        if term.hi <= 0:
+            continue
+        nonempty = True
+        total = total + term.clamp_nonnegative() ** (g // 2)
+    if not nonempty:
+        return IntervalValue.point(0)
+    nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
+    vg = ball_volume(g, guard)
+    out = (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
+    return IntervalValue(max(out.lo, Fraction(0)), out.hi)
 
 
 # -- field arithmetic as polynomials modulo Phi_m --------------------------------

@@ -1,6 +1,6 @@
-"""Every stored certificate re-certifies: the 13 files in certs/ and the 11
-benchmark references in perfbench/reference/, the 24 fields with
-phi(m) <= 12."""
+"""Every stored certificate re-certifies, and a fresh seed-0 search writes
+it again byte for byte: the 13 files in certs/ and the 11 benchmark
+references in perfbench/reference/, the 24 fields with phi(m) <= 12."""
 import json
 import re
 from fractions import Fraction
@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cyclopack.search import certificate_from_json_dict, recompute_certificate
+from cyclopack.ioutil import dump_json
+from cyclopack.search import (SearchConfig, certificate_from_json_dict,
+                              certificate_to_json_dict, recompute_certificate, search)
 from cyclopack.tables import bound_table, phi
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +32,12 @@ def test_stored_certificate_recertifies(path):
     assert mismatches == []
     assert fresh.is_valid()
     assert cert.bound_lo > cert.m - cert.epsilon
+
+
+@pytest.mark.parametrize("path", STORED, ids=lambda p: p.stem)
+def test_stored_certificate_researches(path):
+    cert = search(SearchConfig(m=int(path.stem[1:])))
+    assert dump_json(certificate_to_json_dict(cert)) == path.read_text()
 
 
 def test_readme_table_matches_stored_certificates():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib
 import json
 import os
 import random
@@ -16,15 +17,21 @@ from cyclopack.search import (NoQualifyingRadius,
                               SearchBudgetExceeded, SearchConfig,
                               certificate_from_json_dict,
                               certificate_to_json_dict, chi, chi_norm_sq,
-                              chi_radius_sq, count_N, default_r_grid, j_value,
-                              _randbelow, recompute_certificate, sample_x,
+                              chi_radius_sq, count_N, count_zero_twist,
+                              default_r_grid, j_value, _randbelow,
+                              recompute_certificate, ring_norms, sample_x,
                               search, select_r)
-from cyclopack.svp import shortest_norm_sq
+from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
+from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import box_points_in_ball, volume_chi_norm_sq
+from oracles import box_points_in_ball, vector_j_value, volume_chi_norm_sq
 
+# the package re-exports the function search under the submodule's name
+search_module = importlib.import_module("cyclopack.search")
 EPS = Fraction(1, 2)
+# the 18 fields with phi(m) <= 10
+SMALL_FIELDS = [m for m in range(3, 31) if phi(m) <= 10]
 
 
 # -- chi -------------------------------------------------------------------------
@@ -89,6 +96,51 @@ def test_j_value_against_monte_carlo():
         assert abs(est - mid) <= 3 * se + float(j.width), (m, est, se, mid)
 
 
+def test_j_value_matches_vector_sum():
+    # one term per distinct norm, times its multiplicity, gives the same
+    # endpoints as one term per vector
+    for m in SMALL_FIELDS:
+        ctx = get_ctx(m)
+        r0 = select_r(ctx, EPS, default_r_grid())
+        for r_sq in (r0, r0 + Fraction(1, 2), r0 + 2):
+            for precision in (128, 256):
+                got = j_value(ctx, r_sq, EPS, precision)
+                expect = vector_j_value(ctx, r_sq, EPS, precision)
+                assert (got.lo, got.hi) == (expect.lo, expect.hi), (m, r_sq, precision)
+
+
+def test_ring_norms_count_the_nonzero_ring_vectors():
+    for m in SMALL_FIELDS:
+        ctx = get_ctx(m)
+        radius = select_r(ctx, EPS, default_r_grid()) * chi_radius_sq(ctx, EPS, 160).hi
+        norms = ring_norms(ctx, radius)
+        vecs = [t for v, t in enumerate_in_ball_with_norms(ctx.ok_gram, None, radius)
+                if any(v)]
+        assert all(k % m == 0 for _, k in norms), m
+        assert sum(k for _, k in norms) == len(vecs)
+        assert [t for t, _ in norms] == sorted(set(vecs))
+
+
+def test_ring_norms_enumerate_again_only_past_the_cached_radius(monkeypatch):
+    ctx = get_ctx(5)
+    radii = []
+    norm_counts = search_module.norm_counts
+
+    def recording(gram, radius_sq):
+        radii.append(radius_sq)
+        return norm_counts(gram, radius_sq)
+
+    monkeypatch.setattr(search_module, "_RING_NORMS", {})
+    monkeypatch.setattr(search_module, "norm_counts", recording)
+    full = ring_norms(ctx, 30)
+    inner = ring_norms(ctx, Fraction(25, 2))
+    assert inner == [(t, k) for t, k in full if t <= Fraction(25, 2)]
+    assert radii == [30]
+    assert ring_norms(ctx, 31) == norm_counts(ctx.ok_gram, 31)
+    assert radii == [30, 31]
+    assert ring_norms(ctx, 30) == full and radii == [30, 31]
+
+
 def test_j_value_grows_toward_limit(ctx4):
     # J(r) approaches m - eps from the mean-value identity; by r^2 = 100 it
     # is within a few percent for m = 4
@@ -112,14 +164,47 @@ def test_select_r_scans_past_the_old_grid():
 
 
 def test_select_r_reports_failure(ctx4):
-    with pytest.raises(NoQualifyingRadius):
+    with pytest.raises(NoQualifyingRadius) as exc:
         select_r(ctx4, EPS, (Fraction(1, 100),))
+    assert str(exc.value).endswith("r^2 = 1/100: codifferent inside the chi ball")
+    # at m = 21, r^2 = 23/2 is admissible but J(r) = 22.15 > 21
+    with pytest.raises(NoQualifyingRadius) as exc:
+        select_r(get_ctx(21), EPS, (Fraction(1, 2), Fraction(23, 2)))
+    assert str(exc.value).split("; ")[1:] == [
+        "r^2 = 1/2: codifferent inside the chi ball",
+        "r^2 = 23/2: J(r) in [22.1479, 22.1479] is not below m = 21"]
 
 
 # -- count_N ---------------------------------------------------------------------
 
 def test_count_zero_at_origin_for_m4(ctx4):
     assert count_N(ctx4, 2, ctx4.zero(), EPS) == 0
+
+
+def test_zero_twist_count_from_ring_norms():
+    # at the selected scale, and for m = 3, 4, 5 (where N(0) = 0 there) at a
+    # larger admissible scale where N(0) > 0
+    cases = [(m, select_r(get_ctx(m), EPS, default_r_grid())) for m in SMALL_FIELDS]
+    larger = [(3, Fraction(3)), (4, Fraction(5, 2)), (5, Fraction(4))]
+    for m, r_sq in cases + larger:
+        ctx = get_ctx(m)
+        n0 = count_zero_twist(ctx, r_sq, EPS)
+        assert n0 == count_N(ctx, r_sq, ctx.zero(), EPS), (m, r_sq)
+        assert n0 > 0 or (m, r_sq) not in larger
+
+
+def test_search_counts_only_sampled_twists(monkeypatch):
+    # x = 0 loses at m = 8 (N(0) = 8); its count comes from the ring norms
+    seen = []
+
+    def recording(ctx, r_sq, x, epsilon, precision=128):
+        seen.append(x)
+        return count_N(ctx, r_sq, x, epsilon, precision)
+
+    monkeypatch.setattr(search_module, "count_N", recording)
+    cert = search(SearchConfig(m=8))
+    assert cert.sample_index == len(seen) == 3
+    assert all(seen)
 
 
 def test_count_divisible_by_m():
@@ -268,8 +353,9 @@ def test_search_m4_certificate():
 
 
 def test_search_budget_exhaustion_reports_best():
-    # x = 0 fails for m = 6, and denom = 1 draws only x = 0; the pooled run
-    # counts one full chunk of 8 and a partial chunk of 2
+    # x = 0 fails for m = 6, and denom = 1 draws only x = 0; after x = 0, read
+    # off the ring norms, the pooled run counts one full chunk of 8 and a
+    # partial chunk of 1
     for workers, denom, budget in ((1, 8, 1), (2, 1, 10)):
         with pytest.raises(SearchBudgetExceeded) as exc:
             search(SearchConfig(m=6, denom=denom, budget=budget, workers=workers))

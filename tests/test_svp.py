@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from cyclopack.lattice import build_lattice
 from cyclopack.search import chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball,
                            enumerate_in_ball_with_norms, lll_reduce,
-                           packing_density, shortest_norm_sq)
+                           norm_counts, packing_density, shortest_norm_sq)
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq,
                      rational_enumerate_in_ball, rational_lll_reduce)
@@ -157,6 +158,17 @@ def test_enumerate_norms_are_exact():
         d = [Fraction(t) - c for t, c in zip(v, center)]
         direct = sum(g[i][j] * d[i] * d[j] for i in range(3) for j in range(3))
         assert direct == q
+
+
+def test_norm_counts_tally_the_enumerated_norms():
+    rng = random.Random(49)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        g = random_rational_pd_gram(n, rng)
+        radius = Fraction(rng.randint(0, 60), rng.randint(1, 7))
+        tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius) if any(v))
+        assert norm_counts(g, radius) == sorted(tally.items()), (trial, g, radius)
+    assert norm_counts(linalg.identity(2), -1) == []
 
 
 # -- the integer core against the rational reference ----------------------------
