@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -21,16 +20,6 @@ from .search import (CertificateFormatError, SearchConfig, SearchError,
                      recompute_certificate, run_checks, search)
 from .tables import bound_table, bound_table_csv, primorial_row
 from .verify import run_suites
-
-
-def _precision(flag: int | None) -> int:
-    """--precision, else CYCLOPACK_PRECISION, else the SearchConfig default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("CYCLOPACK_PRECISION", str(SearchConfig.precision))
-    if not raw.strip().isdecimal():
-        raise ValueError(f"CYCLOPACK_PRECISION must be a decimal integer, got {raw!r}")
-    return int(raw)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,7 +55,7 @@ def cmd_construct(args) -> int:
 def cmd_search(args) -> int:
     cert = search(SearchConfig(m=args.m, epsilon=parse_rat(args.epsilon),
                                denom=args.denom, budget=args.budget, seed=args.seed,
-                               precision=_precision(args.precision),
+                               precision=args.precision,
                                workers=args.workers))
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)
     if cert.is_valid():
@@ -140,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=SearchConfig.budget)
     p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--denom", type=int, default=SearchConfig.denom)
-    p.add_argument("--precision", type=int, default=None,
-                   help="interval precision in bits (default: $CYCLOPACK_PRECISION, "
-                        f"else {SearchConfig.precision})")
+    p.add_argument("--precision", type=int, default=SearchConfig.precision,
+                   help="interval precision in bits")
     p.add_argument("--workers", type=int, default=SearchConfig.workers)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)

@@ -34,8 +34,8 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
+from functools import lru_cache, partial
+from itertools import chain, count
 from math import lcm
 
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -62,15 +62,16 @@ class NoQualifyingRadius(SearchError):
 
 class SearchBudgetExceeded(SearchError):
     """No twist of the sample budget has count zero. histogram maps each
-    value of N(x)/m seen to the number of counted twists with that value."""
+    value of N(x)/m seen to the number of counted twists with that value;
+    every counted twist, x = 0 included, is in it, so tried is its total."""
 
-    def __init__(self, m: int, tried: int, histogram: dict[Fraction, int]) -> None:
+    def __init__(self, m: int, histogram: dict[Fraction, int]) -> None:
         self.m = m
-        self.tried = tried
+        self.tried = sum(histogram.values())
         self.histogram = dict(sorted(histogram.items()))
         self.best_n = int(min(self.histogram) * m)
         shown = ", ".join(f"{k}: {v}" for k, v in self.histogram.items())
-        super().__init__(f"m={m}: no zero-count twist found in {tried} samples "
+        super().__init__(f"m={m}: no zero-count twist found in {self.tried} samples "
                          f"(best count seen: {self.best_n}; twists by N/m: {shown})")
 
 
@@ -334,17 +335,6 @@ def sample_x(ctx: CyclotomicContext, denom: int, rng: random.Random) -> CycloEle
 
 # -- the full search ----------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _cached_context(m: int) -> CyclotomicContext:
-    return CyclotomicContext(m)
-
-
-def _count_task(args) -> int:
-    m, r_sq, coords, epsilon, precision = args
-    ctx = _cached_context(m)
-    return count_N(ctx, r_sq, ctx.element(coords), epsilon, precision)
-
-
 def certified_lower_bound(two_g: int, lambda1_sq: Fraction, target: Fraction,
                           precision: int) -> Fraction:
     """Rational lower bound of v_2g * lambda1^2g, refined until it exceeds
@@ -384,11 +374,12 @@ def search(config: SearchConfig) -> Certificate:
     SearchBudgetExceeded when the certified witness cannot be produced
     within the configured resources.
 
-    Candidate 0 is x = 0, counted from the ring norms (count_zero_twist);
-    the sampled twists, indices 1, 2, ..., are counted by count_N, one at a
-    time or in chunks on a process pool."""
+    Candidate 0 is x = 0, counted from the ring norms (count_zero_twist).
+    The sampled twists, indices 1, 2, ..., are drawn in chunks of 4 x workers
+    and counted by one partial of count_N; serial and pooled runs differ
+    only in the map that applies it."""
     config.validate()
-    ctx = _cached_context(config.m)
+    ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
     rng = random.Random(config.seed)
 
@@ -398,39 +389,35 @@ def search(config: SearchConfig) -> Certificate:
     if n0 == 0:
         return _certificate_at(ctx, config, r_sq, ctx.zero(), 0, 0)
     histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
-    winner: tuple[int, CycloElement] | None = None
 
     # deterministic regardless of pool size: candidates are drawn from the
-    # seeded stream in index order and the smallest zero-count index wins;
-    # a serial run counts one candidate at a time, so none past the winner.
-    # The pool is capped at the CPU count: under fork all workers start at once
+    # seeded stream in index order and the smallest zero-count index wins.
+    # The pool is capped at the CPU count, as under fork all workers start at
+    # once. Executor.map submits its whole input at once, so twists go to it
+    # in bounded chunks, and a pooled run finishes the chunk in flight; the
+    # builtin map is lazy, so a serial run counts no twist past the winner.
     workers = min(config.workers, os.cpu_count() or 1)
-    pooled = workers > 1
-    chunk = 4 * workers if pooled else 1
+    chunk = 4 * workers
+    count_x = partial(count_N, ctx, r_sq, epsilon=config.epsilon,
+                      precision=config.precision)
     pool = nullcontext()
-    if pooled:
+    if workers > 1:
         # imported here, as it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
-        count_map = pool.map if pooled else map
-        for start in range(1, config.budget, chunk):
-            xs = [sample_x(ctx, config.denom, rng)
-                  for _ in range(start, min(start + chunk, config.budget))]
-            args = [(config.m, r_sq, x.coords, config.epsilon, config.precision)
-                    for x in xs]
-            for i, (x, n) in enumerate(zip(xs, count_map(_count_task, args)), start):
-                if n == 0:
-                    winner = (i, x)
-                    break
-                histogram[Fraction(n, config.m)] += 1
-            if winner is not None:
+        count_map = pool.map if workers > 1 else map
+        sizes = (min(chunk, config.budget - start)
+                 for start in range(1, config.budget, chunk))
+        chunks = ([sample_x(ctx, config.denom, rng) for _ in range(k)] for k in sizes)
+        counted = chain.from_iterable(zip(xs, count_map(count_x, xs)) for xs in chunks)
+        for i, (x, n) in enumerate(counted, 1):
+            if n == 0:
                 break
-
-    if winner is None:
-        raise SearchBudgetExceeded(config.m, config.budget, histogram)
-    idx, x0 = winner
-    return _certificate_at(ctx, config, r_sq, x0, 0, idx)
+            histogram[Fraction(n, config.m)] += 1
+        else:
+            raise SearchBudgetExceeded(config.m, histogram)
+    return _certificate_at(ctx, config, r_sq, x, 0, i)
 
 
 # -- certificate (de)serialization and re-verification -------------------------

@@ -199,13 +199,11 @@ def test_primorial(capsys):
     assert doc["m"] == 30 and doc["g"] == 8
 
 
-def test_env_precision(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CYCLOPACK_PRECISION", "64")
+def test_precision_flag(tmp_path, capsys):
     cert = tmp_path / "cert.json"
-    assert run(capsys, "search", "--m", "4", "--out", str(cert))[0] == 0
+    assert run(capsys, "search", "--m", "4", "--precision", "64", "--out", str(cert))[0] == 0
     assert json.loads(cert.read_text())["precision_bits"] == 64
-    monkeypatch.setenv("CYCLOPACK_PRECISION", "not-a-number")
-    assert run(capsys, "search", "--m", "4")[0] == 2
+    assert run(capsys, "search", "--m", "4", "--precision", "8")[0] == 2
 
 
 def test_verify_rejects_bad_m(capsys):

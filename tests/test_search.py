@@ -352,10 +352,12 @@ def test_search_m4_certificate():
     assert Fraction(493, 100) < cert.bound_lo < Fraction(494, 100)
 
 
-def test_search_budget_exhaustion_reports_best():
+def test_search_budget_exhaustion_reports_best(monkeypatch):
     # x = 0 fails for m = 6, and denom = 1 draws only x = 0; after x = 0, read
-    # off the ring norms, the pooled run counts one full chunk of 8 and a
-    # partial chunk of 1
+    # off the ring norms, twists come in chunks of 4 x workers, so the pooled
+    # run (two workers on the two CPUs patched in) counts one full chunk of 8
+    # and a partial chunk of 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for workers, denom, budget in ((1, 8, 1), (2, 1, 10)):
         with pytest.raises(SearchBudgetExceeded) as exc:
             search(SearchConfig(m=6, denom=denom, budget=budget, workers=workers))
@@ -387,8 +389,11 @@ def test_search_config_reuse_gives_identical_bytes():
     assert dump_json(certificate_to_json_dict(search(config))) == first
 
 
-def test_search_parallel_matches_sequential():
-    # the winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2)
+def test_search_parallel_matches_sequential(monkeypatch):
+    # the winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2);
+    # two CPUs are patched in, so a real process pool runs the pickled
+    # count_N partial on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for seed in (0, 1, 2):
         seq = search(SearchConfig(m=8, seed=seed))
         par = search(SearchConfig(m=8, seed=seed, workers=2))
@@ -396,7 +401,8 @@ def test_search_parallel_matches_sequential():
 
 
 def test_search_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # an in-process pool that records its size, so no process is started
+    # an in-process pool that records its size, so no process is started;
+    # like a real one it counts a whole chunk before the search sees a count
     sizes = []
 
     class FakePool:
@@ -410,7 +416,7 @@ def test_search_pool_is_capped_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, args):
-            return map(fn, args)
+            return iter([fn(a) for a in args])
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     serial = certificate_to_json_dict(search(SearchConfig(m=8)))
