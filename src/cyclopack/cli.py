@@ -55,8 +55,7 @@ def cmd_construct(args) -> int:
 def cmd_search(args) -> int:
     cert = search(SearchConfig(m=args.m, epsilon=parse_rat(args.epsilon),
                                denom=args.denom, budget=args.budget, seed=args.seed,
-                               precision=args.precision,
-                               workers=args.workers))
+                               precision=args.precision))
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)
     if cert.is_valid():
         return 0
@@ -131,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denom", type=int, default=SearchConfig.denom)
     p.add_argument("--precision", type=int, default=SearchConfig.precision,
                    help="interval precision in bits")
-    p.add_argument("--workers", type=int, default=SearchConfig.workers)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
 

@@ -132,8 +132,7 @@ class CyclotomicContext:
     coordinates in it (multiplication by Phi_m'(zeta)), and the system that
     inverse() solves.
 
-    Immutable after construction; every operation is pure, so a context can be
-    shared freely across workers.
+    Immutable after construction; every operation is pure.
     """
 
     def __init__(self, m: int) -> None:

@@ -27,15 +27,13 @@ r^2, x, precision).
 """
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from collections.abc import Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, count
+from functools import lru_cache
+from itertools import count
 from math import lcm
 
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -92,7 +90,6 @@ class SearchConfig:
     budget: int = 1000
     seed: int = 0
     precision: int = 128
-    workers: int = 1
 
     @property
     def r_grid(self) -> Iterator[Fraction]:
@@ -105,8 +102,8 @@ class SearchConfig:
             raise ValueError(f"m must be >= 3, got {self.m}")
         if not (0 < self.epsilon < self.m):
             raise ValueError(f"epsilon must satisfy 0 < epsilon < m, got {self.epsilon}")
-        if self.denom < 1 or self.budget < 1 or self.workers < 1:
-            raise ValueError("denom, budget and workers must be >= 1")
+        if self.denom < 1 or self.budget < 1:
+            raise ValueError("denom and budget must be >= 1")
         if not (16 <= self.precision <= MAX_PRECISION):
             raise ValueError(f"precision must lie in [16, {MAX_PRECISION}], "
                              f"got {self.precision}")
@@ -375,9 +372,8 @@ def search(config: SearchConfig) -> Certificate:
     within the configured resources.
 
     Candidate 0 is x = 0, counted from the ring norms (count_zero_twist).
-    The sampled twists, indices 1, 2, ..., are drawn in chunks of 4 x workers
-    and counted by one partial of count_N; serial and pooled runs differ
-    only in the map that applies it."""
+    The sampled twists, indices 1, 2, ..., are then drawn and counted one at
+    a time; the first with count zero wins, so no twist past it is drawn."""
     config.validate()
     ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
@@ -389,35 +385,13 @@ def search(config: SearchConfig) -> Certificate:
     if n0 == 0:
         return _certificate_at(ctx, config, r_sq, ctx.zero(), 0, 0)
     histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
-
-    # deterministic regardless of pool size: candidates are drawn from the
-    # seeded stream in index order and the smallest zero-count index wins.
-    # The pool is capped at the CPU count, as under fork all workers start at
-    # once. Executor.map submits its whole input at once, so twists go to it
-    # in bounded chunks, and a pooled run finishes the chunk in flight; the
-    # builtin map is lazy, so a serial run counts no twist past the winner.
-    workers = min(config.workers, os.cpu_count() or 1)
-    chunk = 4 * workers
-    count_x = partial(count_N, ctx, r_sq, epsilon=config.epsilon,
-                      precision=config.precision)
-    pool = nullcontext()
-    if workers > 1:
-        # imported here, as it loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool:
-        count_map = pool.map if workers > 1 else map
-        sizes = (min(chunk, config.budget - start)
-                 for start in range(1, config.budget, chunk))
-        chunks = ([sample_x(ctx, config.denom, rng) for _ in range(k)] for k in sizes)
-        counted = chain.from_iterable(zip(xs, count_map(count_x, xs)) for xs in chunks)
-        for i, (x, n) in enumerate(counted, 1):
-            if n == 0:
-                break
-            histogram[Fraction(n, config.m)] += 1
-        else:
-            raise SearchBudgetExceeded(config.m, histogram)
-    return _certificate_at(ctx, config, r_sq, x, 0, i)
+    for i in range(1, config.budget):
+        x = sample_x(ctx, config.denom, rng)
+        n = count_N(ctx, r_sq, x, config.epsilon, config.precision)
+        if n == 0:
+            return _certificate_at(ctx, config, r_sq, x, 0, i)
+        histogram[Fraction(n, config.m)] += 1
+    raise SearchBudgetExceeded(config.m, histogram)
 
 
 # -- certificate (de)serialization and re-verification -------------------------

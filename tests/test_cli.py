@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from cyclopack import linalg
-from cyclopack.cli import main
+from cyclopack.cli import build_parser, main
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.search import CHECK_NAMES
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -82,6 +85,23 @@ def test_search_budget_exhaustion(capsys):
     assert "twists by N/m: 1: 1" in err
 
 
+def test_search_rejects_the_removed_workers_flag():
+    proc = run_python("-m", "cyclopack", "search", "--m", "4", "--workers", "2")
+    assert proc.returncode == 2
+    assert "error: unrecognized arguments: --workers 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_readme_search_bullet_names_exactly_the_parser_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in sub.choices["search"]._actions
+             for opt in action.option_strings if opt not in ("-h", "--help")}
+    readme = (ROOT / "README.md").read_text()
+    bullet = re.search(r"^\* `search`.*?(?=^\* |^$)", readme, re.M | re.S).group()
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", bullet)) == flags
+
+
 def test_certify_detects_tampering(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "search", "--m", "4", "--out", str(cert))
@@ -125,7 +145,7 @@ def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
 
 
 def test_cli_import_does_not_load_mpmath():
-    # nor the process pool, which only a run with --workers > 1 needs
+    # nor multiprocessing: every command, search included, runs in one process
     proc = run_python("-c", "import sys, cyclopack.cli; "
                             "print('mpmath' in sys.modules, 'multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,5 @@
-import concurrent.futures
 import importlib
 import json
-import os
 import random
 from fractions import Fraction
 from math import factorial
@@ -194,17 +192,27 @@ def test_zero_twist_count_from_ring_norms():
 
 
 def test_search_counts_only_sampled_twists(monkeypatch):
-    # x = 0 loses at m = 8 (N(0) = 8); its count comes from the ring norms
-    seen = []
+    # x = 0 loses at m = 8 (N(0) = 8); its count comes from the ring norms.
+    # The winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2),
+    # and twists 1..sample_index are each drawn once and counted once
+    drawn, seen = [], []
+
+    def drawing(ctx, denom, rng):
+        drawn.append(sample_x(ctx, denom, rng))
+        return drawn[-1]
 
     def recording(ctx, r_sq, x, epsilon, precision=128):
         seen.append(x)
         return count_N(ctx, r_sq, x, epsilon, precision)
 
+    monkeypatch.setattr(search_module, "sample_x", drawing)
     monkeypatch.setattr(search_module, "count_N", recording)
-    cert = search(SearchConfig(m=8))
-    assert cert.sample_index == len(seen) == 3
-    assert all(seen)
+    for seed, index in ((0, 3), (1, 1), (2, 4)):
+        drawn.clear()
+        seen.clear()
+        cert = search(SearchConfig(m=8, seed=seed))
+        assert cert.sample_index == index == len(drawn) == len(seen)
+        assert seen == drawn and all(seen)
 
 
 def test_count_divisible_by_m():
@@ -352,27 +360,23 @@ def test_search_m4_certificate():
     assert Fraction(493, 100) < cert.bound_lo < Fraction(494, 100)
 
 
-def test_search_budget_exhaustion_reports_best(monkeypatch):
-    # x = 0 fails for m = 6, and denom = 1 draws only x = 0; after x = 0, read
-    # off the ring norms, twists come in chunks of 4 x workers, so the pooled
-    # run (two workers on the two CPUs patched in) counts one full chunk of 8
-    # and a partial chunk of 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for workers, denom, budget in ((1, 8, 1), (2, 1, 10)):
+def test_search_budget_exhaustion_reports_best():
+    # x = 0 fails for m = 6 and is counted off the ring norms; denom = 1 draws
+    # only x = 0 again, so every sampled twist is x = 0 too
+    for denom, budget in ((8, 1), (1, 10)):
         with pytest.raises(SearchBudgetExceeded) as exc:
-            search(SearchConfig(m=6, denom=denom, budget=budget, workers=workers))
+            search(SearchConfig(m=6, denom=denom, budget=budget))
         assert exc.value.best_n == 6
         assert exc.value.tried == budget
         # every counted twist is x = 0, with N = 6 = 1 * m
         assert exc.value.histogram == {1: budget}
         assert str(exc.value).endswith("twists by N/m: 1: %d)" % budget)
-    # three twists with counts 8, 8 and 16 at m = 8, serial and in one pooled chunk
-    for workers in (1, 2):
-        with pytest.raises(SearchBudgetExceeded) as exc:
-            search(SearchConfig(m=8, denom=2, budget=3, seed=4, workers=workers))
-        assert exc.value.histogram == {1: 2, 2: 1}
-        assert exc.value.best_n == 8
-        assert str(exc.value).endswith("twists by N/m: 1: 2, 2: 1)")
+    # three twists with counts 8, 8 and 16 at m = 8
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        search(SearchConfig(m=8, denom=2, budget=3, seed=4))
+    assert exc.value.histogram == {1: 2, 2: 1}
+    assert exc.value.best_n == 8
+    assert str(exc.value).endswith("twists by N/m: 1: 2, 2: 1)")
 
 
 def test_search_deterministic_bytes():
@@ -387,45 +391,6 @@ def test_search_config_reuse_gives_identical_bytes():
     config = SearchConfig(m=6, seed=5)
     first = dump_json(certificate_to_json_dict(search(config)))
     assert dump_json(certificate_to_json_dict(search(config))) == first
-
-
-def test_search_parallel_matches_sequential(monkeypatch):
-    # the winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2);
-    # two CPUs are patched in, so a real process pool runs the pickled
-    # count_N partial on any host
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for seed in (0, 1, 2):
-        seq = search(SearchConfig(m=8, seed=seed))
-        par = search(SearchConfig(m=8, seed=seed, workers=2))
-        assert certificate_to_json_dict(seq) == certificate_to_json_dict(par)
-
-
-def test_search_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # an in-process pool that records its size, so no process is started;
-    # like a real one it counts a whole chunk before the search sees a count
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return iter([fn(a) for a in args])
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    serial = certificate_to_json_dict(search(SearchConfig(m=8)))
-    for cpus, pools in ((2, [2]), (1, []), (None, [])):
-        sizes.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cert = search(SearchConfig(m=8, workers=10 ** 6))
-        assert sizes == pools
-        assert certificate_to_json_dict(cert) == serial
 
 
 def test_search_validates_config():
