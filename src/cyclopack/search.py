@@ -19,7 +19,10 @@ Pipeline for a given m and rational epsilon in (0, m):
      by m and has mean J(r0) < m, such x exist in abundance.
   3. The certificate's bound is NOT inferred from the counting argument: the
      shortest vector of the constructed lattice is enumerated exactly and
-     v_2g * lambda1^2g is bounded below by interval arithmetic.
+     v_2g * lambda1^2g is bounded below by interval arithmetic. Each twist's
+     lattice is built once and serves its count, checks and SVP. A re-check
+     takes lambda1 first: when lambda1^2 exceeds the chi radius, the count's
+     ball holds only the origin, so N(x) = 0 is read off without a walk.
 
 All certified quantities are exact rationals; interval refinement is
 deterministic, so a certificate reproduces bit-for-bit from (m, epsilon,
@@ -40,7 +43,7 @@ from .cyclotomic import CycloElement, CyclotomicContext
 from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
-from .lattice import build_lattice
+from .lattice import PolarizedLattice, build_lattice
 from .svp import ball_volume, enumerate_in_ball_with_norms, norm_counts, shortest_norm_sq
 from .tables import phi
 
@@ -235,14 +238,15 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
 
 
 def count_zero_twist(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> int:
-    """count_N(ctx, r_sq, ctx.zero(), epsilon, precision), read off the ring
-    norms, for an r^2 at which select_r certified r^2 lambda1^2(I) outside
-    the chi ball.
+    """count_N(build_lattice(ctx, r_sq, ctx.zero()), epsilon, precision), read
+    off the ring norms, for an r^2 at which select_r certified
+    r^2 lambda1^2(I) outside the chi ball.
 
     At x = 0 the lattice splits as r I + (1/r) Z[zeta_m], so a vector (a, b)
     has squared norm r^2 |a|^2 + |b|^2 / r^2. Any a != 0 puts it outside the
     ball, so N(0) counts the b != 0 with chi at |b|^2 / r^2, taken over the
-    norms up to the radius r^2 R^2 that count_N enumerates.
+    norms up to r^2 times an outer bound of R^2; the enclosure is the one
+    j_value reads, so the ring norms are not enumerated again.
     """
     r_sq = Fraction(r_sq)
     bound = ctx.m - Fraction(epsilon)
@@ -287,23 +291,23 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
 
 # -- N(x): the exact obstruction count ----------------------------------------
 
-def count_N(ctx: CyclotomicContext, r_sq, x: CycloElement, epsilon,
-            precision: int = 128) -> int:
-    """Exact number of vectors of the twisted lattice build_lattice(ctx, r_sq, x)
-    whose ring part b (the last g coefficients) is nonzero and that lie
-    inside the chi ball.
+def count_N(lattice: PolarizedLattice, epsilon, precision: int = 128) -> int:
+    """Exact number of vectors of a twisted lattice, as built by
+    build_lattice(ctx, r_sq, x), whose ring part b (the last g coefficients)
+    is nonzero and that lie inside the chi ball.
 
     Candidates are enumerated in the lattice's own Gram matrix against the
-    outer interval bound of the chi radius and each one is confirmed by the
-    certified chi itself, so the count is exact despite the irrational
-    threshold. The SVP of a certified twist enumerates the same Gram, so it
-    is prepared once.
+    outer bound R^2.hi of chi_radius_sq at this precision, the enclosure chi
+    refines from, and each one is confirmed by the certified chi itself, so
+    the count is exact despite the irrational threshold. The SVP of a
+    certified twist enumerates the same prepared Gram; once it has run, a
+    ball below lambda_1 is answered without a walk (N = 0).
     """
+    ctx = lattice.ctx
     g = ctx.g
     bound = ctx.m - Fraction(epsilon)
-    r2 = chi_radius_sq(ctx, epsilon, precision + 32)
-    gram = build_lattice(ctx, r_sq, x).real_gram
-    return sum(1 for v, nsq in enumerate_in_ball_with_norms(gram, None, r2.hi)
+    r2 = chi_radius_sq(ctx, epsilon, precision)
+    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lattice.real_gram, None, r2.hi)
                if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
 
 
@@ -351,16 +355,16 @@ def run_checks(lat) -> dict[str, bool]:
     }
 
 
-def _certificate_at(ctx: CyclotomicContext, config: SearchConfig, r_sq: Fraction,
-                    x: CycloElement, n_value: int, sample_index: int) -> Certificate:
-    lat = build_lattice(ctx, r_sq, x)
+def _certificate_at(config: SearchConfig, lat: PolarizedLattice, n_value: int,
+                    sample_index: int) -> Certificate:
+    ctx = lat.ctx
     checks = run_checks(lat)
     lam = shortest_norm_sq(lat.real_gram)
     bound_lo = certified_lower_bound(2 * ctx.g, lam, ctx.m - config.epsilon,
                                      config.precision)
     return Certificate(
-        m=ctx.m, g=ctx.g, epsilon=config.epsilon, r_sq=r_sq,
-        x_coords=x.coords, lambda1_sq=lam, n_value=n_value, bound_lo=bound_lo,
+        m=ctx.m, g=ctx.g, epsilon=config.epsilon, r_sq=lat.r_sq,
+        x_coords=lat.x.coords, lambda1_sq=lam, n_value=n_value, bound_lo=bound_lo,
         checks=checks, precision_bits=config.precision, seed=config.seed,
         sample_index=sample_index,
     )
@@ -383,13 +387,13 @@ def search(config: SearchConfig) -> Certificate:
     # ring norms that J(r) enumerated, and the sampled twists start at index 1
     n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
     if n0 == 0:
-        return _certificate_at(ctx, config, r_sq, ctx.zero(), 0, 0)
+        return _certificate_at(config, build_lattice(ctx, r_sq, ctx.zero()), 0, 0)
     histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
     for i in range(1, config.budget):
-        x = sample_x(ctx, config.denom, rng)
-        n = count_N(ctx, r_sq, x, config.epsilon, config.precision)
+        lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
+        n = count_N(lat, config.epsilon, config.precision)
         if n == 0:
-            return _certificate_at(ctx, config, r_sq, x, 0, i)
+            return _certificate_at(config, lat, 0, i)
         histogram[Fraction(n, config.m)] += 1
     raise SearchBudgetExceeded(config.m, histogram)
 
@@ -467,9 +471,11 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
                    bound, precision):
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
                                      "inside the chi ball, so lambda1 < R")
-    n = count_N(ctx, cert.r_sq, x, cert.epsilon, precision)
+    lat = build_lattice(ctx, cert.r_sq, x)
+    shortest_norm_sq(lat.real_gram)  # lambda1 first: a count ball below it needs no walk
+    n = count_N(lat, cert.epsilon, precision)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
                           precision=precision)
-    fresh = _certificate_at(ctx, config, cert.r_sq, x, n, cert.sample_index)
+    fresh = _certificate_at(config, lat, n, cert.sample_index)
     return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
                    if getattr(fresh, k) != getattr(cert, k)]

@@ -14,7 +14,8 @@ the returned minima are exact. The LLL reduction and the LDL factors of the
 reduced form depend only on the Gram matrix, so each Gram is prepared once
 (PreparedForm) and kept in a small cache keyed by its entries; the
 obstruction count of a twist and the shortest vector of its lattice
-enumerate the same Gram.
+enumerate the same Gram, and a form whose minimum is known answers a ball
+about the origin below it without a walk.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .intervals import IntervalValue, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
 # distinct Gram matrices kept prepared; every reuse is back to back (J(r) on
-# the ring form, a twist's count then its SVP), so one form is enough
+# the ring form, a certified twist's SVP then its count, which reads the
+# remembered lambda_1^2), so one form is enough
 PREPARED_CACHE_SIZE = 1
 
 
@@ -148,10 +150,12 @@ class PreparedForm:
     transform U, the least diagonal entry of the reduced form R = U G U^T and
     the LDL factors (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
     stored as integer numerators over the common denominators d_den and
-    nu_den (row i of nu holds the entries right of the diagonal). Fields are
-    immutable: the cache shares them."""
+    nu_den (row i of nu holds the entries right of the diagonal). The cache
+    shares the form, so its fields are immutable but for lambda1_sq: None
+    until shortest_norm_sq has walked once, then the exact minimum, which
+    depends on the Gram matrix alone."""
 
-    __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den")
+    __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den", "lambda1_sq")
 
     def __init__(self, gram) -> None:
         U, R, d, nu = lll_reduce(gram)
@@ -161,6 +165,7 @@ class PreparedForm:
         (d,), self.d_den = linalg.integer_matrix([d])
         nu, self.nu_den = linalg.integer_matrix(upper)
         self.d, self.nu = tuple(d), _frozen(nu)
+        self.lambda1_sq: Fraction | None = None
 
     def _walk(self, center, radius_sq: Fraction, emit) -> int:
         """Fincke-Pohst on integers: emit(s, k) for each integer s with
@@ -206,9 +211,14 @@ class PreparedForm:
         return scale
 
     def enumerate(self, center, radius_sq: Fraction):
-        """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq."""
+        """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq.
+        A ball about the origin strictly inside a known lambda_1 holds the
+        origin alone, so it is answered without a walk."""
         U = self.transform
         n = len(U)
+        known = self.lambda1_sq
+        if known is not None and 0 <= radius_sq < known and not any(center):
+            return [((0,) * n, Fraction(0))]
         # in reduced coordinates the center is the solution of U^T c' = center
         cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
                   if any(center) else center)
@@ -235,8 +245,10 @@ class PreparedForm:
     def shortest_norm_sq(self) -> Fraction:
         """Exact lambda_1^2 by exhaustive enumeration below the smallest
         diagonal entry of R, which some basis vector attains (so the ball
-        holds a nonzero point)."""
-        return self.norm_counts(self.min_diagonal)[0][0]
+        holds a nonzero point). Walks once; later calls read lambda1_sq."""
+        if self.lambda1_sq is None:
+            self.lambda1_sq = self.norm_counts(self.min_diagonal)[0][0]
+        return self.lambda1_sq
 
 
 @lru_cache(maxsize=PREPARED_CACHE_SIZE)

@@ -105,7 +105,7 @@ def suite_count_divisibility(ctx, trials: int, rng, epsilon=Fraction(1, 2),
     r_sq = select_r(ctx, epsilon, default_r_grid(), precision)
     for t in range(trials):
         x = sample_x(ctx, 8, rng)
-        n = count_N(ctx, r_sq, x, epsilon, precision)
+        n = count_N(build_lattice(ctx, r_sq, x), epsilon, precision)
         if n % ctx.m != 0:
             return _fail(name, trial=t, r_sq=r_sq, x=x.coords, count=n)
     return SuiteResult(name, True)

@@ -130,7 +130,7 @@ def test_criterion_5_divisibility_law():
         r_sq = select_r(ctx, EPS, default_r_grid())
         for _ in range(100):
             x = sample_x(ctx, 8, rng)
-            n = count_N(ctx, r_sq, x, EPS)
+            n = count_N(build_lattice(ctx, r_sq, x), EPS)
             assert n % m == 0, (m, r_sq, x.coords, n)
             checked += 1
     report(5, True, f"N(x) = 0 mod m for {checked} random twists "
@@ -163,7 +163,7 @@ def test_criterion_6b_mean_count_matches_j():
         for _ in range(1000):
             x = sum((Fraction(rng.random()) * a for a in ctx.codiff_basis),
                     ctx.zero())
-            vals.append(count_N(ctx, r_sq, x, EPS))
+            vals.append(count_N(build_lattice(ctx, r_sq, x), EPS))
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         se = math.sqrt(float(var) / len(vals))

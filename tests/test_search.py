@@ -1,8 +1,10 @@
 import importlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -27,6 +29,7 @@ from oracles import box_points_in_ball, vector_j_value, volume_chi_norm_sq
 
 # the package re-exports the function search under the submodule's name
 search_module = importlib.import_module("cyclopack.search")
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 EPS = Fraction(1, 2)
 # the 18 fields with phi(m) <= 10
 SMALL_FIELDS = [m for m in range(3, 31) if phi(m) <= 10]
@@ -176,7 +179,7 @@ def test_select_r_reports_failure(ctx4):
 # -- count_N ---------------------------------------------------------------------
 
 def test_count_zero_at_origin_for_m4(ctx4):
-    assert count_N(ctx4, 2, ctx4.zero(), EPS) == 0
+    assert count_N(build_lattice(ctx4, 2, ctx4.zero()), EPS) == 0
 
 
 def test_zero_twist_count_from_ring_norms():
@@ -187,7 +190,7 @@ def test_zero_twist_count_from_ring_norms():
     for m, r_sq in cases + larger:
         ctx = get_ctx(m)
         n0 = count_zero_twist(ctx, r_sq, EPS)
-        assert n0 == count_N(ctx, r_sq, ctx.zero(), EPS), (m, r_sq)
+        assert n0 == count_N(build_lattice(ctx, r_sq, ctx.zero()), EPS), (m, r_sq)
         assert n0 > 0 or (m, r_sq) not in larger
 
 
@@ -201,9 +204,9 @@ def test_search_counts_only_sampled_twists(monkeypatch):
         drawn.append(sample_x(ctx, denom, rng))
         return drawn[-1]
 
-    def recording(ctx, r_sq, x, epsilon, precision=128):
-        seen.append(x)
-        return count_N(ctx, r_sq, x, epsilon, precision)
+    def recording(lattice, epsilon, precision=128):
+        seen.append(lattice.x)
+        return count_N(lattice, epsilon, precision)
 
     monkeypatch.setattr(search_module, "sample_x", drawing)
     monkeypatch.setattr(search_module, "count_N", recording)
@@ -222,7 +225,7 @@ def test_count_divisible_by_m():
         r_sq = select_r(ctx, EPS, default_r_grid())
         for _ in range(10):
             x = sample_x(ctx, 8, rng)
-            assert count_N(ctx, r_sq, x, EPS) % m == 0
+            assert count_N(build_lattice(ctx, r_sq, x), EPS) % m == 0
 
 
 def test_count_invariant_under_codifferent_shift():
@@ -233,13 +236,14 @@ def test_count_invariant_under_codifferent_shift():
         for _ in range(5):
             x = sample_x(ctx, 8, rng)
             delta = sum((rng.randint(-2, 2) * a for a in ctx.codiff_basis), ctx.zero())
-            assert count_N(ctx, r_sq, x, EPS) == count_N(ctx, r_sq, x + delta, EPS)
+            assert (count_N(build_lattice(ctx, r_sq, x), EPS)
+                    == count_N(build_lattice(ctx, r_sq, x + delta), EPS))
 
 
 def test_count_positive_when_twist_vanishes():
     ctx = get_ctx(6)
     r_sq = select_r(ctx, EPS, default_r_grid())
-    n0 = count_N(ctx, r_sq, ctx.zero(), EPS)
+    n0 = count_N(build_lattice(ctx, r_sq, ctx.zero()), EPS)
     assert n0 > 0 and n0 % 6 == 0
 
 
@@ -275,34 +279,70 @@ def test_count_matches_box_scan_on_twists():
         # the selected scale, and a larger one at which most counts are nonzero
         for r_sq in (select_r(ctx, EPS, default_r_grid()), Fraction(5)):
             for x in xs:
-                assert count_N(ctx, r_sq, x, EPS) == brute_count_N(ctx, r_sq, x), (m, r_sq, x)
+                assert (count_N(build_lattice(ctx, r_sq, x), EPS)
+                        == brute_count_N(ctx, r_sq, x)), (m, r_sq, x)
+
+
+def reference_certificate(m):
+    return certificate_from_json_dict(json.loads((REFERENCE / f"m{m}.json").read_text()))
 
 
 def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
-    # count_N and the SVP enumerate the same Gram: one LLL per certificate
-    cert = search(SearchConfig(m=8))
-    ctx = get_ctx(8)
-    gram = build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)).real_gram
-    seen = []
-    lll_reduce = svp.lll_reduce
+    # count_N and the SVP enumerate the same Gram: one lattice, one LLL and
+    # one walk per certificate, since lambda1 is taken first and a valid
+    # file's count ball lies below it
+    seen, built, walked = [], [], []
+    lll_reduce, build, walk = svp.lll_reduce, build_lattice, svp.PreparedForm._walk
 
     def counting(g):
         seen.append(tuple(map(tuple, g)))
         return lll_reduce(g)
 
-    monkeypatch.setattr(svp, "lll_reduce", counting)
-    svp._prepared.cache_clear()
-    _, mismatches = recompute_certificate(cert)
-    assert mismatches == []
-    assert seen == [tuple(map(tuple, gram))]
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
 
+    def walking(form, *args):
+        walked.append(form)
+        return walk(form, *args)
+
+    monkeypatch.setattr(svp, "lll_reduce", counting)
+    monkeypatch.setattr(search_module, "build_lattice", building)
+    monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
+    for m in (8, 22):
+        cert = reference_certificate(m)
+        seen.clear()
+        built.clear()
+        walked.clear()
+        svp._prepared.cache_clear()
+        _, mismatches = recompute_certificate(cert)
+        assert mismatches == []
+        assert len(built) == 1
+        gram = built[0].real_gram
+        assert seen == [tuple(map(tuple, gram))]
+        assert walked == [svp.prepare(gram)]
+
+    cert = reference_certificate(8)
+    ctx = get_ctx(8)
     x = sample_x(ctx, 8, random.Random(71))
     seen.clear()
-    assert count_N(ctx, cert.r_sq, x, EPS) == count_N(ctx, cert.r_sq, x, EPS)
+    assert (count_N(build_lattice(ctx, cert.r_sq, x), EPS)
+            == count_N(build_lattice(ctx, cert.r_sq, x), EPS))
     assert len(seen) == 1
     # a counted twist is not prepared again, so its form is not kept resident
-    count_N(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(72)), EPS)
+    count_N(build_lattice(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(72))), EPS)
     assert svp._prepared.cache_info().currsize == 1
+
+
+def test_certify_counts_a_losing_twist_exactly():
+    # seed 0's twist 1 at m = 8 has N > 0 (the winner is twist 3), so some
+    # nonzero vector lies in the chi ball and the count must walk it
+    stored = reference_certificate(8)
+    ctx = get_ctx(8)
+    x = sample_x(ctx, 8, random.Random(0))
+    fresh, mismatches = recompute_certificate(replace(stored, x_coords=x.coords))
+    assert "n_value" in mismatches
+    assert fresh.n_value == brute_count_N(ctx, stored.r_sq, x) > 0
 
 
 # -- sampling ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cyclopack import linalg
+from cyclopack import linalg, svp
 from cyclopack.lattice import build_lattice
 from cyclopack.search import chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball,
@@ -240,6 +240,41 @@ def test_shortest_norm_matches_box_scan():
         n = rng.randint(1, 4)
         g = random_pd_gram(n, rng)
         assert shortest_norm_sq(g) == box_shortest_norm_sq(g)
+
+
+def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
+    # a ball about the origin strictly below a known lambda_1 is answered
+    # without a walk; at and above lambda_1, and about any nonzero center,
+    # the walk runs, so all must agree with the box scan either way
+    rng = random.Random(53)
+    for trial in range(30):
+        n = rng.randint(1, 4)
+        g = random_rational_pd_gram(n, rng)
+        lam = box_shortest_norm_sq(g)
+        deltas = (lam / rng.randint(2, 9), lam / 10 ** 9)
+        radii = [lam, *(lam - d for d in deltas), *(lam + d for d in deltas)]
+
+        def check(center):
+            c = center or [0] * n
+            for radius in radii:
+                got = sorted(enumerate_in_ball_with_norms(g, center, radius))
+                expect = box_points_in_ball(g, center, radius)
+                assert [v for v, _ in got] == expect, (trial, g, center, radius)
+                assert all(q == sum(g[i][j] * (v[i] - c[i]) * (v[j] - c[j])
+                                    for i in range(n) for j in range(n)) for v, q in got)
+
+        # a point of the lattice moved off by less than half its minimum:
+        # the ball about it below lambda_1 holds that point, not the origin
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        v[rng.randrange(n)] = rng.choice((-1, 1))
+        near = [a + Fraction(rng.randint(-1, 1), 1000) for a in v]
+        svp._prepared.cache_clear()
+        check(None)
+        assert svp.prepare(g).lambda1_sq is None
+        assert shortest_norm_sq(g) == lam == svp.prepare(g).lambda1_sq
+        check(None)
+        check([Fraction(0)] * (n - 1) + [Fraction(1, 1000)])
+        check(near)
 
 
 def test_shortest_norm_homogeneous_and_unimodular_invariant():
