@@ -14,15 +14,22 @@ Pipeline for a given m and rational epsilon in (0, m):
      (ring_norms).
   2. Twist points x are sampled from the fundamental parallelepiped of the
      codifferent; x = 0 is always tried first, and its count is read off the
-     same ring norms, since its lattice splits. count_N(x) is an exact
-     integer; the first x with count zero wins. Since the count is divisible
-     by m and has mean J(r0) < m, such x exist in abundance.
-  3. The certificate's bound is NOT inferred from the counting argument: the
-     shortest vector of the constructed lattice is enumerated exactly and
-     v_2g * lambda1^2g is bounded below by interval arithmetic. Each twist's
-     lattice is built once and serves its count, checks and SVP. A re-check
-     takes lambda1 first: when lambda1^2 exceeds the chi radius, the count's
-     ball holds only the origin, so N(x) = 0 is read off without a walk.
+     same ring norms, since its lattice splits. The first x with N(x) = 0
+     wins; since the count is divisible by m and has mean J(r0) < m, such x
+     exist in abundance. Each sampled twist's lattice is built and
+     LLL-reduced once. select_r puts every nonzero vector with b = 0 outside
+     the chi ball, so any nonzero lattice vector inside it is a point N(x)
+     counts: if the least reduced basis vector lies inside, the twist loses
+     without a walk.
+  3. Otherwise lambda1 is taken first, and a twist whose shortest vector
+     lies inside the ball loses too. So N(x) = 0 exactly when lambda1^2 lies
+     outside it, and the exact count_N of a remaining twist reads a ball
+     below lambda1 that holds only the origin: a winner takes one walk.
+     The certificate's bound is NOT inferred from the counting argument: the
+     shortest vector is enumerated exactly and v_2g * lambda1^2g is bounded
+     below by interval arithmetic. A re-check (certify) also takes lambda1
+     before the count. Losers are counted exactly only if the budget runs
+     out, by drawing the seed's twists again.
 
 All certified quantities are exact rationals; interval refinement is
 deterministic, so a certificate reproduces bit-for-bit from (m, epsilon,
@@ -44,7 +51,8 @@ from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
 from .ioutil import fmt_rat, parse_rat
 from .lattice import PolarizedLattice, build_lattice
-from .svp import ball_volume, enumerate_in_ball_with_norms, norm_counts, shortest_norm_sq
+from .svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts, prepare,
+                  shortest_norm_sq)
 from .tables import phi
 
 MAX_PRECISION = 4096
@@ -376,8 +384,12 @@ def search(config: SearchConfig) -> Certificate:
     within the configured resources.
 
     Candidate 0 is x = 0, counted from the ring norms (count_zero_twist).
-    The sampled twists, indices 1, 2, ..., are then drawn and counted one at
-    a time; the first with count zero wins, so no twist past it is drawn."""
+    The sampled twists, indices 1, 2, ..., are then drawn and decided one at
+    a time; the first with count zero wins, so no twist past it is drawn. A
+    twist loses uncounted when its least reduced basis vector, or else its
+    shortest vector, lies in the chi ball; any other twist takes count_N,
+    which reads the empty ball below lambda1 without walking. When the
+    budget runs out, _budget_histogram counts every drawn twist exactly."""
     config.validate()
     ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
@@ -388,14 +400,31 @@ def search(config: SearchConfig) -> Certificate:
     n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
     if n0 == 0:
         return _certificate_at(config, build_lattice(ctx, r_sq, ctx.zero()), 0, 0)
-    histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
+    g, bound = ctx.g, ctx.m - config.epsilon
     for i in range(1, config.budget):
         lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
-        n = count_N(lat, config.epsilon, config.precision)
-        if n == 0:
+        form = prepare(lat.real_gram)
+        # select_r put every nonzero vector with b = 0 outside the ball, so a
+        # nonzero vector inside it is counted by N(x); lambda1^2 <= min_diagonal
+        if (chi_norm_sq(2 * g, form.min_diagonal, bound, config.precision)
+                or chi_norm_sq(2 * g, form.shortest_norm_sq(), bound, config.precision)):
+            continue
+        if count_N(lat, config.epsilon, config.precision) == 0:
             return _certificate_at(config, lat, 0, i)
-        histogram[Fraction(n, config.m)] += 1
-    raise SearchBudgetExceeded(config.m, histogram)
+    raise SearchBudgetExceeded(config.m, _budget_histogram(config, ctx, r_sq, n0))
+
+
+def _budget_histogram(config: SearchConfig, ctx: CyclotomicContext, r_sq: Fraction,
+                     n0: int) -> Counter[Fraction]:
+    """N(x)/m -> number of twists, over x = 0 (count n0) and the twists at
+    indices 1 .. budget - 1, each counted exactly with count_N. The twists are
+    drawn again from the seed, so the search keeps none of them."""
+    rng = random.Random(config.seed)
+    histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
+    for _ in range(1, config.budget):
+        lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
+        histogram[Fraction(count_N(lat, config.epsilon, config.precision), config.m)] += 1
+    return histogram
 
 
 # -- certificate (de)serialization and re-verification -------------------------

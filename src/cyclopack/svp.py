@@ -12,10 +12,13 @@ all that a theta-series question (the ring norms behind J(r) and N(0)) or
 the shortest vector needs. The enumerations are complete by construction and
 the returned minima are exact. The LLL reduction and the LDL factors of the
 reduced form depend only on the Gram matrix, so each Gram is prepared once
-(PreparedForm) and kept in a small cache keyed by its entries; the
-obstruction count of a twist and the shortest vector of its lattice
-enumerate the same Gram, and a form whose minimum is known answers a ball
-about the origin below it without a walk.
+(PreparedForm) and kept in a small cache keyed by its entries. A search
+decides each twist from its one prepared Gram: the least diagonal entry of
+the reduced form is the squared norm of a lattice vector, known with no
+walk, which settles a twist whose obstruction count it already makes
+positive; otherwise the shortest vector is walked once, and a form whose
+minimum is known answers the count's ball about the origin below it
+without a walk.
 """
 from __future__ import annotations
 
@@ -147,8 +150,9 @@ def _frozen(rows):
 
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
-    transform U, the least diagonal entry of the reduced form R = U G U^T and
-    the LDL factors (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
+    transform U, the least diagonal entry of the reduced form R = U G U^T (the
+    squared norm of a lattice vector, known with no walk) and the LDL factors
+    (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
     stored as integer numerators over the common denominators d_den and
     nu_den (row i of nu holds the entries right of the diagonal). The cache
     shares the form, so its fields are immutable but for lambda1_sq: None

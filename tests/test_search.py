@@ -196,26 +196,48 @@ def test_zero_twist_count_from_ring_norms():
 
 def test_search_counts_only_sampled_twists(monkeypatch):
     # x = 0 loses at m = 8 (N(0) = 8); its count comes from the ring norms.
-    # The winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2),
-    # and twists 1..sample_index are each drawn once and counted once
-    drawn, seen = [], []
+    # The winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2).
+    # Each sampled twist is drawn once and LLL-reduced once; a loser's least
+    # reduced basis vector lies in the chi ball, so it is neither counted nor
+    # walked, and the winner walks once, for lambda1, before its count
+    events, drawn, reduced, walked = [], [], [], []
+    lll_reduce, walk = svp.lll_reduce, svp.PreparedForm._walk
 
     def drawing(ctx, denom, rng):
         drawn.append(sample_x(ctx, denom, rng))
+        events.append("draw")
         return drawn[-1]
 
+    def reducing(gram):
+        reduced.append(tuple(map(tuple, gram)))
+        events.append("lll")
+        return lll_reduce(gram)
+
+    def walking(form, *args):
+        walked.append(form)
+        events.append("walk")
+        return walk(form, *args)
+
     def recording(lattice, epsilon, precision=128):
-        seen.append(lattice.x)
+        events.append("count")
         return count_N(lattice, epsilon, precision)
 
     monkeypatch.setattr(search_module, "sample_x", drawing)
+    monkeypatch.setattr(svp, "lll_reduce", reducing)
+    monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
     monkeypatch.setattr(search_module, "count_N", recording)
+    ctx = get_ctx(8)
     for seed, index in ((0, 3), (1, 1), (2, 4)):
-        drawn.clear()
-        seen.clear()
+        for log in (events, drawn, reduced, walked):
+            log.clear()
         cert = search(SearchConfig(m=8, seed=seed))
-        assert cert.sample_index == index == len(drawn) == len(seen)
-        assert seen == drawn and all(seen)
+        assert cert.sample_index == index == len(drawn) and all(drawn)
+        first = events.index("draw")
+        assert events[first:] == ["draw", "lll"] * index + ["walk", "count"]
+        grams = [tuple(map(tuple, build_lattice(ctx, cert.r_sq, x).real_gram))
+                 for x in drawn]
+        assert reduced[-index:] == grams
+        assert walked[-1].lambda1_sq == cert.lambda1_sq
 
 
 def test_count_divisible_by_m():
@@ -281,6 +303,55 @@ def test_count_matches_box_scan_on_twists():
             for x in xs:
                 assert (count_N(build_lattice(ctx, r_sq, x), EPS)
                         == brute_count_N(ctx, r_sq, x)), (m, r_sq, x)
+
+
+def test_search_budget_counts_losers_exactly(monkeypatch):
+    # at m = 8, seed 0, x = 0 and twists 1 and 2 all have N = 8; the two
+    # sampled twists lose on their reduced basis without a count, and once
+    # the budget of 3 runs out they are drawn again from the seed and counted
+    drawn, counted = [], []
+
+    def drawing(ctx, denom, rng):
+        drawn.append(sample_x(ctx, denom, rng))
+        return drawn[-1]
+
+    def recording(lattice, *args):
+        counted.append(lattice.x)
+        return count_N(lattice, *args)
+
+    monkeypatch.setattr(search_module, "sample_x", drawing)
+    monkeypatch.setattr(search_module, "count_N", recording)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        search(SearchConfig(m=8, budget=3))
+    assert exc.value.histogram == {1: 3}
+    assert exc.value.best_n == 8 and exc.value.tried == 3
+    assert len(drawn) == 4 and drawn[:2] == drawn[2:] == counted
+    ctx, r_sq = get_ctx(8), reference_certificate(8).r_sq
+    counts = [count_N(build_lattice(ctx, r_sq, x), EPS) for x in [ctx.zero(), *drawn[:2]]]
+    assert exc.value.histogram == {Fraction(n, 8): counts.count(n) for n in counts}
+
+
+def test_twist_decided_by_reduced_basis_and_lambda1():
+    # 175 twists of seven fields with g <= 6: the loser rule (the least
+    # diagonal entry of the reduced form inside the ball) fires only where
+    # N(x) > 0, and N(x) = 0 exactly when lambda1^2 lies outside the ball
+    fired = winners = 0
+    for m in (5, 7, 8, 9, 12, 14, 18):
+        ctx = get_ctx(m)
+        g, bound = ctx.g, m - EPS
+        r_sq = select_r(ctx, EPS, default_r_grid())
+        rng = random.Random(1)
+        for _ in range(25):
+            lat = build_lattice(ctx, r_sq, sample_x(ctx, 8, rng))
+            form = svp.prepare(lat.real_gram)
+            rule = chi_norm_sq(2 * g, form.min_diagonal, bound)
+            lam = shortest_norm_sq(lat.real_gram)
+            n = count_N(lat, EPS)
+            assert not rule or n > 0, (m, lat.x)
+            assert (n == 0) == (not chi_norm_sq(2 * g, lam, bound)), (m, lat.x)
+            fired += rule
+            winners += n == 0
+    assert fired and winners
 
 
 def reference_certificate(m):
