@@ -21,6 +21,7 @@ valid for any generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -32,6 +33,9 @@ class PolarizedLattice:
     generators holds the (u, v) pairs; real_gram[j][k] is the real part of
     the hermitian product of generators j and k, symplectic[j][k] its
     imaginary part (kept as Fractions so that integrality is checkable).
+    Both are built on first read: the stability and divisibility checks and
+    a search's losing twists never read symplectic, and the stability check
+    reads neither.
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
@@ -44,27 +48,35 @@ class PolarizedLattice:
         self.x = x
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
-        # rows: codifferent coordinates a of u, power-basis coordinates b of v.
-        # Tr(u conj(u')) = a G a'^T with G = codiff_gram = Gi / e, and
-        # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
-        # real_gram is (p^2 A + q^2 e B) / (p q e D^2) and symplectic is
-        # (C - C^T) / D^2, entry by entry, for integer matrices A, B and C.
-        g = ctx.g
+        # rows: codifferent coordinates a of u, power-basis coordinates b of v
         self._rows, self._den = linalg.integer_matrix(
             [ctx.coords_in_codiff(u) + list(v.coords) for u, v in self.generators])
+
+    # Tr(u conj(u')) = a G a'^T with G = codiff_gram = Gi / e, and
+    # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
+    # real_gram is (p^2 A + q^2 e B) / (p q e D^2) and symplectic is
+    # (C - C^T) / D^2, entry by entry, for integer matrices A, B and C.
+
+    @cached_property
+    def real_gram(self) -> list[list[Fraction]]:
+        ctx, g = self.ctx, self.ctx.g
         us = [r[:g] for r in self._rows]
         vs = [r[g:] for r in self._rows]
         gi, e = linalg.integer_matrix(ctx.codiff_gram)
         ug, vt = linalg.mat_mul(us, gi), linalg.mat_mul(vs, ctx.ok_gram)
-        p, q = r_sq.numerator, r_sq.denominator
-        dd = self._den ** 2
-        pp, qq, gram_den = p * p, q * q * e, p * q * e * dd
-        self.real_gram = [[Fraction(pp * a + qq * b, gram_den)
-                           for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
-                          for uj, vj in zip(ug, vt)]
-        vu = [linalg.mat_vec(us, linalg.mat_vec(ctx.codiff_pairing, vj)) for vj in vs]
-        self.symplectic = [[Fraction(a - b, dd) for a, b in zip(row, col)]
-                           for row, col in zip(vu, zip(*vu))]
+        p, q = self.r_sq.numerator, self.r_sq.denominator
+        pp, qq, gram_den = p * p, q * q * e, p * q * e * self._den ** 2
+        return [[Fraction(pp * a + qq * b, gram_den)
+                 for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
+                for uj, vj in zip(ug, vt)]
+
+    @cached_property
+    def symplectic(self) -> list[list[Fraction]]:
+        g, pairing, dd = self.ctx.g, self.ctx.codiff_pairing, self._den ** 2
+        us = [r[:g] for r in self._rows]
+        vu = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows]
+        return [[Fraction(a - b, dd) for a, b in zip(row, col)]
+                for row, col in zip(vu, zip(*vu))]
 
     # -- checks ----------------------------------------------------------------
 

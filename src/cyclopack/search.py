@@ -192,6 +192,10 @@ def chi_radius_sq(ctx: CyclotomicContext, epsilon, precision: int) -> IntervalVa
 
 # m -> (radius, ring norms up to it); the norms do not depend on r or epsilon
 _RING_NORMS: dict[int, tuple[Fraction, list[tuple[Fraction, int]]]] = {}
+# a walk to radius_sq costs about radius_sq^(g/2), so a walk past the cached
+# radius goes at least this factor beyond it: the last walk costs at most
+# 1.1^(g/2) times one at the request, and about three walks cover any scan
+RING_HEADROOM = Fraction(11, 10)
 
 
 def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
@@ -199,14 +203,16 @@ def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
     every t <= radius_sq; the start of the theta series of Z[zeta_m] under
     the trace form. Each k is a multiple of m (the units zeta^j act freely).
 
-    One enumeration per field serves every request inside its radius; a
-    larger request enumerates again at exactly that radius. The walk only
-    tallies norms, so memory is set by the distinct norms, not the vectors.
+    One enumeration per field serves every request inside its radius. The
+    first walks to exactly the request; a larger request walks again, to
+    max(request, RING_HEADROOM * cached radius). The walk only tallies
+    norms, so memory is set by the distinct norms, not the vectors.
     """
     radius_sq = Fraction(radius_sq)
     cached = _RING_NORMS.get(ctx.m)
     if cached is None or cached[0] < radius_sq:
-        cached = _RING_NORMS[ctx.m] = (radius_sq, norm_counts(ctx.ok_gram, radius_sq))
+        walk_sq = radius_sq if cached is None else max(radius_sq, RING_HEADROOM * cached[0])
+        cached = _RING_NORMS[ctx.m] = (walk_sq, norm_counts(ctx.ok_gram, walk_sq))
     return [(t, k) for t, k in cached[1] if t <= radius_sq]
 
 

@@ -9,7 +9,9 @@ never from floating bounds. The walk hands each point to a visitor instead
 of building a list: enumerate collects the points, mapped back to the input
 basis, and norm_counts only tallies the integer values of the form, which is
 all that a theta-series question (the ring norms behind J(r) and N(0)) or
-the shortest vector needs. The enumerations are complete by construction and
+the shortest vector needs. Its ball is centred at the origin and so
+symmetric under v -> -v: norm_counts walks half of it, one vector of each
+pair +-v, and doubles every multiplicity. The enumerations are complete by construction and
 the returned minima are exact. The LLL reduction and the LDL factors of the
 reduced form depend only on the Gram matrix, so each Gram is prepared once
 (PreparedForm) and kept in a small cache keyed by its entries. A search
@@ -171,47 +173,54 @@ class PreparedForm:
         self.d, self.nu = tuple(d), _frozen(nu)
         self.lambda1_sq: Fraction | None = None
 
-    def _walk(self, center, radius_sq: Fraction, emit) -> int:
+    def _walk(self, center, radius_sq: Fraction, emit, half: bool = False) -> int:
         """Fincke-Pohst on integers: emit(s, k) for each integer s with
         Q(s - center) = k / scale <= radius_sq, the top level outermost and
         each level in ascending order; returns scale. s is the walk's own
         list, so an emitter that keeps it copies it.
 
+        With half (legal only for a zero center, where the ball is symmetric
+        under s -> -s) the walk emits the origin once and, of each pair +-s,
+        only the s whose first nonzero coordinate from the top is positive:
+        while every higher coordinate is zero, a level's range starts at 0.
+
         With B = lcm(nu_den, denominators of the center), every partial sum
         of Q is an integer over scale = d_den * B^4, so each level range is
         an isqrt of an integer quotient and the walk builds no Fraction.
         """
+        if half and any(center):
+            raise ValueError("a half walk needs a zero center")
         d, n = self.d, len(self.d)
         B = lcm(self.nu_den, *(c.denominator for c in center))
         e = [c.numerator * (B // c.denominator) for c in center]
         f = B // self.nu_den
-        rows = [[(j, x * f) for j, x in enumerate(row, i + 1) if x]
-                for i, row in enumerate(self.nu)]
+        rows = [[x * f for x in row] for row in self.nu]
         B2 = B * B
         scale = self.d_den * B2 * B2
         budget = radius_sq.numerator * scale // radius_sq.denominator
         s = [0] * n
         w = [-x for x in e]  # w_j = B (s_j - c_j)
 
-        def descend(i: int, rem: int) -> None:
+        def descend(i: int, rem: int, top: bool) -> None:
             # B^2 (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j)) = B^2 s_i - num,
-            # and d_i times its square is a t^2 / scale with t = B^2 s_i - num
-            num = B * e[i] - sum(x * w[j] for j, x in rows[i])
+            # and d_i times its square is a t^2 / scale with t = B^2 s_i - num;
+            # top: every s_j with j > i is zero (only ever with a half walk)
+            num = B * e[i] - sum(map(mul, rows[i], w[i + 1:]))
             a = d[i]
             r = isqrt(rem // a)
-            for si in range(-((r - num) // B2), (num + r) // B2 + 1):
+            for si in range(0 if top else -((r - num) // B2), (num + r) // B2 + 1):
                 t = B2 * si - num
                 s[i] = si
                 w[i] = B * si - e[i]
                 if i:
-                    descend(i - 1, rem - a * t * t)
+                    descend(i - 1, rem - a * t * t, top and not si)
                 else:
                     emit(s, budget - rem + a * t * t)
             s[i] = 0
             w[i] = -e[i]
 
         if budget >= 0:
-            descend(n - 1, budget)
+            descend(n - 1, budget, half)
         return scale
 
     def enumerate(self, center, radius_sq: Fraction):
@@ -234,17 +243,19 @@ class PreparedForm:
 
     def norm_counts(self, radius_sq: Fraction) -> list[tuple[Fraction, int]]:
         """Sorted pairs (q, k): the k nonzero integer v with Q(v) = q, for each
-        value q <= radius_sq that Q takes on them. The walk feeds a counter
-        of integer numerators, so no point is kept, mapped back through U or
-        turned into a Fraction; the zero vector is the only point of value 0."""
+        value q <= radius_sq that Q takes on them. The ball is symmetric
+        under v -> -v, so a half walk visits one of each pair and every
+        multiplicity is doubled. The walk feeds a counter of integer
+        numerators, so no point is kept, mapped back through U or turned into
+        a Fraction; the zero vector is the only point of value 0."""
         counts = Counter()
 
         def tally(s, k: int) -> None:
             counts[k] += 1
 
-        scale = self._walk([0] * len(self.d), radius_sq, tally)
+        scale = self._walk([0] * len(self.d), radius_sq, tally, True)
         counts.pop(0, None)
-        return [(Fraction(k, scale), c) for k, c in sorted(counts.items())]
+        return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
 
     def shortest_norm_sq(self) -> Fraction:
         """Exact lambda_1^2 by exhaustive enumeration below the smallest

@@ -137,9 +137,29 @@ def test_ring_norms_enumerate_again_only_past_the_cached_radius(monkeypatch):
     inner = ring_norms(ctx, Fraction(25, 2))
     assert inner == [(t, k) for t, k in full if t <= Fraction(25, 2)]
     assert radii == [30]
+    # past the cached radius the walk goes to max(request, 11/10 * cached)
     assert ring_norms(ctx, 31) == norm_counts(ctx.ok_gram, 31)
-    assert radii == [30, 31]
-    assert ring_norms(ctx, 30) == full and radii == [30, 31]
+    assert radii == [30, 33]
+    assert ring_norms(ctx, 30) == full and radii == [30, 33]
+    assert ring_norms(ctx, 33) == norm_counts(ctx.ok_gram, 33) and radii == [30, 33]
+    assert ring_norms(ctx, 40) == norm_counts(ctx.ok_gram, 40)
+    assert radii == [30, 33, 40]
+
+
+def test_select_r_walks_the_ring_a_few_times(monkeypatch):
+    # the scan at m = 36 asks for 12 growing radii; the headroom rule walks
+    # the ring at most 4 times for them
+    walks = []
+    norm_counts = search_module.norm_counts
+
+    def recording(gram, radius_sq):
+        walks.append(radius_sq)
+        return norm_counts(gram, radius_sq)
+
+    monkeypatch.setattr(search_module, "_RING_NORMS", {})
+    monkeypatch.setattr(search_module, "norm_counts", recording)
+    assert select_r(get_ctx(36), EPS, default_r_grid()) > 0
+    assert 1 <= len(walks) <= 4, walks
 
 
 def test_j_value_grows_toward_limit(ctx4):

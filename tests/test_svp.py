@@ -1,19 +1,23 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from cyclopack import linalg, svp
 from cyclopack.lattice import build_lattice
-from cyclopack.search import chi_radius_sq
+from cyclopack.search import certificate_from_json_dict, chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball,
                            enumerate_in_ball_with_norms, lll_reduce,
                            norm_counts, packing_density, shortest_norm_sq)
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq,
                      rational_enumerate_in_ball, rational_lll_reduce)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def frac_mat(rows):
@@ -169,6 +173,42 @@ def test_norm_counts_tally_the_enumerated_norms():
         tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius) if any(v))
         assert norm_counts(g, radius) == sorted(tally.items()), (trial, g, radius)
     assert norm_counts(linalg.identity(2), -1) == []
+
+
+def test_half_walk_emits_one_of_each_opposite_pair():
+    # the half walk's points and their negatives partition the full walk's
+    # points, with the origin emitted once
+    rng = random.Random(53)
+    grams = [[[Fraction(3)]]] + [random_rational_pd_gram(rng.randint(1, 6), rng)
+                                 for _ in range(60)]
+    for trial, g in enumerate(grams):
+        form = svp.PreparedForm(g)
+        n = len(g)
+        radius = Fraction(rng.randint(0, 60), rng.randint(1, 7)) if trial % 10 else Fraction(0)
+        full, half = [], []
+        form._walk([0] * n, radius, lambda s, k: full.append((tuple(s), k)))
+        form._walk([0] * n, radius, lambda s, k: half.append((tuple(s), k)), True)
+        negated = [(tuple(-x for x in s), k) for s, k in half if any(s)]
+        assert half.count(((0,) * n, 0)) == 1, (trial, g, radius)
+        assert Counter(half + negated) == Counter(full), (trial, g, radius)
+    with pytest.raises(ValueError):
+        svp.PreparedForm(grams[0])._walk([Fraction(1, 2)], Fraction(1), print, True)
+
+
+def test_norm_counts_tally_the_reference_lattices():
+    # the twisted Gram at its least reduced diagonal entry (the lambda_1 walk)
+    # and the ring at r^2 R^2 (the walk behind J(r) and N(0)), for every
+    # reference certificate
+    for path in sorted(REFERENCE.glob("m*.json")):
+        cert = certificate_from_json_dict(json.loads(path.read_text()))
+        ctx = get_ctx(cert.m)
+        gram = build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)).real_gram
+        balls = [(gram, svp.PreparedForm(gram).min_diagonal),
+                 (ctx.ok_gram, cert.r_sq * chi_radius_sq(ctx, cert.epsilon, 160).hi)]
+        for g, radius in balls:
+            tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius)
+                            if any(v))
+            assert norm_counts(g, radius) == sorted(tally.items()), (path.name, radius)
 
 
 # -- the integer core against the rational reference ----------------------------
