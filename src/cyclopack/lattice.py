@@ -13,10 +13,11 @@ denominator D, in codifferent coordinates for u and power-basis coordinates
 for v: build_lattice's rows are then [[I, 0], [X, I]] and D is the
 denominator of x in the codifferent. Both forms are integer products with the
 trace pairings of these bases, one Fraction per entry at the end. Membership,
-and with it the unit action and real multiplication checks, is one
-fraction-free elimination in N, with a ring integer acting through the same
-integral multiplication matrix in both bases: no field multiplication, and
-valid for any generators.
+and with it the unit action and real multiplication checks, reduces integer
+rows against a lower-triangular basis of N built once per lattice
+(build_lattice's rows are one already), with a ring integer acting through
+the same integral multiplication matrix in both bases: no field
+multiplication, no elimination, and valid for any generators.
 """
 from __future__ import annotations
 
@@ -97,14 +98,29 @@ class PolarizedLattice:
     def det_real_gram(self) -> Fraction:
         return linalg.determinant(self.real_gram)
 
+    @cached_property
+    def triangular_basis(self) -> list[list[int]] | None:
+        """Lower-triangular integer basis of the generator rows N, built on
+        first use; None if the generators are dependent. build_lattice's N is
+        D [[I, 0], [X, I]], already triangular, so this is a scan."""
+        return linalg.triangular_basis(self._rows)
+
     def _spans(self, rows) -> bool:
         """True iff the integer rows W (D times point coordinates) are W = C N
-        for an integer C: eliminating [N^T | W^T] leaves d C^T on the right,
-        d = +-det N. False also when the generators are dependent."""
-        n = len(self._rows)
-        mat = [[*a, *w] for a, w in zip(zip(*self._rows), zip(*rows))]
-        d = linalg.gauss_jordan(mat, n)
-        return d != 0 and all(c % d == 0 for r in mat for c in r[n:])
+        for an integer C: each row reduces to zero against the basis, from its
+        last coordinate down. False also when the generators are dependent."""
+        basis = self.triangular_basis
+        if basis is None:
+            return False
+        for w in rows:
+            w = list(w)
+            for h in reversed(basis):
+                q, rem = divmod(w.pop(), h[-1])
+                if rem:
+                    return False
+                if q:
+                    w = [a - q * b for a, b in zip(w, h)]
+        return True
 
     def _maps_into_itself(self, mu, mv) -> bool:
         """True iff (u, v) -> (a u, b v) maps the lattice into itself, for

@@ -56,6 +56,10 @@ from .svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts, prepar
 from .tables import phi
 
 MAX_PRECISION = 4096
+# the largest g = phi(m) a stored certificate may have: twice g = 16, where
+# one certify already takes minutes; a larger file is rejected before phi
+# or a context is computed
+MAX_G = 32
 
 CHECK_NAMES = ("integrality", "unimodular", "g_stable", "real_mult")
 
@@ -479,6 +483,8 @@ def certificate_from_json_dict(d: dict) -> Certificate:
                      precision=cert.precision_bits).validate()
         # phi(m) >= sqrt(m/2) rejects a huge m before phi or a context is computed
         k = len(cert.x_coords)
+        if k > MAX_G:
+            raise ValueError(f"x has {k} coordinates, above the cap g <= {MAX_G}")
         if cert.m > 2 * k * k + 1 or phi(cert.m) != k:
             raise ValueError(f"x has {k} coordinates, expected phi(m) for m={cert.m}")
         if cert.r_sq <= 0:

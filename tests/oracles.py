@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 import mpmath
 
+from cyclopack import linalg
 from cyclopack.cyclotomic import cyclotomic_polynomial
 from cyclopack.intervals import IntervalValue
 from cyclopack.search import chi_radius_sq, refine
@@ -238,8 +239,9 @@ def rational_enumerate_in_ball(gram, center, radius_sq):
 
 # -- Fraction elimination and the block membership formula ----------------------
 #
-# The determinant, solve and lattice membership as the library computed them
-# before it moved to one fraction-free elimination on integer rows.
+# The determinant and solve as the library computed them before it moved to
+# one fraction-free elimination on integer rows, and lattice membership as it
+# computed it before it moved to a triangular basis.
 
 def fraction_determinant(a) -> Fraction:
     """Determinant by Gaussian elimination on Fractions."""
@@ -282,6 +284,20 @@ def fraction_solve(a, b):
                 for c in range(col, n + 1):
                     m[r][c] -= f * m[col][c]
     return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def elimination_spans(ctx, generators, points) -> bool:
+    """True iff every (u, v) of points is an integer combination of the
+    (u, v) generators, by one fraction-free elimination of [N^T | W^T]: with
+    N and W the generator and point rows over one common denominator,
+    W = C N for an integer C iff the right block ends as d C^T, d = +-det N.
+    False also when the generators are dependent."""
+    rows, _ = linalg.integer_matrix(
+        [ctx.coords_in_codiff(u) + list(v.coords) for u, v in (*generators, *points)])
+    n = len(generators)
+    mat = [[*a, *w] for a, w in zip(zip(*rows[:n]), zip(*rows[n:]))]
+    d = linalg.gauss_jordan(mat, n)
+    return d != 0 and all(c % d == 0 for r in mat for c in r[n:])
 
 
 def block_contains(ctx, x, u, v) -> bool:

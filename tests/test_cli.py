@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from cyclopack import linalg
 from cyclopack.cli import build_parser, main
 from cyclopack.cyclotomic import CyclotomicContext
-from cyclopack.search import CHECK_NAMES
+from cyclopack.search import CHECK_NAMES, MAX_G
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,6 +143,20 @@ def test_certify_rejects_out_of_domain_fields(tmp_path, capsys, field, value):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+def test_certify_rejects_g_above_cap_at_once(tmp_path, capsys):
+    # phi(1009) = 1008, so the coordinate count alone is consistent with m;
+    # the cap on g rejects the file before a context build that grows as g^3
+    doc = json.loads((ROOT / "perfbench" / "reference" / "m12.json").read_text())
+    doc.update(m=1009, g=1008, x=["0/1"] * 1008)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "certify", str(cert))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"g <= {MAX_G}" in err
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -8,7 +8,7 @@ from cyclopack import linalg
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.lattice import PolarizedLattice, build_lattice
 from conftest import get_ctx
-from oracles import block_contains
+from oracles import block_contains, elimination_spans
 from test_cyclotomic import random_element
 
 
@@ -201,9 +201,61 @@ def test_real_multiplication():
     assert build_lattice(ctx12, Fraction(5, 2), ctx12.zero()).has_real_multiplication()
 
 
+def _mixed(pairs, rng):
+    """Other generators of the same lattice: shuffled, then mixed by
+    elementary integer row operations p_i += k p_j."""
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    for _ in range(3 * len(pairs)):
+        i, j = rng.sample(range(len(pairs)), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        pairs[i] = (pairs[i][0] + k * pairs[j][0], pairs[i][1] + k * pairs[j][1])
+    return pairs
+
+
+def test_membership_matches_elimination():
+    # contains and both checks against the [N^T | W^T] elimination, on
+    # build_lattice's triangular generators, the same lattice from mixed
+    # generators (Euclid does real work), an index-2 sublattice of it, and
+    # dependent generators, where every answer is False; the points are
+    # integer combinations of build_lattice's generators, about half of them
+    # with a half-step along one
+    rng = random.Random(67)
+    answers = []
+    for m in (3, 4, 5, 8, 12, 30):
+        ctx = get_ctx(m)
+        x = random_element(ctx, rng)
+        gens = build_lattice(ctx, 1, x).generators
+        mixed = _mixed(gens, rng)
+        sub = [(2 * mixed[0][0], 2 * mixed[0][1])] + mixed[1:]
+        repeated = mixed[:-1] + [mixed[0]]
+        z, zi = ctx.zeta(1), ctx.zeta(-1)
+        t = z + zi
+        for pairs in (gens, mixed, sub, repeated):
+            lat = PolarizedLattice(ctx, 1, x, pairs)
+            got = [lat.is_g_stable(), lat.has_real_multiplication()]
+            want = [elimination_spans(ctx, pairs, [(z * u, zi * v) for u, v in pairs]),
+                    elimination_spans(ctx, pairs, [(t * u, t * v) for u, v in pairs])]
+            for _ in range(6):
+                coeffs = [Fraction(rng.randint(-2, 2)) for _ in gens]
+                if rng.random() < 0.5:
+                    coeffs[rng.randrange(len(gens))] += Fraction(1, 2)
+                u = sum((c * a for c, (a, _) in zip(coeffs, gens)), ctx.zero())
+                v = sum((c * b for c, (_, b) in zip(coeffs, gens)), ctx.zero())
+                got.append(lat.contains(u, v))
+                want.append(elimination_spans(ctx, pairs, [(u, v)]))
+            assert got == want, (m, pairs is sub)
+            if pairs is repeated:
+                assert not any(got)
+            answers += got
+    assert answers.count(True) > 50 and answers.count(False) > 50
+
+
 def test_checks_need_no_field_multiplication(monkeypatch):
     # the unit action and real multiplication act on the integer generator
-    # rows through multiplication matrices, never through field products
+    # rows through multiplication matrices, never through field products, and
+    # membership reduces against a triangular basis built once per lattice,
+    # never through an elimination
     ctx = get_ctx(12)
     lat = build_lattice(ctx, Fraction(5, 2), Fraction(1, 8) * ctx.codiff_basis[1])
 
@@ -211,8 +263,21 @@ def test_checks_need_no_field_multiplication(monkeypatch):
         raise AssertionError("field multiplication in a structural check")
     monkeypatch.setattr(CyclotomicContext, "mul", no_field_arithmetic)
     monkeypatch.setattr(CyclotomicContext, "conj", no_field_arithmetic)
+
+    def no_elimination(*args):
+        raise AssertionError("elimination in a structural check")
+    monkeypatch.setattr(linalg, "gauss_jordan", no_elimination)
+    built = []
+    triangular_basis = linalg.triangular_basis
+
+    def counted(rows):
+        built.append(rows)
+        return triangular_basis(rows)
+    monkeypatch.setattr(linalg, "triangular_basis", counted)
     assert lat.is_g_stable() and lat.has_real_multiplication()
     assert lat.contains(*lat.generators[3])
+    assert not lat.contains(Fraction(1, 2) * lat.generators[3][0], lat.generators[3][1])
+    assert len(built) == 1
 
 
 def test_serialization_schema(ctx4):
