@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed checks or certificate mismatch, 2 invalid
-input or malformed file, 3 no witness within the sample budget. Output
+COMMANDS is the whole command line, read by parse_args without argparse,
+whose parser tree and gettext import cost a cold certify more than any one
+of its arithmetic stages. Exit codes: 0 success, 1 failed checks or
+certificate mismatch, 2 invalid input, usage error (one "error:" line) or
+malformed file, 3 no witness within the sample budget. Output
 files are written atomically (write-then-rename); rationals are serialized
 as exact "p/q" strings so certificates round-trip bit-for-bit.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from .cyclotomic import CyclotomicContext
 from .ioutil import atomic_write, dump_json, parse_rat
@@ -107,63 +110,110 @@ def cmd_primorial(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclopack",
-        description="Certified packing bounds for principally polarized abelian "
-                    "varieties built from cyclotomic ideal lattices.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
 
-    p = sub.add_parser("construct", help="build a lattice and run its checks")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r2", required=True, help="rational r^2 > 0, e.g. 2 or 7/2")
-    p.add_argument("--x", default="0", help="0 or g comma-separated rationals "
-                                            "(power-basis coordinates)")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_construct)
+# name -> (handler, help, positionals, {flag: (type, default, help)}), where a
+# type is int, str or the tuple of allowed values
+COMMANDS = {
+    "construct": (cmd_construct, "build a lattice and run its checks", (), {
+        "m": (int, REQUIRED, "the field Q(zeta_m), m >= 3"),
+        "r2": (str, REQUIRED, "rational r^2 > 0, e.g. 2 or 7/2"),
+        "x": (str, "0", "0 or g comma-separated rationals (power-basis coordinates)"),
+        "out": (str, None, "output file; stdout if absent")}),
+    "search": (cmd_search, "search for a certified witness", (), {
+        "m": (int, REQUIRED, "the field Q(zeta_m), m >= 3"),
+        "epsilon": (str, str(SearchConfig.epsilon), "rational slack in 4^g V > m - epsilon"),
+        "budget": (int, SearchConfig.budget, "twists to draw before giving up"),
+        "seed": (int, SearchConfig.seed, "seed of the twist stream"),
+        "denom": (int, SearchConfig.denom, "denominator of the twist coordinates"),
+        "precision": (int, SearchConfig.precision, "interval precision in bits"),
+        "out": (str, None, "output file; stdout if absent")}),
+    "certify": (cmd_certify, "recompute and verify a stored certificate", ("cert_path",), {}),
+    "verify": (cmd_verify, "run the exact property suites", (), {
+        "m": (int, REQUIRED, "the field Q(zeta_m), m >= 3"),
+        "trials": (int, 100, "random instances per suite"),
+        "seed": (int, 0, "seed of the instances")}),
+    "table": (cmd_table, "bound table by dimension", (), {
+        "g": (str, REQUIRED, "comma-separated dimensions"),
+        "format": (("csv", "json"), "csv", "csv or json"),
+        "out": (str, None, "output file; stdout if absent")}),
+    "primorial": (cmd_primorial, "primorial witness row", (), {
+        "x": (int, REQUIRED, "m is the product of the primes <= x"),
+        "format": (("csv", "json"), "json", "csv or json"),
+        "out": (str, None, "output file; stdout if absent")}),
+}
 
-    p = sub.add_parser("search", help="search for a certified witness")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", default=str(SearchConfig.epsilon))
-    p.add_argument("--budget", type=int, default=SearchConfig.budget)
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--denom", type=int, default=SearchConfig.denom)
-    p.add_argument("--precision", type=int, default=SearchConfig.precision,
-                   help="interval precision in bits")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("certify", help="recompute and verify a stored certificate")
-    p.add_argument("cert_path")
-    p.set_defaults(fn=cmd_certify)
+def _show_help(name: str | None) -> int:
+    if name is None:
+        head = "usage: cyclopack COMMAND [--flag value ...]; COMMAND --help lists its flags"
+        rows = [(n, spec[1]) for n, spec in COMMANDS.items()]
+    else:
+        _, text, positionals, flags = COMMANDS[name]
+        head = f"usage: cyclopack {name} {' '.join(positionals) or '[--flag value ...]'}\n\n{text}"
+        rows = [(f"--{f}", about + ("" if d is None else " (required)" if d is REQUIRED
+                                    else f" (default {d})")) for f, (_, d, about) in flags.items()]
+    sys.stdout.write("\n".join([head, "", *(f"  {a:<12} {b}" for a, b in rows)]) + "\n")
+    return 0
 
-    p = sub.add_parser("verify", help="run the exact property suites")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("table", help="bound table by dimension")
-    p.add_argument("--g", required=True, help="comma-separated dimensions")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_table)
+def _value(flag: str, kind, raw: str):
+    choices = isinstance(kind, tuple)
+    try:
+        return kind[kind.index(raw)] if choices else kind(raw)
+    except ValueError:
+        wanted = f"one of {', '.join(kind)}" if choices else f"an {kind.__name__}"
+        raise ValueError(f"argument --{flag}: {raw!r} is not {wanted}") from None
 
-    p = sub.add_parser("primorial", help="primorial witness row")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_primorial)
 
-    return parser
+def parse_args(argv: list[str]):
+    """(handler, arguments) for a command line, or ValueError saying why it
+    does not fit COMMANDS. A flag takes one value, as --flag value or
+    --flag=value, and may be shortened to a unique prefix; the last of a
+    repeated flag wins; tokens after -- are positionals."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return _show_help, None
+    if name not in COMMANDS:
+        raise ValueError(f"a command is required, one of {', '.join(COMMANDS)}"
+                         + (f"; {name!r} is not one" if name else ""))
+    fn, _, positionals, flags = COMMANDS[name]
+    names, values, loose, extra, options = [*flags, "help"], {}, [], [], True
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if options and tok == "--":
+            options = False
+        elif options and (tok == "-h" or tok.startswith("--")):
+            key, eq, raw = ("help" if tok == "-h" else tok[2:]).partition("=")
+            match = [key] if key in names else [n for n in names if key and n.startswith(key)]
+            flag = match[0] if len(match) == 1 else None
+            if flag is None:
+                extra.append(tok)
+            elif flag == "help":
+                return _show_help, name
+            else:
+                if not eq and (raw := next(tokens, None)) is None:
+                    raise ValueError(f"argument --{flag}: expected one argument")
+                values[flag] = _value(flag, flags[flag][0], raw)
+        else:
+            (loose if len(loose) < len(positionals) else extra).append(tok)
+    missing = [f"--{f}" for f, spec in flags.items() if spec[1] is REQUIRED and f not in values]
+    missing += positionals[len(loose):]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    args = {f: spec[1] for f, spec in flags.items()} | values | dict(zip(positionals, loose))
+    return fn, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # the one place that maps errors to exit codes; a malformed certificate
-    # (CertificateFormatError, JSONDecodeError) is a ValueError
+    # the one place that maps errors to exit codes; a usage error and a
+    # malformed certificate (CertificateFormatError, JSONDecodeError) are
+    # ValueErrors
     try:
-        return args.fn(args)
+        fn, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return fn(args)
     except SearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 3

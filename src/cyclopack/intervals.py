@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 
 def int_nth_root(n: int, k: int) -> int:
@@ -157,22 +157,20 @@ class IntervalValue:
 def _arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
     """Bracketing partial sums of arctan(1/q) for integer q >= 2.
 
-    The series is alternating with strictly decreasing terms, so consecutive
-    partial sums enclose the limit.
+    The series sum_j (-1)^j / ((2j+1) q^(2j+1)) is alternating with strictly
+    decreasing terms, so consecutive partial sums enclose the limit. The sums
+    up to the first term n >= 1 below 2^-tail_bits, and the one before, are
+    integers over lcm(1, 3, ..., 2n+1) q^(2n+1), reduced once each.
     """
-    term = Fraction(1, q)
-    total = term
-    j = 1
-    q2 = q * q
-    limit = Fraction(1, 1 << tail_bits)
-    while True:
-        term = Fraction(term.numerator, term.denominator * q2)
-        t = term / (2 * j + 1)
-        prev = total
-        total = total - t if j % 2 else total + t
-        j += 1
-        if t < limit:
-            return (min(prev, total), max(prev, total))
+    n, qn, q2 = 1, q ** 3, q * q  # qn = q^(2n+1)
+    while (2 * n + 1) * qn <= 1 << tail_bits:
+        n, qn = n + 1, qn * q2
+    odd_lcm = lcm(*range(1, 2 * n + 2, 2))
+    num = 0
+    for j in range(n + 1):
+        num = num * q2 + (-1) ** j * (odd_lcm // (2 * j + 1))
+    den, term = odd_lcm * qn, (-1) ** n * (odd_lcm // (2 * n + 1))
+    return tuple(sorted((Fraction(num, den), Fraction(num - term, den))))
 
 
 @lru_cache(maxsize=None)

@@ -374,10 +374,9 @@ def run_checks(lat) -> dict[str, bool]:
 
 
 def _certificate_at(config: SearchConfig, lat: PolarizedLattice, n_value: int,
-                    sample_index: int) -> Certificate:
+                    sample_index: int, lam: Fraction) -> Certificate:
     ctx = lat.ctx
     checks = run_checks(lat)
-    lam = shortest_norm_sq(lat.real_gram)
     bound_lo = certified_lower_bound(2 * ctx.g, lam, ctx.m - config.epsilon,
                                      config.precision)
     return Certificate(
@@ -409,7 +408,8 @@ def search(config: SearchConfig) -> Certificate:
     # ring norms that J(r) enumerated, and the sampled twists start at index 1
     n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
     if n0 == 0:
-        return _certificate_at(config, build_lattice(ctx, r_sq, ctx.zero()), 0, 0)
+        lat = build_lattice(ctx, r_sq, ctx.zero())
+        return _certificate_at(config, lat, 0, 0, shortest_norm_sq(lat.real_gram))
     g, bound = ctx.g, ctx.m - config.epsilon
     for i in range(1, config.budget):
         lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
@@ -420,7 +420,7 @@ def search(config: SearchConfig) -> Certificate:
                 or chi_norm_sq(2 * g, form.shortest_norm_sq(), bound, config.precision)):
             continue
         if count_N(lat, config.epsilon, config.precision) == 0:
-            return _certificate_at(config, lat, 0, i)
+            return _certificate_at(config, lat, 0, i, form.shortest_norm_sq())
     raise SearchBudgetExceeded(config.m, _budget_histogram(config, ctx, r_sq, n0))
 
 
@@ -513,10 +513,10 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
                                      "inside the chi ball, so lambda1 < R")
     lat = build_lattice(ctx, cert.r_sq, x)
-    shortest_norm_sq(lat.real_gram)  # lambda1 first: a count ball below it needs no walk
+    lam = shortest_norm_sq(lat.real_gram)  # lambda1 first: a count ball below it needs no walk
     n = count_N(lat, cert.epsilon, precision)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
                           precision=precision)
-    fresh = _certificate_at(config, lat, n, cert.sample_index)
+    fresh = _certificate_at(config, lat, n, cert.sample_index, lam)
     return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
                    if getattr(fresh, k) != getattr(cert, k)]

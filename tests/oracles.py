@@ -9,6 +9,7 @@ test files were produced by these oracles.
 """
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -16,10 +17,10 @@ from math import gcd, isqrt
 
 import mpmath
 
-from cyclopack import linalg
+from cyclopack import cli, linalg
 from cyclopack.cyclotomic import cyclotomic_polynomial
 from cyclopack.intervals import IntervalValue
-from cyclopack.search import chi_radius_sq, refine
+from cyclopack.search import SearchConfig, chi_radius_sq, refine
 from cyclopack.svp import ball_volume, enumerate_in_ball_with_norms
 
 
@@ -414,3 +415,80 @@ def poly_mul(a, b) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+# -- the command line as argparse parsed it ------------------------------------
+#
+# The parser tree cli.COMMANDS replaced, flag for flag; each subparser sets
+# fn to the command's handler.
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cyclopack",
+        description="Certified packing bounds for principally polarized abelian "
+                    "varieties built from cyclotomic ideal lattices.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("construct", help="build a lattice and run its checks")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--r2", required=True, help="rational r^2 > 0, e.g. 2 or 7/2")
+    p.add_argument("--x", default="0", help="0 or g comma-separated rationals "
+                                            "(power-basis coordinates)")
+    p.add_argument("--out")
+    p.set_defaults(fn=cli.cmd_construct)
+
+    p = sub.add_parser("search", help="search for a certified witness")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--epsilon", default=str(SearchConfig.epsilon))
+    p.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--denom", type=int, default=SearchConfig.denom)
+    p.add_argument("--precision", type=int, default=SearchConfig.precision,
+                   help="interval precision in bits")
+    p.add_argument("--out")
+    p.set_defaults(fn=cli.cmd_search)
+
+    p = sub.add_parser("certify", help="recompute and verify a stored certificate")
+    p.add_argument("cert_path")
+    p.set_defaults(fn=cli.cmd_certify)
+
+    p = sub.add_parser("verify", help="run the exact property suites")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=cli.cmd_verify)
+
+    p = sub.add_parser("table", help="bound table by dimension")
+    p.add_argument("--g", required=True, help="comma-separated dimensions")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out")
+    p.set_defaults(fn=cli.cmd_table)
+
+    p = sub.add_parser("primorial", help="primorial witness row")
+    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--out")
+    p.set_defaults(fn=cli.cmd_primorial)
+
+    return parser
+
+
+# -- arctan(1/q) term by term ---------------------------------------------------
+
+def fraction_arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
+    """The partial sums of arctan(1/q) that enclose it, as reduced Fractions
+    added one term at a time, stopping after the first term below
+    2^-tail_bits: the loop intervals._arctan_inv_brackets replaced."""
+    term = Fraction(1, q)
+    total = term
+    j = 1
+    q2 = q * q
+    limit = Fraction(1, 1 << tail_bits)
+    while True:
+        term = Fraction(term.numerator, term.denominator * q2)
+        t = term / (2 * j + 1)
+        prev = total
+        total = total - t if j % 2 else total + t
+        j += 1
+        if t < limit:
+            return (min(prev, total), max(prev, total))

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from cyclopack import linalg
-from cyclopack.cli import build_parser, main
+from cyclopack.cli import COMMANDS, main, parse_args
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.search import CHECK_NAMES, MAX_G
+from oracles import argparse_parser
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,13 +95,57 @@ def test_search_rejects_the_removed_workers_flag():
 
 
 def test_readme_search_bullet_names_exactly_the_parser_flags():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {opt for action in sub.choices["search"]._actions
-             for opt in action.option_strings if opt not in ("-h", "--help")}
+    flags = {f"--{flag}" for flag in COMMANDS["search"][3]}
     readme = (ROOT / "README.md").read_text()
     bullet = re.search(r"^\* `search`.*?(?=^\* |^$)", readme, re.M | re.S).group()
     assert set(re.findall(r"--[a-z][a-z0-9-]*", bullet)) == flags
+
+
+def _sample(action) -> str:
+    """A value argparse accepts for action."""
+    if not action.option_strings:
+        return "cert.json"
+    return action.choices[-1] if action.choices else "7" if action.type is int else "1/3"
+
+
+def test_parser_matches_argparse(capsys):
+    oracle = argparse_parser()
+    subs = next(a for a in oracle._actions if isinstance(a, argparse._SubParsersAction)).choices
+    readme = (ROOT / "README.md").read_text()
+    valid = [line.split()[1:] for line in readme.splitlines() if line.startswith("cyclopack ")]
+    assert len(valid) == 6
+    for name, sub in subs.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        base = [name] + [tok for a in actions if a.required
+                         for tok in (*a.option_strings[:1], _sample(a))]
+        for a in actions:
+            if a.option_strings:
+                flag, value = a.option_strings[0], _sample(a)
+                valid += [base + [flag, value], base + [f"{flag}={value}"]]
+        assert main([name, "-h"]) == 0
+        out = capsys.readouterr().out
+        assert all(a.option_strings[0] in out for a in actions if a.option_strings)
+    valid += [["search", "--m", "4", "--seed", "-1"],
+              ["search", "--seed", "1", "--m", "4", "--seed=2"],
+              ["search", "--prec", "256", "--m", "4"],
+              ["certify", "--", "--cert.json"]]
+    for argv in valid:
+        expected = vars(oracle.parse_args(argv))
+        fn, args = parse_args(argv)
+        assert fn is expected.pop("fn") and expected.pop("command") == argv[0], argv
+        assert vars(args) == expected, argv
+
+    invalid = [[], ["bogus"], ["search"], ["search", "--m"], ["search", "--m", "x"],
+               ["table", "--g", "2", "--format", "xml"], ["certify", "a.json", "b.json"],
+               ["search", "--m", "4", "--workers", "2"]]
+    for argv in invalid:
+        with pytest.raises(ValueError):
+            parse_args(argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:"), argv
+        with pytest.raises(SystemExit):
+            oracle.parse_args(argv)
+        capsys.readouterr()
 
 
 def test_certify_detects_tampering(tmp_path, capsys):
@@ -160,11 +205,17 @@ def test_certify_rejects_g_above_cap_at_once(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_mpmath():
-    # nor multiprocessing: every command, search included, runs in one process
-    proc = run_python("-c", "import sys, cyclopack.cli; "
-                            "print('mpmath' in sys.modules, 'multiprocessing' in sys.modules)")
+    # nor multiprocessing: every command, search included, runs in one process;
+    # nor argparse, gettext or locale, whose import is most of a cold parse
+    heavy = ("mpmath", "multiprocessing", "argparse", "gettext", "locale")
+    proc = run_python("-c", f"import sys, cyclopack.cli as cli\nheavy = {heavy!r}\n"
+                            "print([m for m in heavy if m in sys.modules])\n"
+                            "code = cli.main(['certify', sys.argv[1]])\n"
+                            "print([m for m in heavy if m in sys.modules], code)",
+                      str(ROOT / "perfbench" / "reference" / "m12.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[] 0")
 
 
 def test_python_m_cyclopack_runs_cli():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cyclopack.intervals import IntervalValue, int_nth_root, pi_interval
+from cyclopack.intervals import IntervalValue, _arctan_inv_brackets, int_nth_root, pi_interval
+from oracles import fraction_arctan_inv_brackets
 
 
 def as_mpf(x: Fraction, prec=400):
@@ -34,6 +35,14 @@ def test_pi_enclosure_and_nesting():
                 assert prev.contains_interval(iv)
                 assert iv.width < prev.width
             prev = iv
+
+
+def test_arctan_brackets_match_the_term_by_term_sums():
+    # every tail up to 600 bits (pi_interval asks for precision + 16), then a
+    # spread up to 4400; the sums, not just the enclosure, must be the same
+    for q in (5, 239):
+        for tail in (*range(24, 600), *range(600, 4401, 149)):
+            assert _arctan_inv_brackets(q, tail) == fraction_arctan_inv_brackets(q, tail)
 
 
 def test_midpoints_refine_within_coarser_enclosures():
