@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 from .cyclotomic import CyclotomicContext
@@ -101,16 +100,21 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         _emit(bound_table_csv(rows), args.out)
     else:
-        _emit(dump_json([asdict(r) for r in rows]), args.out)
+        _emit(dump_json([r._asdict() for r in rows]), args.out)
     return 0
 
 
 def cmd_primorial(args) -> int:
-    _emit(dump_json(asdict(primorial_row(args.x))), args.out)
+    row = primorial_row(args.x)
+    if args.format == "csv":
+        _emit(f"{','.join(row._fields)}\n{','.join(map(str, row))}\n", args.out)
+    else:
+        _emit(dump_json(row._asdict()), args.out)
     return 0
 
 
 REQUIRED = object()  # the default of a flag that must be given
+SEARCH_DEFAULTS = SearchConfig._field_defaults
 
 # name -> (handler, help, positionals, {flag: (type, default, help)}), where a
 # type is int, str or the tuple of allowed values
@@ -122,11 +126,12 @@ COMMANDS = {
         "out": (str, None, "output file; stdout if absent")}),
     "search": (cmd_search, "search for a certified witness", (), {
         "m": (int, REQUIRED, "the field Q(zeta_m), m >= 3"),
-        "epsilon": (str, str(SearchConfig.epsilon), "rational slack in 4^g V > m - epsilon"),
-        "budget": (int, SearchConfig.budget, "twists to draw before giving up"),
-        "seed": (int, SearchConfig.seed, "seed of the twist stream"),
-        "denom": (int, SearchConfig.denom, "denominator of the twist coordinates"),
-        "precision": (int, SearchConfig.precision, "interval precision in bits"),
+        "epsilon": (str, str(SEARCH_DEFAULTS["epsilon"]),
+                    "rational slack in 4^g V > m - epsilon"),
+        "budget": (int, SEARCH_DEFAULTS["budget"], "twists to draw before giving up"),
+        "seed": (int, SEARCH_DEFAULTS["seed"], "seed of the twist stream"),
+        "denom": (int, SEARCH_DEFAULTS["denom"], "denominator of the twist coordinates"),
+        "precision": (int, SEARCH_DEFAULTS["precision"], "interval precision in bits"),
         "out": (str, None, "output file; stdout if absent")}),
     "certify": (cmd_certify, "recompute and verify a stored certificate", ("cert_path",), {}),
     "verify": (cmd_verify, "run the exact property suites", (), {

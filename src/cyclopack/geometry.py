@@ -10,7 +10,7 @@ every norm and pairing an exact rational.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -18,16 +18,15 @@ from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
+class ComplexPoint(namedtuple("ComplexPoint", "x y")):
     """The point x + iy of C^g with x, y rational points of E."""
 
-    x: CycloElement
-    y: CycloElement
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x.ctx.m != self.y.ctx.m:
+    def __new__(cls, x: CycloElement, y: CycloElement) -> ComplexPoint:
+        if x.ctx.m != y.ctx.m:
             raise ValueError("components from different cyclotomic fields")
+        return super().__new__(cls, x, y)
 
     @property
     def ctx(self) -> CyclotomicContext:

@@ -38,9 +38,8 @@ r^2, x, precision).
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -97,14 +96,9 @@ def default_r_grid() -> Iterator[Fraction]:
     return count(Fraction(1, 2), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    m: int
-    epsilon: Fraction = Fraction(1, 2)
-    denom: int = 8
-    budget: int = 1000
-    seed: int = 0
-    precision: int = 128
+class SearchConfig(namedtuple("SearchConfig", "m epsilon denom budget seed precision",
+                              defaults=(Fraction(1, 2), 8, 1000, 0, 128))):
+    __slots__ = ()
 
     @property
     def r_grid(self) -> Iterator[Fraction]:
@@ -124,23 +118,14 @@ class SearchConfig:
                              f"got {self.precision}")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "m g epsilon r_sq x_coords lambda1_sq n_value "
+                             "bound_lo checks precision_bits seed sample_index")):
     """Exact witness of v_2g * lambda1(Gamma)^2g > m - epsilon together with
-    the structural checks of the underlying polarized lattice."""
+    the structural checks of the underlying polarized lattice: x_coords is a
+    tuple and checks a dict of CHECK_NAMES to bool; epsilon, r_sq, lambda1_sq
+    and bound_lo are Fractions."""
 
-    m: int
-    g: int
-    epsilon: Fraction
-    r_sq: Fraction
-    x_coords: tuple[Fraction, ...]
-    lambda1_sq: Fraction
-    n_value: int
-    bound_lo: Fraction
-    checks: dict[str, bool]
-    precision_bits: int
-    seed: int
-    sample_index: int
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         return (self.n_value == 0

@@ -13,7 +13,7 @@ baseline 2 (the buser_sarnak column) and record whether the thresholds 3g
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 EULER_GAMMA = 0.5772156649015329  # diagnostic use only
 
@@ -68,18 +68,10 @@ def _is_power_of_two(g: int) -> bool:
     return g >= 1 and g & (g - 1) == 0
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """One table row: the certified bound 4^g V_g >= m_best (m_best = 0 means
-    no witness exists for this g). The threshold flags are vacuously true
-    where the corresponding statement does not apply."""
-
-    g: int
-    m_best: int
-    bound_num: int
-    buser_sarnak: int
-    cor12_alpha_ok: bool
-    cor12_beta_ok: bool
+# One table row: the certified bound 4^g V_g >= m_best (m_best = 0 means no
+# witness exists for this g). The threshold flags are vacuously true where
+# the corresponding statement does not apply.
+BoundRow = namedtuple("BoundRow", "g m_best bound_num buser_sarnak cor12_alpha_ok cor12_beta_ok")
 
 
 def bound_table(g_list) -> list[BoundRow]:
@@ -116,12 +108,8 @@ def primes_up_to(x: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-@dataclass(frozen=True)
-class PrimorialRow:
-    m: int
-    g: int
-    bound: str
-    asymptotic_diag: float  # e^gamma * g * ln ln g, never certified
+# asymptotic_diag is e^gamma * g * ln ln g, never certified
+PrimorialRow = namedtuple("PrimorialRow", "m g bound asymptotic_diag")
 
 
 def primorial_row(x: int) -> PrimorialRow:

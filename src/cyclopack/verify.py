@@ -9,7 +9,7 @@ first failing instance verbatim so a defect is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -19,11 +19,7 @@ from .lattice import build_lattice
 from .search import count_N, default_r_grid, sample_x, select_r
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: dict | None = None
+SuiteResult = namedtuple("SuiteResult", "name passed detail", defaults=(None,))
 
 
 def _random_element(ctx: CyclotomicContext, rng: random.Random):

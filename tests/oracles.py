@@ -438,12 +438,13 @@ def argparse_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cli.cmd_construct)
 
     p = sub.add_parser("search", help="search for a certified witness")
+    defaults = SearchConfig._field_defaults
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", default=str(SearchConfig.epsilon))
-    p.add_argument("--budget", type=int, default=SearchConfig.budget)
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--denom", type=int, default=SearchConfig.denom)
-    p.add_argument("--precision", type=int, default=SearchConfig.precision,
+    p.add_argument("--epsilon", default=str(defaults["epsilon"]))
+    p.add_argument("--budget", type=int, default=defaults["budget"])
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--denom", type=int, default=defaults["denom"])
+    p.add_argument("--precision", type=int, default=defaults["precision"],
                    help="interval precision in bits")
     p.add_argument("--out")
     p.set_defaults(fn=cli.cmd_search)

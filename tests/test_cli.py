@@ -12,7 +12,10 @@ import pytest
 from cyclopack import linalg
 from cyclopack.cli import COMMANDS, main, parse_args
 from cyclopack.cyclotomic import CyclotomicContext
-from cyclopack.search import CHECK_NAMES, MAX_G
+from cyclopack.geometry import ComplexPoint
+from cyclopack.search import CHECK_NAMES, MAX_G, SearchConfig, certificate_from_json_dict
+from cyclopack.tables import bound_table, primorial_row
+from cyclopack.verify import SuiteResult
 from oracles import argparse_parser
 
 
@@ -206,8 +209,10 @@ def test_certify_rejects_g_above_cap_at_once(tmp_path, capsys):
 
 def test_cli_import_does_not_load_mpmath():
     # nor multiprocessing: every command, search included, runs in one process;
-    # nor argparse, gettext or locale, whose import is most of a cold parse
-    heavy = ("mpmath", "multiprocessing", "argparse", "gettext", "locale")
+    # nor argparse, gettext or locale, whose import is most of a cold parse;
+    # nor dataclasses and the inspect it pulls in: the records are namedtuples
+    heavy = ("mpmath", "multiprocessing", "argparse", "gettext", "locale",
+             "dataclasses", "inspect")
     proc = run_python("-c", f"import sys, cyclopack.cli as cli\nheavy = {heavy!r}\n"
                             "print([m for m in heavy if m in sys.modules])\n"
                             "code = cli.main(['certify', sys.argv[1]])\n"
@@ -283,6 +288,87 @@ def test_primorial(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["m"] == 30 and doc["g"] == 8
+    assert run(capsys, "primorial", "--x", "5", "--format", "json") == (0, out, "")
+
+
+def test_primorial_csv(capsys):
+    code, out, _ = run(capsys, "primorial", "--x", "5", "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "m,g,bound,asymptotic_diag"
+    assert row.split(",") == ["30", "8", "4^g*V_g >= 30", str(primorial_row(5).asymptotic_diag)]
+
+
+TABLE_JSON = """\
+[
+  {
+    "bound_num": 6,
+    "buser_sarnak": 2,
+    "cor12_alpha_ok": true,
+    "cor12_beta_ok": true,
+    "g": 2,
+    "m_best": 6
+  },
+  {
+    "bound_num": 0,
+    "buser_sarnak": 2,
+    "cor12_alpha_ok": true,
+    "cor12_beta_ok": true,
+    "g": 3,
+    "m_best": 0
+  },
+  {
+    "bound_num": 12,
+    "buser_sarnak": 2,
+    "cor12_alpha_ok": true,
+    "cor12_beta_ok": true,
+    "g": 4,
+    "m_best": 12
+  },
+  {
+    "bound_num": 30,
+    "buser_sarnak": 2,
+    "cor12_alpha_ok": true,
+    "cor12_beta_ok": true,
+    "g": 8,
+    "m_best": 30
+  }
+]
+"""
+
+PRIMORIAL_JSON = """\
+{
+  "asymptotic_diag": 115.71825249723287,
+  "bound": "4^g*V_g >= 210",
+  "g": 48,
+  "m": 210
+}
+"""
+
+
+def test_records_are_frozen_values_with_unchanged_output(capsys):
+    ctx3, ctx4 = CyclotomicContext(3), CyclotomicContext(4)
+    doc = json.loads((ROOT / "perfbench" / "reference" / "m12.json").read_text())
+    records = {  # a builder of each record, and one of its fields
+        "ComplexPoint": (lambda: ComplexPoint(ctx3.element([1, 2]), ctx3.zero()), "y"),
+        "SearchConfig": (lambda: SearchConfig(m=4, seed=3), "seed"),
+        "Certificate": (lambda: certificate_from_json_dict(doc), "lambda1_sq"),
+        "BoundRow": (lambda: bound_table([4])[0], "m_best"),
+        "PrimorialRow": (lambda: primorial_row(5), "bound"),
+        "SuiteResult": (lambda: SuiteResult("stability", True), "passed"),
+    }
+    for name, (build, field) in records.items():
+        a, b = build(), build()
+        assert type(a).__name__ == name and a == b and a is not b, name
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        assert a == b, name
+    with pytest.raises(ValueError, match="different cyclotomic fields"):
+        ComplexPoint(ctx3.zero(), ctx4.zero())
+    with pytest.raises(TypeError):
+        SearchConfig(m=4, r_grid=())
+    assert run(capsys, "table", "--g", "2,3,4,8", "--format", "json") == (0, TABLE_JSON, "")
+    assert run(capsys, "primorial", "--x", "7") == (0, PRIMORIAL_JSON, "")
 
 
 def test_precision_flag(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import importlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -431,7 +430,7 @@ def test_certify_counts_a_losing_twist_exactly():
     stored = reference_certificate(8)
     ctx = get_ctx(8)
     x = sample_x(ctx, 8, random.Random(0))
-    fresh, mismatches = recompute_certificate(replace(stored, x_coords=x.coords))
+    fresh, mismatches = recompute_certificate(stored._replace(x_coords=x.coords))
     assert "n_value" in mismatches
     assert fresh.n_value == brute_count_N(ctx, stored.r_sq, x) > 0
 
