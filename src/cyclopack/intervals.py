@@ -49,19 +49,8 @@ class IntervalValue:
     def __repr__(self) -> str:
         return f"IntervalValue({float(self.lo)!r}, {float(self.hi)!r})"
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
-
-    def contains_interval(self, other: "IntervalValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -14,6 +15,15 @@ def fmt_rat(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
+    return Fraction(s)
+
+
+def parse_fmt_rat(s: str, name: str) -> Fraction:
+    """The rational of a "p/q" string as fmt_rat writes it. Anything else
+    raises ValueError: Fraction would also read decimals and exponents, and
+    a short "1e-5000000" stands for a number of millions of digits."""
+    if not re.fullmatch(r"-?[0-9]+/[0-9]+", s):
+        raise ValueError(f'{name} must be a "p/q" rational, got {s[:40]!r}')
     return Fraction(s)
 
 

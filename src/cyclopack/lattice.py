@@ -26,6 +26,7 @@ from functools import cached_property
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
+from .svp import PreparedForm
 
 
 class PolarizedLattice:
@@ -33,10 +34,10 @@ class PolarizedLattice:
 
     generators holds the (u, v) pairs; real_gram[j][k] is the real part of
     the hermitian product of generators j and k, symplectic[j][k] its
-    imaginary part (kept as Fractions so that integrality is checkable).
-    Both are built on first read: the stability and divisibility checks and
-    a search's losing twists never read symplectic, and the stability check
-    reads neither.
+    imaginary part (kept as Fractions so that integrality is checkable), and
+    form the PreparedForm of real_gram. Each is built on first read: the
+    stability and divisibility checks and a search's losing twists never
+    read symplectic, and the stability check reads none of them.
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
@@ -70,6 +71,12 @@ class PolarizedLattice:
         return [[Fraction(pp * a + qq * b, gram_den)
                  for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
                 for uj, vj in zip(ug, vt)]
+
+    @cached_property
+    def form(self) -> PreparedForm:
+        """real_gram prepared for enumeration: LLL-reduced and factored on
+        first read, then shared by the lattice's SVP and its count."""
+        return PreparedForm(self.real_gram)
 
     @cached_property
     def symplectic(self) -> list[list[Fraction]]:

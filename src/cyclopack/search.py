@@ -48,9 +48,9 @@ from math import lcm
 from .cyclotomic import CycloElement, CyclotomicContext
 from .geometry import ComplexPoint, norm_sq
 from .intervals import IntervalValue
-from .ioutil import fmt_rat, parse_rat
+from .ioutil import fmt_rat, parse_fmt_rat
 from .lattice import PolarizedLattice, build_lattice
-from .svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts, prepare,
+from .svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, norm_counts,
                   shortest_norm_sq)
 from .tables import phi
 
@@ -102,8 +102,8 @@ class SearchConfig(namedtuple("SearchConfig", "m epsilon denom budget seed preci
 
     @property
     def r_grid(self) -> Iterator[Fraction]:
-        """The r^2 values a search scans: a fresh default_r_grid() on each
-        access, so one config serves any number of searches."""
+        """A fresh default_r_grid(), the r^2 values search scans. search
+        calls default_r_grid() itself; perfbench/child.py reads this."""
         return default_r_grid()
 
     def validate(self) -> None:
@@ -179,8 +179,8 @@ def chi_radius_sq(ctx: CyclotomicContext, epsilon, precision: int) -> IntervalVa
 
 # -- the ring norms: J(r) and N(0) ---------------------------------------------
 
-# m -> (radius, ring norms up to it); the norms do not depend on r or epsilon
-_RING_NORMS: dict[int, tuple[Fraction, list[tuple[Fraction, int]]]] = {}
+# m -> (ring's prepared form, radius, norms up to it); norms depend on neither r nor epsilon
+_RING_NORMS: dict[int, tuple[PreparedForm, Fraction, list[tuple[Fraction, int]]]] = {}
 # a walk to radius_sq costs about radius_sq^(g/2), so a walk past the cached
 # radius goes at least this factor beyond it: the last walk costs at most
 # 1.1^(g/2) times one at the request, and about three walks cover any scan
@@ -194,15 +194,17 @@ def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
 
     One enumeration per field serves every request inside its radius. The
     first walks to exactly the request; a larger request walks again, to
-    max(request, RING_HEADROOM * cached radius). The walk only tallies
-    norms, so memory is set by the distinct norms, not the vectors.
+    max(request, RING_HEADROOM * cached radius), on the same prepared form,
+    so the ring is LLL-reduced once per field. The walk only tallies norms,
+    so memory is set by the distinct norms, not the vectors.
     """
     radius_sq = Fraction(radius_sq)
     cached = _RING_NORMS.get(ctx.m)
-    if cached is None or cached[0] < radius_sq:
-        walk_sq = radius_sq if cached is None else max(radius_sq, RING_HEADROOM * cached[0])
-        cached = _RING_NORMS[ctx.m] = (walk_sq, norm_counts(ctx.ok_gram, walk_sq))
-    return [(t, k) for t, k in cached[1] if t <= radius_sq]
+    if cached is None or cached[1] < radius_sq:
+        form, walk_sq = ((PreparedForm(ctx.ok_gram), radius_sq) if cached is None
+                         else (cached[0], max(radius_sq, RING_HEADROOM * cached[1])))
+        cached = _RING_NORMS[ctx.m] = (form, walk_sq, norm_counts(form, walk_sq))
+    return [(t, k) for t, k in cached[2] if t <= radius_sq]
 
 
 def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> IntervalValue:
@@ -303,14 +305,14 @@ def count_N(lattice: PolarizedLattice, epsilon, precision: int = 128) -> int:
     outer bound R^2.hi of chi_radius_sq at this precision, the enclosure chi
     refines from, and each one is confirmed by the certified chi itself, so
     the count is exact despite the irrational threshold. The SVP of a
-    certified twist enumerates the same prepared Gram; once it has run, a
-    ball below lambda_1 is answered without a walk (N = 0).
+    certified twist enumerates the same form, lattice.form; once it has run,
+    a ball below lambda_1 is answered without a walk (N = 0).
     """
     ctx = lattice.ctx
     g = ctx.g
     bound = ctx.m - Fraction(epsilon)
     r2 = chi_radius_sq(ctx, epsilon, precision)
-    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lattice.real_gram, None, r2.hi)
+    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lattice.form, None, r2.hi)
                if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
 
 
@@ -386,7 +388,7 @@ def search(config: SearchConfig) -> Certificate:
     budget runs out, _budget_histogram counts every drawn twist exactly."""
     config.validate()
     ctx = CyclotomicContext(config.m)
-    r_sq = select_r(ctx, config.epsilon, config.r_grid, config.precision)
+    r_sq = select_r(ctx, config.epsilon, default_r_grid(), config.precision)
     rng = random.Random(config.seed)
 
     # x = 0 is candidate 0; its lattice splits, so its count is read off the
@@ -394,11 +396,11 @@ def search(config: SearchConfig) -> Certificate:
     n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
     if n0 == 0:
         lat = build_lattice(ctx, r_sq, ctx.zero())
-        return _certificate_at(config, lat, 0, 0, shortest_norm_sq(lat.real_gram))
+        return _certificate_at(config, lat, 0, 0, shortest_norm_sq(lat.form))
     g, bound = ctx.g, ctx.m - config.epsilon
     for i in range(1, config.budget):
         lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
-        form = prepare(lat.real_gram)
+        form = lat.form
         # select_r put every nonzero vector with b = 0 outside the ball, so a
         # nonzero vector inside it is counted by N(x); lambda1^2 <= min_diagonal
         if (chi_norm_sq(2 * g, form.min_diagonal, bound, config.precision)
@@ -451,16 +453,17 @@ def _typed(value, kind: type, name: str):
 def certificate_from_json_dict(d: dict) -> Certificate:
     """Parse a stored certificate and check that its inputs lie in the domain
     a search accepts, before any recomputation starts. Integers must be JSON
-    integers, rationals "p/q" strings and checks JSON booleans: nothing is
-    coerced, so a file verifies only as written."""
+    integers, rationals "p/q" strings as fmt_rat writes them (no decimal or
+    exponent) and checks JSON booleans: nothing is coerced, so a file
+    verifies only as written."""
     try:
         ints = {k: _typed(d[k], int, k)
                 for k in ("m", "g", "n_value", "precision_bits", "seed", "sample_index")}
-        rats = {k: parse_rat(_typed(d[k], str, k))
+        rats = {k: parse_fmt_rat(_typed(d[k], str, k), k)
                 for k in ("epsilon", "r_sq", "lambda1_sq", "bound_lo")}
         cert = Certificate(
             **ints, **rats,
-            x_coords=tuple(parse_rat(_typed(v, str, "x"))
+            x_coords=tuple(parse_fmt_rat(_typed(v, str, "x"), "x")
                            for v in _typed(d["x"], list, "x")),
             checks={k: _typed(d["checks"][k], bool, k) for k in CHECK_NAMES},
         )
@@ -498,7 +501,7 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
                                      "inside the chi ball, so lambda1 < R")
     lat = build_lattice(ctx, cert.r_sq, x)
-    lam = shortest_norm_sq(lat.real_gram)  # lambda1 first: a count ball below it needs no walk
+    lam = shortest_norm_sq(lat.form)  # lambda1 first: a count ball below it needs no walk
     n = count_N(lat, cert.epsilon, precision)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
                           precision=precision)

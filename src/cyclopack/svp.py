@@ -11,22 +11,25 @@ basis, and norm_counts only tallies the integer values of the form, which is
 all that a theta-series question (the ring norms behind J(r) and N(0)) or
 the shortest vector needs. Its ball is centred at the origin and so
 symmetric under v -> -v: norm_counts walks half of it, one vector of each
-pair +-v, and doubles every multiplicity. The enumerations are complete by construction and
-the returned minima are exact. The LLL reduction and the LDL factors of the
-reduced form depend only on the Gram matrix, so each Gram is prepared once
-(PreparedForm) and kept in a small cache keyed by its entries. A search
-decides each twist from its one prepared Gram: the least diagonal entry of
-the reduced form is the squared norm of a lattice vector, known with no
-walk, which settles a twist whose obstruction count it already makes
-positive; otherwise the shortest vector is walked once, and a form whose
-minimum is known answers the count's ball about the origin below it
-without a walk.
+pair +-v, and doubles every multiplicity. The enumerations are complete by
+construction and the returned minima are exact.
+
+The LLL reduction and the LDL factors of the reduced form depend only on
+the Gram matrix. The enumeration functions take a Gram matrix, prepared
+afresh for that call, or a PreparedForm owned by a caller that asks
+several questions of one form: a lattice owns its form
+(PolarizedLattice.form) and ring_norms keeps the ring's. The module keeps
+no state. A search decides each twist from its lattice's form: the least
+diagonal entry of the reduced form is the squared norm of a lattice vector,
+known with no walk, which settles a twist whose obstruction count it
+already makes positive; otherwise the shortest vector is walked once, and a
+form whose minimum is known answers the count's ball about the origin
+below it without a walk.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isqrt, lcm
 from operator import mul
 
@@ -34,10 +37,6 @@ from . import linalg
 from .intervals import IntervalValue, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
-# distinct Gram matrices kept prepared; every reuse is back to back (J(r) on
-# the ring form, a certified twist's SVP then its count, which reads the
-# remembered lambda_1^2), so one form is enough
-PREPARED_CACHE_SIZE = 1
 
 
 def ball_volume(n: int, precision: int = 128) -> IntervalValue:
@@ -146,31 +145,23 @@ def lll_reduce(gram):
     return U, reduced, d, nu
 
 
-def _frozen(rows):
-    return tuple(map(tuple, rows))
-
-
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
     transform U, the least diagonal entry of the reduced form R = U G U^T (the
     squared norm of a lattice vector, known with no walk) and the LDL factors
     (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
     stored as integer numerators over the common denominators d_den and
-    nu_den (row i of nu holds the entries right of the diagonal). The cache
-    shares the form, so its fields are immutable but for lambda1_sq: None
-    until shortest_norm_sq has walked once, then the exact minimum, which
-    depends on the Gram matrix alone."""
+    nu_den (row i of nu holds the entries right of the diagonal). lambda1_sq
+    is None until shortest_norm_sq has walked once, then the exact minimum,
+    which depends on the Gram matrix alone."""
 
     __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den", "lambda1_sq")
 
     def __init__(self, gram) -> None:
-        U, R, d, nu = lll_reduce(gram)
-        upper = [row[i + 1:] for i, row in enumerate(nu)]
-        self.transform = _frozen(U)
+        self.transform, R, d, nu = lll_reduce(gram)
         self.min_diagonal = min(R[i][i] for i in range(len(R)))
-        (d,), self.d_den = linalg.integer_matrix([d])
-        nu, self.nu_den = linalg.integer_matrix(upper)
-        self.d, self.nu = tuple(d), _frozen(nu)
+        (self.d,), self.d_den = linalg.integer_matrix([d])
+        self.nu, self.nu_den = linalg.integer_matrix([row[i + 1:] for i, row in enumerate(nu)])
         self.lambda1_sq: Fraction | None = None
 
     def _walk(self, center, radius_sq: Fraction, emit, half: bool = False) -> int:
@@ -266,24 +257,15 @@ class PreparedForm:
         return self.lambda1_sq
 
 
-@lru_cache(maxsize=PREPARED_CACHE_SIZE)
-def _prepared(key) -> PreparedForm:
-    return PreparedForm(key)
-
-
-def prepare(gram) -> PreparedForm:
-    """The prepared form of gram, built once and then looked up by entries."""
-    return _prepared(_frozen(gram))
-
-
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
     """As enumerate_in_ball, but paired with the exact value of the form."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
+    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
     if center is None:
-        center = [Fraction(0)] * len(gram)
-    return prepare(gram).enumerate([Fraction(c) for c in center], radius_sq)
+        center = [Fraction(0)] * len(form.d)
+    return form.enumerate([Fraction(c) for c in center], radius_sq)
 
 
 def enumerate_in_ball(gram, center=None, radius_sq=0):
@@ -295,12 +277,14 @@ def enumerate_in_ball(gram, center=None, radius_sq=0):
 def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
     """Sorted (value, multiplicity) pairs of the form over the nonzero integer
     vectors v with Q(v) <= radius_sq: the start of the lattice's theta series."""
-    return prepare(gram).norm_counts(Fraction(radius_sq))
+    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
+    return form.norm_counts(Fraction(radius_sq))
 
 
 def shortest_norm_sq(gram) -> Fraction:
     """Exact lambda_1^2: the minimal nonzero value of the form over Z^n."""
-    return prepare(gram).shortest_norm_sq()
+    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
+    return form.shortest_norm_sq()
 
 
 def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:

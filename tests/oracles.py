@@ -310,6 +310,20 @@ def block_contains(ctx, x, u, v) -> bool:
     return all(Fraction(c).denominator == 1 for c in coords)
 
 
+# -- interval measures ----------------------------------------------------------
+
+def width(iv: IntervalValue) -> Fraction:
+    return iv.hi - iv.lo
+
+
+def midpoint(iv: IntervalValue) -> Fraction:
+    return (iv.lo + iv.hi) / 2
+
+
+def contains_interval(outer: IntervalValue, inner: IntervalValue) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 # -- the volume form of chi -----------------------------------------------------
 #
 # chi as the library decided it before every chi-ball question became a

@@ -22,7 +22,7 @@ from cyclopack.svp import enumerate_in_ball, shortest_norm_sq
 from cyclopack.ioutil import dump_json
 from cyclopack.tables import bound_table
 from conftest import get_ctx
-from oracles import box_points_in_ball, box_shortest_norm_sq
+from oracles import box_points_in_ball, box_shortest_norm_sq, midpoint, width
 from test_cyclotomic import random_element
 from mc import chi_radius_sq_float, mc_ball_slice, mc_fold_lhs
 
@@ -167,9 +167,9 @@ def test_criterion_6b_mean_count_matches_j():
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         se = math.sqrt(float(var) / len(vals))
-        dev = abs(float(mean) - float(j.midpoint))
-        ok = ok and dev <= 3 * se + float(j.width)
-        details.append(f"m={m}: mean N {float(mean):.3f} vs J {float(j.midpoint):.3f} "
+        dev = abs(float(mean) - float(midpoint(j)))
+        ok = ok and dev <= 3 * se + float(width(j))
+        details.append(f"m={m}: mean N {float(mean):.3f} vs J {float(midpoint(j)):.3f} "
                        f"({dev / se if se else 0:.1f} sigma)")
     report(6, ok, "(b) mean of N over 10^3 twists matches j_value: " + "; ".join(details))
 
@@ -178,9 +178,9 @@ def test_criterion_6c_j_converges_to_limit():
     ctx = get_ctx(4)
     target = 3.5
     j100 = j_value(ctx, 100, EPS)
-    rel = abs(float(j100.midpoint) - target) / target
+    rel = abs(float(midpoint(j100)) - target) / target
     j25 = j_value(ctx, 25, EPS)
-    monotone_toward = abs(float(j25.midpoint) - target) > rel * target
+    monotone_toward = abs(float(midpoint(j25)) - target) > rel * target
     report(6, rel < 0.05 and monotone_toward,
            f"(c) J(r) at m=4: relative gap to m - eps is {rel:.4f} < 0.05 "
            f"at r^2 = 100 (and shrinking from r^2 = 25)")

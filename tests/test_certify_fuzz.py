@@ -8,9 +8,11 @@ digits, so x keeps small denominators: r^2 is capped from both ends before
 counting, but a large denominator of x still raises the cap on r^2."""
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 
 from cyclopack.cli import main
@@ -20,6 +22,7 @@ from oracles import box_shortest_norm_sq
 from test_certificate_parser import DOCS, mutated
 
 G2_DOCS = [d for d in DOCS if d["g"] == 2]
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -37,3 +40,24 @@ def test_certify_exits_cleanly_and_accepts_only_true_certificates(doc):
         assert Fraction(doc["lambda1_sq"]) == box_shortest_norm_sq(lat.real_gram)
         assert doc["n_value"] == 0
         assert Fraction(doc["bound_lo"]) > doc["m"] - Fraction(doc["epsilon"])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x", "1e-5000000"), ("epsilon", "1e-5000000"), ("r_sq", "1e5000000"),
+    ("epsilon", "0.5"), ("lambda1_sq", "1"), ("bound_lo", " 1/2"), ("r_sq", "3_0/2"),
+])
+def test_certify_rejects_rationals_not_in_p_q_form(key, value, tmp_path, capsys):
+    # Fraction reads decimals and exponents, and "1e-5000000" stands for a
+    # number of millions of digits; only fmt_rat's "p/q" form is accepted,
+    # so each file is rejected as malformed before any arithmetic
+    doc = json.loads((REFERENCE / "m3.json").read_text())
+    if key == "x":
+        doc["x"][0] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["certify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "malformed certificate" in capsys.readouterr().err

@@ -24,7 +24,8 @@ from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
 from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import box_points_in_ball, vector_j_value, volume_chi_norm_sq
+from oracles import (box_points_in_ball, midpoint, vector_j_value, volume_chi_norm_sq,
+                     width)
 
 # the package re-exports the function search under the submodule's name
 search_module = importlib.import_module("cyclopack.search")
@@ -92,8 +93,8 @@ def test_j_value_against_monte_carlo():
         j = j_value(ctx, r_sq, EPS)
         assert j.lo > 0
         est, se = mc_j_value(ctx, r_sq, EPS, 200_000, seed=m)
-        mid = float(j.midpoint)
-        assert abs(est - mid) <= 3 * se + float(j.width), (m, est, se, mid)
+        mid = float(midpoint(j))
+        assert abs(est - mid) <= 3 * se + float(width(j)), (m, est, se, mid)
 
 
 def test_j_value_matches_vector_sum():
@@ -147,18 +148,26 @@ def test_ring_norms_enumerate_again_only_past_the_cached_radius(monkeypatch):
 
 def test_select_r_walks_the_ring_a_few_times(monkeypatch):
     # the scan at m = 36 asks for 12 growing radii; the headroom rule walks
-    # the ring at most 4 times for them
-    walks = []
-    norm_counts = search_module.norm_counts
+    # the ring at most 4 times for them, all on one prepared form, so the
+    # ring is LLL-reduced once
+    walks, reduced = [], []
+    norm_counts, lll_reduce = search_module.norm_counts, svp.lll_reduce
 
     def recording(gram, radius_sq):
         walks.append(radius_sq)
         return norm_counts(gram, radius_sq)
 
+    def reducing(gram):
+        reduced.append(tuple(map(tuple, gram)))
+        return lll_reduce(gram)
+
     monkeypatch.setattr(search_module, "_RING_NORMS", {})
     monkeypatch.setattr(search_module, "norm_counts", recording)
-    assert select_r(get_ctx(36), EPS, default_r_grid()) > 0
+    monkeypatch.setattr(svp, "lll_reduce", reducing)
+    ctx = get_ctx(36)
+    assert select_r(ctx, EPS, default_r_grid()) > 0
     assert 1 <= len(walks) <= 4, walks
+    assert reduced.count(tuple(map(tuple, ctx.ok_gram))) == 1
 
 
 def test_j_value_grows_toward_limit(ctx4):
@@ -167,7 +176,7 @@ def test_j_value_grows_toward_limit(ctx4):
     j_small = j_value(ctx4, 4, EPS)
     j_large = j_value(ctx4, 100, EPS)
     assert j_small.hi < j_large.lo
-    assert abs(float(j_large.midpoint) - 3.5) < 0.2
+    assert abs(float(midpoint(j_large)) - 3.5) < 0.2
 
 
 # -- select_r ----------------------------------------------------------------------
@@ -362,9 +371,8 @@ def test_twist_decided_by_reduced_basis_and_lambda1():
         rng = random.Random(1)
         for _ in range(25):
             lat = build_lattice(ctx, r_sq, sample_x(ctx, 8, rng))
-            form = svp.prepare(lat.real_gram)
-            rule = chi_norm_sq(2 * g, form.min_diagonal, bound)
-            lam = shortest_norm_sq(lat.real_gram)
+            rule = chi_norm_sq(2 * g, lat.form.min_diagonal, bound)
+            lam = shortest_norm_sq(lat.form)
             n = count_N(lat, EPS)
             assert not rule or n > 0, (m, lat.x)
             assert (n == 0) == (not chi_norm_sq(2 * g, lam, bound)), (m, lat.x)
@@ -378,9 +386,9 @@ def reference_certificate(m):
 
 
 def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
-    # count_N and the SVP enumerate the same Gram: one lattice, one LLL and
-    # one walk per certificate, since lambda1 is taken first and a valid
-    # file's count ball lies below it
+    # count_N and the SVP enumerate the lattice's own form: one lattice, one
+    # LLL and one walk per certificate, since lambda1 is taken first and a
+    # valid file's count ball lies below it
     seen, built, walked = [], [], []
     lll_reduce, build, walk = svp.lll_reduce, build_lattice, svp.PreparedForm._walk
 
@@ -404,24 +412,22 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
         seen.clear()
         built.clear()
         walked.clear()
-        svp._prepared.cache_clear()
         _, mismatches = recompute_certificate(cert)
         assert mismatches == []
         assert len(built) == 1
-        gram = built[0].real_gram
-        assert seen == [tuple(map(tuple, gram))]
-        assert walked == [svp.prepare(gram)]
+        assert seen == [tuple(map(tuple, built[0].real_gram))]
+        assert walked == [built[0].form]
 
+    # counting one lattice twice prepares it once; the form lives on the
+    # lattice, and svp caches no form of its own that would keep it resident
     cert = reference_certificate(8)
     ctx = get_ctx(8)
-    x = sample_x(ctx, 8, random.Random(71))
+    lat = build_lattice(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(71)))
     seen.clear()
-    assert (count_N(build_lattice(ctx, cert.r_sq, x), EPS)
-            == count_N(build_lattice(ctx, cert.r_sq, x), EPS))
-    assert len(seen) == 1
-    # a counted twist is not prepared again, so its form is not kept resident
-    count_N(build_lattice(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(72))), EPS)
-    assert svp._prepared.cache_info().currsize == 1
+    assert count_N(lat, EPS) == count_N(lat, EPS)
+    assert seen == [tuple(map(tuple, lat.real_gram))]
+    assert not [k for k, v in vars(svp).items()
+                if hasattr(v, "cache_info") and v.__module__ == svp.__name__]
 
 
 def test_certify_counts_a_losing_twist_exactly():
@@ -516,8 +522,8 @@ def test_search_deterministic_bytes():
 
 
 def test_search_config_reuse_gives_identical_bytes():
-    # r_grid is a fresh stream per access, so a second search on the same
-    # config scans from r^2 = 1/2 again
+    # each search scans a fresh default_r_grid(), so a second search on the
+    # same config scans from r^2 = 1/2 again
     config = SearchConfig(m=6, seed=5)
     first = dump_json(certificate_to_json_dict(search(config)))
     assert dump_json(certificate_to_json_dict(search(config))) == first

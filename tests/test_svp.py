@@ -14,8 +14,8 @@ from cyclopack.svp import (ball_volume, enumerate_in_ball,
                            enumerate_in_ball_with_norms, lll_reduce,
                            norm_counts, packing_density, shortest_norm_sq)
 from conftest import get_ctx
-from oracles import (box_points_in_ball, box_shortest_norm_sq,
-                     rational_enumerate_in_ball, rational_lll_reduce)
+from oracles import (box_points_in_ball, box_shortest_norm_sq, contains_interval,
+                     midpoint, rational_enumerate_in_ball, rational_lll_reduce, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -55,15 +55,15 @@ def test_ball_volume_values():
             lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
             hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
             assert lo < t < hi
-            assert iv.width < Fraction(1, 2 ** 120)
+            assert width(iv) < Fraction(1, 2 ** 120)
 
 
 def test_ball_volume_refinement_nests():
     for n in (2, 4, 12):
         coarse = ball_volume(n, 64)
         fine = ball_volume(n, 256)
-        assert coarse.contains_interval(fine)
-        assert fine.midpoint in coarse
+        assert contains_interval(coarse, fine)
+        assert midpoint(fine) in coarse
 
 
 def test_ball_volume_rejects_odd_or_tiny():
@@ -145,11 +145,13 @@ def test_enumerate_matches_box_scan_random():
     for trial in range(50):
         n = rng.randint(1, 4)
         g = random_pd_gram(n, rng)
-        # the second and third balls reuse the form prepared for the first
-        for _ in range(3):
+        # the first ball on the bare Gram, the second and third on one
+        # prepared form
+        form = svp.PreparedForm(g)
+        for quad in (g, form, form):
             center = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
             radius = Fraction(rng.randint(1, 40), rng.randint(1, 4))
-            got = enumerate_in_ball(g, center, radius)
+            got = enumerate_in_ball(quad, center, radius)
             expect = box_points_in_ball(g, center, radius)
             assert got == expect, (trial, g, center, radius)
 
@@ -294,10 +296,10 @@ def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
         deltas = (lam / rng.randint(2, 9), lam / 10 ** 9)
         radii = [lam, *(lam - d for d in deltas), *(lam + d for d in deltas)]
 
-        def check(center):
+        def check(quad, center):
             c = center or [0] * n
             for radius in radii:
-                got = sorted(enumerate_in_ball_with_norms(g, center, radius))
+                got = sorted(enumerate_in_ball_with_norms(quad, center, radius))
                 expect = box_points_in_ball(g, center, radius)
                 assert [v for v, _ in got] == expect, (trial, g, center, radius)
                 assert all(q == sum(g[i][j] * (v[i] - c[i]) * (v[j] - c[j])
@@ -308,13 +310,14 @@ def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
         v = [rng.randint(-2, 2) for _ in range(n)]
         v[rng.randrange(n)] = rng.choice((-1, 1))
         near = [a + Fraction(rng.randint(-1, 1), 1000) for a in v]
-        svp._prepared.cache_clear()
-        check(None)
-        assert svp.prepare(g).lambda1_sq is None
-        assert shortest_norm_sq(g) == lam == svp.prepare(g).lambda1_sq
-        check(None)
-        check([Fraction(0)] * (n - 1) + [Fraction(1, 1000)])
-        check(near)
+        form = svp.PreparedForm(g)
+        check(g, None)
+        check(form, None)
+        assert form.lambda1_sq is None
+        assert shortest_norm_sq(form) == lam == form.lambda1_sq
+        check(form, None)
+        check(form, [Fraction(0)] * (n - 1) + [Fraction(1, 1000)])
+        check(form, near)
 
 
 def test_shortest_norm_homogeneous_and_unimodular_invariant():
