@@ -1,12 +1,16 @@
-"""Certified enclosures of real constants with exact rational endpoints.
+"""Certified enclosures of nonnegative real constants with exact rational
+endpoints.
 
-An IntervalValue is a pair of Fractions lo <= hi known to contain the real
-quantity in question. All arithmetic is containment-preserving (outward), so
-a strict comparison of an endpoint against a rational is a proof. Pi is
+Every real the pipeline encloses is nonnegative: pi, the ball volumes, the
+chi radius R^2, the mean count J(r) and the bound v_2g lambda1^2g. An
+IntervalValue is a pair of Fractions 0 <= lo <= hi known to contain such a
+real. Sums, products, quotients and powers are monotone on [0, inf), so each
+is one formula on the endpoints and containment-preserving (outward): a
+strict comparison of an endpoint against a rational is a proof. Pi is
 enclosed by bracketing partial sums of the Machin arctangent series; the
 brackets tighten monotonically as the precision parameter grows, and outward
-dyadic rounding pads each endpoint by one ulp so enclosures at higher
-precision are strictly nested inside coarser ones.
+dyadic rounding pads each endpoint by one ulp (lo no lower than 0) so
+enclosures at higher precision are nested inside coarser ones.
 """
 from __future__ import annotations
 
@@ -32,12 +36,15 @@ def int_nth_root(n: int, k: int) -> int:
 
 
 class IntervalValue:
+    """Enclosure [lo, hi] of a nonnegative real. A rational operand is taken
+    as its point enclosure; a quotient's divisor must have lo > 0."""
+
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"not an enclosure of a nonnegative real: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -55,74 +62,26 @@ class IntervalValue:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, IntervalValue):
-            return IntervalValue(self.lo + other.lo, self.hi + other.hi)
-        return IntervalValue(self.lo + Fraction(other), self.hi + Fraction(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntervalValue(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        if isinstance(other, IntervalValue):
-            return IntervalValue(self.lo - other.hi, self.hi - other.lo)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + Fraction(other)
+        o = _enclosure(other)
+        return IntervalValue(self.lo + o.lo, self.hi + o.hi)
 
     def __mul__(self, other):
-        if isinstance(other, IntervalValue):
-            cands = (self.lo * other.lo, self.lo * other.hi,
-                     self.hi * other.lo, self.hi * other.hi)
-            return IntervalValue(min(cands), max(cands))
-        q = Fraction(other)
-        if q >= 0:
-            return IntervalValue(self.lo * q, self.hi * q)
-        return IntervalValue(self.hi * q, self.lo * q)
-
-    __rmul__ = __mul__
+        o = _enclosure(other)
+        return IntervalValue(self.lo * o.lo, self.hi * o.hi)
 
     def __truediv__(self, other):
-        if isinstance(other, IntervalValue):
-            if other.lo <= 0 <= other.hi:
-                raise ZeroDivisionError("interval divisor contains zero")
-            cands = (self.lo / other.lo, self.lo / other.hi,
-                     self.hi / other.lo, self.hi / other.hi)
-            return IntervalValue(min(cands), max(cands))
-        q = Fraction(other)
-        if q == 0:
-            raise ZeroDivisionError
-        if q > 0:
-            return IntervalValue(self.lo / q, self.hi / q)
-        return IntervalValue(self.hi / q, self.lo / q)
-
-    def __rtruediv__(self, other):
-        return IntervalValue.point(other) / self
+        o = _enclosure(other)
+        if o.lo == 0:
+            raise ZeroDivisionError("interval divisor contains zero")
+        return IntervalValue(self.lo / o.hi, self.hi / o.lo)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        if k == 0:
-            return IntervalValue.point(1)
-        if self.lo >= 0:
-            return IntervalValue(self.lo ** k, self.hi ** k)
-        if self.hi <= 0:
-            a, b = self.lo ** k, self.hi ** k
-            return IntervalValue(min(a, b), max(a, b))
-        if k % 2 == 1:
-            return IntervalValue(self.lo ** k, self.hi ** k)
-        return IntervalValue(0, max(self.lo ** k, self.hi ** k))
-
-    def clamp_nonnegative(self) -> "IntervalValue":
-        """Intersect with [0, inf); requires hi >= 0."""
-        return IntervalValue(max(self.lo, Fraction(0)), self.hi)
+        return IntervalValue(self.lo ** k, self.hi ** k)
 
     def nth_root(self, n: int, precision: int) -> "IntervalValue":
-        """Enclosure of the n-th root; requires a nonnegative interval."""
-        if self.lo < 0:
-            raise ValueError("n-th root of an interval reaching below zero")
+        """Enclosure of the n-th root at precision bits."""
         scale = 1 << (n * precision)
         lo_int = int_nth_root(int(self.lo * scale), n)
         hi_scaled = self.hi * scale
@@ -136,11 +95,17 @@ class IntervalValue:
 
     def outward(self, precision: int) -> "IntervalValue":
         """Round endpoints outward to the dyadic grid 2^-precision and pad by
-        one ulp; the pad guarantees strict nesting of refined enclosures."""
+        one ulp, lo no lower than 0; the pad nests refined enclosures inside
+        coarser ones."""
         scale = 1 << precision
-        lo = Fraction(self.lo.numerator * scale // self.lo.denominator - 1, scale)
-        hi = Fraction(-(-self.hi.numerator * scale // self.hi.denominator) + 1, scale)
-        return IntervalValue(lo, hi)
+        lo = max(self.lo.numerator * scale // self.lo.denominator - 1, 0)
+        hi = -(-self.hi.numerator * scale // self.hi.denominator) + 1
+        return IntervalValue(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _enclosure(x) -> IntervalValue:
+    """x if it is an enclosure, else the point enclosure of the rational x."""
+    return x if isinstance(x, IntervalValue) else IntervalValue.point(x)
 
 
 def _arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:

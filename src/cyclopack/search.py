@@ -43,11 +43,11 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import lcm
+from math import factorial, lcm
 
 from .cyclotomic import CycloElement, CyclotomicContext
 from .geometry import ComplexPoint, norm_sq
-from .intervals import IntervalValue
+from .intervals import IntervalValue, pi_interval
 from .ioutil import fmt_rat, parse_fmt_rat
 from .lattice import PolarizedLattice, build_lattice
 from .svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, norm_counts,
@@ -151,8 +151,12 @@ def refine(enclose, decided, precision: int):
 
 @lru_cache(maxsize=None)
 def _radius_sq(g: int, bound: Fraction, precision: int) -> IntervalValue:
-    """Enclosure of R^2 = (bound / v_2g)^(1/g); every chi-ball question reads it."""
-    return (IntervalValue.point(bound) / ball_volume(2 * g, precision)).nth_root(g, precision)
+    """Enclosure of R^2 = (bound / v_2g)^(1/g) = (bound g!)^(1/g) / pi, since
+    v_2g = pi^g / g!; every chi-ball question reads it. Nothing small is
+    divided by, so every precision encloses it, even where the enclosure of
+    v_2g reaches 0."""
+    root = IntervalValue.point(bound * factorial(g)).nth_root(g, precision)
+    return (root / pi_interval(precision)).outward(precision)
 
 
 def chi_norm_sq(two_g: int, nsq: Fraction, bound: Fraction, precision: int = 128) -> bool:
@@ -229,17 +233,16 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
     total = IntervalValue.point(0)
     nonempty = False
     for t, k in ring_norms(ctx, r_sq * r2.hi):
-        term = r2 - t / r_sq
-        if term.hi <= 0:
+        s = t / r_sq
+        if r2.hi <= s:
             continue
         nonempty = True
-        total = total + term.clamp_nonnegative() ** (g // 2) * k
+        total = total + IntervalValue(max(r2.lo - s, 0), r2.hi - s) ** (g // 2) * k
     if not nonempty:
         return IntervalValue.point(0)
     nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
     vg = ball_volume(g, guard)
-    out = (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
-    return IntervalValue(max(out.lo, Fraction(0)), out.hi)
+    return (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
 
 
 def count_zero_twist(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> int:
@@ -426,20 +429,18 @@ def _budget_histogram(config: SearchConfig, ctx: CyclotomicContext, r_sq: Fracti
 
 # -- certificate (de)serialization and re-verification -------------------------
 
+# the certificate fields stored as JSON integers and as "p/q" strings; x is
+# a list of the latter and checks a dict of CHECK_NAMES to booleans
+INT_FIELDS = ("m", "g", "n_value", "precision_bits", "seed", "sample_index")
+RAT_FIELDS = ("epsilon", "r_sq", "lambda1_sq", "bound_lo")
+
+
 def certificate_to_json_dict(cert: Certificate) -> dict:
     return {
-        "m": cert.m,
-        "g": cert.g,
-        "epsilon": fmt_rat(cert.epsilon),
-        "r_sq": fmt_rat(cert.r_sq),
+        **{k: getattr(cert, k) for k in INT_FIELDS},
+        **{k: fmt_rat(getattr(cert, k)) for k in RAT_FIELDS},
         "x": [fmt_rat(c) for c in cert.x_coords],
-        "lambda1_sq": fmt_rat(cert.lambda1_sq),
-        "n_value": cert.n_value,
-        "bound_lo": fmt_rat(cert.bound_lo),
         "checks": {k: bool(cert.checks[k]) for k in CHECK_NAMES},
-        "precision_bits": cert.precision_bits,
-        "seed": cert.seed,
-        "sample_index": cert.sample_index,
     }
 
 
@@ -457,10 +458,8 @@ def certificate_from_json_dict(d: dict) -> Certificate:
     exponent) and checks JSON booleans: nothing is coerced, so a file
     verifies only as written."""
     try:
-        ints = {k: _typed(d[k], int, k)
-                for k in ("m", "g", "n_value", "precision_bits", "seed", "sample_index")}
-        rats = {k: parse_fmt_rat(_typed(d[k], str, k), k)
-                for k in ("epsilon", "r_sq", "lambda1_sq", "bound_lo")}
+        ints = {k: _typed(d[k], int, k) for k in INT_FIELDS}
+        rats = {k: parse_fmt_rat(_typed(d[k], str, k), k) for k in RAT_FIELDS}
         cert = Certificate(
             **ints, **rats,
             x_coords=tuple(parse_fmt_rat(_typed(v, str, "x"), "x")

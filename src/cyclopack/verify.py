@@ -16,7 +16,7 @@ from . import linalg
 from .cyclotomic import CyclotomicContext
 from .geometry import ComplexPoint, g_act, gram, norm_sq
 from .lattice import build_lattice
-from .search import count_N, default_r_grid, sample_x, select_r
+from .search import SearchConfig, count_N, default_r_grid, sample_x, select_r
 
 
 SuiteResult = namedtuple("SuiteResult", "name passed detail", defaults=(None,))
@@ -95,9 +95,10 @@ def suite_covolume_product(ctx, trials: int, rng) -> SuiteResult:
     return SuiteResult(name, True)
 
 
-def suite_count_divisibility(ctx, trials: int, rng, epsilon=Fraction(1, 2),
-                             precision: int = 128) -> SuiteResult:
+def suite_count_divisibility(ctx, trials: int, rng) -> SuiteResult:
     name = "count_divisibility"
+    defaults = SearchConfig._field_defaults  # those of search and certify
+    epsilon, precision = defaults["epsilon"], defaults["precision"]
     r_sq = select_r(ctx, epsilon, default_r_grid(), precision)
     for t in range(trials):
         x = sample_x(ctx, 8, rng)

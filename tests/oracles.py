@@ -361,17 +361,16 @@ def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> IntervalValue:
     for v, t in vecs:
         if not any(v):
             continue
-        term = r2 - t / r_sq
-        if term.hi <= 0:
+        s = t / r_sq
+        if r2.hi <= s:
             continue
         nonempty = True
-        total = total + term.clamp_nonnegative() ** (g // 2)
+        total = total + IntervalValue(max(r2.lo - s, 0), r2.hi - s) ** (g // 2)
     if not nonempty:
         return IntervalValue.point(0)
     nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
     vg = ball_volume(g, guard)
-    out = (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
-    return IntervalValue(max(out.lo, Fraction(0)), out.hi)
+    return (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
 
 
 # -- field arithmetic as polynomials modulo Phi_m --------------------------------

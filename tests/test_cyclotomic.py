@@ -8,6 +8,8 @@ import pytest
 from cyclopack import linalg
 from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial
 from cyclopack.geometry import pairing
+from cyclopack.svp import shortest_norm_sq
+from cyclopack.tables import phi, prime_factors
 from conftest import get_ctx
 from oracles import (poly_conj, poly_mul, poly_mul_mod, poly_trace, power_traces,
                      trace_by_embeddings)
@@ -245,3 +247,18 @@ def test_trace_form_positive_definite():
             a = random_element(ctx, rng)
             if a:
                 assert (a * a.conj()).trace() > 0
+
+
+# the 24 values of m >= 3 with phi(m) <= 12
+FIELDS_G_LE_12 = [m for m in range(3, 43) if phi(m) <= 12]
+
+
+@pytest.mark.parametrize("m", FIELDS_G_LE_12)
+def test_field_minima(m):
+    # observed values, kept as expectations only: the codifferent's minimum is
+    # 2^omega(f) / f with f the conductor, and the ring's is g, since AM-GM
+    # gives Tr(x conj(x)) >= g |N(x)|^(2/g) >= g and the units attain it
+    ctx = get_ctx(m)
+    f = m // 2 if m % 4 == 2 else m
+    assert shortest_norm_sq(ctx.codiff_gram) == Fraction(2 ** len(prime_factors(f)), f)
+    assert shortest_norm_sq(ctx.ok_gram) == ctx.g

@@ -53,26 +53,34 @@ def test_midpoints_refine_within_coarser_enclosures():
 
 def test_interval_arithmetic_contains():
     a = IntervalValue(Fraction(1, 3), Fraction(1, 2))
-    b = IntervalValue(Fraction(-2), Fraction(3))
-    for x in (Fraction(2, 5),):
-        for y in (Fraction(-1), Fraction(0), Fraction(2)):
-            assert x + y in a + b
-            assert x - y in a - b
-            assert x * y in a * b
+    b = IntervalValue(Fraction(0), Fraction(3))
     c = IntervalValue(Fraction(1, 4), Fraction(1, 2))
-    assert Fraction(2, 5) / Fraction(1, 3) in a / c
-    assert (Fraction(2, 5) ** 3) in a ** 3
-    assert Fraction(0) in b ** 2
+    for x in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+        for y in (Fraction(0), Fraction(1, 7), Fraction(2), Fraction(3)):
+            assert x + y in a + b
+            assert x * y in a * b
+            assert x + y in a + y and x * y in a * y
+        for z in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+            assert x / z in a / c
+            assert x / z in a / z
+        for k in (0, 1, 3):
+            assert x ** k in a ** k
+    assert (b ** 2).lo == 0 and (b ** 2).hi == 9
     with pytest.raises(ZeroDivisionError):
         a / b
+    with pytest.raises(ZeroDivisionError):
+        a / 0
 
 
-def test_interval_pow_signs():
-    neg = IntervalValue(Fraction(-3), Fraction(-2))
-    assert (neg ** 2).lo == 4 and (neg ** 2).hi == 9
-    assert (neg ** 3).lo == -27 and (neg ** 3).hi == -8
-    mixed = IntervalValue(Fraction(-2), Fraction(3))
-    assert (mixed ** 2).lo == 0 and (mixed ** 2).hi == 9
+def test_negative_lo_rejected():
+    for lo, hi in ((-1, 2), (Fraction(-1, 2 ** 64), 0), (-3, -2)):
+        with pytest.raises(ValueError):
+            IntervalValue(lo, hi)
+    with pytest.raises(ValueError):
+        IntervalValue.point(Fraction(-1, 3))
+    # rounding outward keeps the enclosure of a nonnegative real nonnegative
+    out = IntervalValue(Fraction(1, 2 ** 20), Fraction(1, 3)).outward(16)
+    assert out.lo == 0 and out.hi > Fraction(1, 3)
 
 
 def test_nth_root_enclosure():

@@ -24,8 +24,8 @@ from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
 from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import (box_points_in_ball, midpoint, vector_j_value, volume_chi_norm_sq,
-                     width)
+from oracles import (box_points_in_ball, contains_interval, midpoint, vector_j_value,
+                     volume_chi_norm_sq, width)
 
 # the package re-exports the function search under the submodule's name
 search_module = importlib.import_module("cyclopack.search")
@@ -75,6 +75,22 @@ def test_chi_norm_sq_matches_volume_form(two_g):
             for q, inside in ((r2 - Fraction(1, 2 ** k), True), (r2 + Fraction(1, 2 ** k), False)):
                 assert chi_norm_sq(two_g, q, bound) is inside
                 assert volume_chi_norm_sq(two_g, q, bound) is inside
+
+
+@pytest.mark.parametrize("m, precision", [(17, 16), (35, 16), (35, 32), (51, 16), (51, 32),
+                                          (51, 64)])
+def test_radius_sq_at_low_precision(m, precision):
+    # g = 16, 24, 32: the enclosure of v_2g at these precisions reaches 0, so
+    # R^2 is enclosed without dividing by it, and the enclosure holds the
+    # 128-bit one
+    g, bound = phi(m), m - EPS
+    assert svp.ball_volume(2 * g, precision).lo == 0
+    coarse = search_module._radius_sq(g, bound, precision)
+    assert contains_interval(coarse, search_module._radius_sq(g, bound, 128))
+    r2 = _radius_sq_near(g, bound)
+    for k in (8, 100, 140):
+        for q, inside in ((r2 - Fraction(1, 2 ** k), True), (r2 + Fraction(1, 2 ** k), False)):
+            assert chi_norm_sq(2 * g, q, bound, precision) is inside
 
 
 # -- J(r) ------------------------------------------------------------------------
