@@ -1,19 +1,22 @@
 """Exact arithmetic in K = Q(zeta_m) with the power basis of Z[zeta_m].
 
-All coordinates are exact Fractions in the power basis {1, zeta, ...,
-zeta^(g-1)}, g = phi(m). The constants of K are closed forms in the prime
-factors of m (tables.mobius_pairs): Phi_m as a Mobius product, the traces
-Tr(zeta^j) as Ramanujan sums and |disc| = m^g / prod_p p^(g/(p-1)). Every
-product, conjugate, trace and codifferent coordinate is an integer matrix
-applied to integer numerators. The trace-dual of the ring of integers (the
-codifferent) is the fractional ideal generated by 1/Phi_m'(zeta); since
-Z[zeta_m] is the full ring of integers, this is exact, not an approximation.
-No floating point is used anywhere in this module.
+An element is g integer numerators over one positive denominator, in lowest
+terms, in the power basis {1, zeta, ..., zeta^(g-1)}, g = phi(m). The
+constants of K are closed forms in the prime factors of m
+(tables.mobius_pairs): Phi_m as a Mobius product, the traces Tr(zeta^j) as
+Ramanujan sums and |disc| = m^g / prod_p p^(g/(p-1)). Every product,
+conjugate, trace and codifferent coordinate is an integer matrix applied to
+the numerators, over the product of the denominators: element arithmetic
+builds no Fraction. The trace-dual of the ring of integers (the codifferent)
+is the fractional ideal generated by 1/Phi_m'(zeta); since Z[zeta_m] is the
+full ring of integers, this is exact, not an approximation. No floating
+point is used anywhere in this module.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 from . import linalg
 from .tables import mobius_pairs, phi, prime_factors
@@ -38,25 +41,47 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _apply(mat, coords, den: int = 1) -> list[Fraction]:
-    """mat times the rational vector coords, divided by den: coords are
-    cleared of their common denominator once, the product is taken on ints,
-    and each result coordinate becomes one Fraction."""
-    (row,), d = linalg.integer_matrix([coords])
-    return [Fraction(c, d * den) for c in linalg.mat_vec(mat, row)]
+def _element(ctx: "CyclotomicContext", num: tuple[int, ...], den: int) -> "CycloElement":
+    """The element num / den, for numerators and a denominator den > 0 that
+    are already in lowest terms."""
+    a = object.__new__(CycloElement)
+    a.ctx, a.num, a.den, a._coords = ctx, num, den, None
+    return a
+
+
+def _reduced(ctx: "CyclotomicContext", num, den: int) -> "CycloElement":
+    """The element num / den in lowest terms, for any den != 0."""
+    d = gcd(den, *num)
+    if den < 0:
+        d = -d
+    return _element(ctx, tuple(c // d for c in num) if d != 1 else tuple(num), den // d)
 
 
 class CycloElement:
-    """An element of K as g exact rational coordinates in the power basis."""
+    """An element of K: the integer numerators num of its power-basis
+    coordinates over one denominator den > 0 with gcd(den, *num) = 1, so equal
+    elements have equal (num, den). coords, the coordinates as Fractions, is
+    built on first read."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "num", "den", "_coords")
 
     def __init__(self, ctx: "CyclotomicContext", coords) -> None:
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
         if len(coords) != ctx.g:
             raise ValueError(f"expected {ctx.g} coordinates, got {len(coords)}")
+        # each coordinate is in lowest terms, so over the least common
+        # denominator the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coords))
         self.ctx = ctx
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        if self._coords is None:
+            self._coords = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coords
 
     def __repr__(self) -> str:
         return f"CycloElement(m={self.ctx.m}, {list(map(str, self.coords))})"
@@ -64,13 +89,14 @@ class CycloElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.ctx.m == other.ctx.m and self.coords == other.coords
+        return (self.ctx.m == other.ctx.m and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.ctx.m, self.coords))
+        return hash((self.ctx.m, self.num, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def _check(self, other: "CycloElement") -> None:
         if self.ctx.m != other.ctx.m:
@@ -79,24 +105,26 @@ class CycloElement:
     def __add__(self, other):
         if isinstance(other, CycloElement):
             self._check(other)
-            return CycloElement(self.ctx, [a + b for a, b in zip(self.coords, other.coords)])
+            da, db = self.den, other.den
+            return _reduced(self.ctx, [a * db + b * da for a, b in zip(self.num, other.num)],
+                            da * db)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, CycloElement):
-            self._check(other)
-            return CycloElement(self.ctx, [a - b for a, b in zip(self.coords, other.coords)])
+            return self + -other
         return NotImplemented
 
     def __neg__(self):
-        return CycloElement(self.ctx, [-a for a in self.coords])
+        return _element(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CycloElement):
             self._check(other)
             return self.ctx.mul(self, other)
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.ctx, [a * other for a in self.coords])
+            p = other.numerator
+            return _reduced(self.ctx, [a * p for a in self.num], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -106,7 +134,10 @@ class CycloElement:
             self._check(other)
             return self * self.ctx.inverse(other)
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.ctx, [a / other for a in self.coords])
+            if not other:
+                raise ZeroDivisionError("division of a field element by zero")
+            q = other.denominator
+            return _reduced(self.ctx, [a * q for a in self.num], self.den * other.numerator)
         return NotImplemented
 
     def conj(self) -> "CycloElement":
@@ -163,9 +194,7 @@ class CyclotomicContext:
         self.conj_matrix: tuple[tuple[int, ...], ...] = tuple(
             tuple(cols[j][i] for j in range(g)) for i in range(g))
 
-        self.ok_basis: tuple[CycloElement, ...] = tuple(
-            CycloElement(self, self._zeta_coords[j]) for j in range(g)
-        )
+        self.ok_basis: tuple[CycloElement, ...] = tuple(self.zeta(j) for j in range(g))
 
         # the euclidean pairing Tr(a conj(b)) is a^T T b on coordinates, with
         # T integral and Toeplitz: Tr(zeta^j conj(zeta^k)) = Tr(zeta^|j-k|)
@@ -181,15 +210,16 @@ class CyclotomicContext:
         diff = self.different_generator()
         self._diff_matrix = self.mul_matrix(diff)
         self.codiff_gen: CycloElement = self.inverse(diff)
+        # unit multiples of codiff_gen: its numerators' shifts over its denominator e
+        e = self.codiff_gen.den
+        cd = self._shifts(self.codiff_gen.num)
         self.codiff_basis: tuple[CycloElement, ...] = tuple(
-            CycloElement(self, c) for c in self._shifts(self.codiff_gen.coords)
-        )
-        cd, e = linalg.integer_matrix([a.coords for a in self.codiff_basis])
+            _element(self, tuple(c), e) for c in cd)
         # codiff_pairing[j][k] = Tr(zeta^k conj(c_j)), integral on the codifferent
         self.codiff_pairing: tuple[tuple[int, ...], ...] = tuple(
             tuple(v // e for v in linalg.mat_vec(self.ok_gram, c)) for c in cd)
         self.codiff_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(_apply(cd, p, e)) for p in self.codiff_pairing)
+            tuple(Fraction(v, e) for v in linalg.mat_vec(cd, p)) for p in self.codiff_pairing)
 
     # -- construction helpers -------------------------------------------------
 
@@ -217,32 +247,43 @@ class CyclotomicContext:
         return CycloElement(self, coords)
 
     def zero(self) -> CycloElement:
-        return CycloElement(self, [0] * self.g)
+        return _element(self, (0,) * self.g, 1)
 
     def one(self) -> CycloElement:
-        return CycloElement(self, [1] + [0] * (self.g - 1))
+        return _element(self, (1,) + (0,) * (self.g - 1), 1)
 
     def zeta(self, e: int = 1) -> CycloElement:
-        return CycloElement(self, self._zeta_coords[e % self.m])
+        return _element(self, self._zeta_coords[e % self.m], 1)
 
     # -- field operations -----------------------------------------------------
 
     def mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        """a * b: the zeta-shift matrix of a's numerators, applied to b."""
-        (row,), d = linalg.integer_matrix([a.coords])
-        return CycloElement(self, _apply(linalg.transpose(self._shifts(row)), b.coords, d))
+        """a * b: the zeta-shift matrix of a's numerators applied to b's, over
+        the product of the denominators."""
+        return _reduced(self, linalg.mat_vec(zip(*self._shifts(a.num)), b.num), a.den * b.den)
+
+    def mul_zeta(self, e: int, a: CycloElement) -> CycloElement:
+        """zeta^e * a, the action of the unit zeta^e. Its matrix has the
+        columns zeta^(e+j), and it maps Z^g onto itself, so a's denominator
+        stays and the numerators need no reduction."""
+        z, m = self._zeta_coords, self.m
+        cols = [z[(e + j) % m] for j in range(self.g)]
+        return _element(self, tuple(linalg.mat_vec(zip(*cols), a.num)), a.den)
 
     def conj(self, a: CycloElement) -> CycloElement:
-        """Complex conjugation zeta -> zeta^(m-1)."""
-        return CycloElement(self, _apply(self.conj_matrix, a.coords))
+        """Complex conjugation zeta -> zeta^(m-1), an integer involution of
+        Z^g: a's denominator stays and the numerators need no reduction."""
+        return _element(self, tuple(linalg.mat_vec(self.conj_matrix, a.num)), a.den)
 
     def trace(self, a: CycloElement) -> Fraction:
-        return _apply(self.ok_gram[:1], a.coords)[0]  # row 0 holds Tr(zeta^k)
+        # row 0 of ok_gram holds Tr(zeta^k)
+        return Fraction(sum(map(operator.mul, self.ok_gram[0], a.num)), a.den)
 
     def inverse(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError("zero has no inverse in K")
-        sol = linalg.solve(self.mul_matrix(a), [1] + [0] * (self.g - 1))
+        # a = A / d for the shift matrix A of a's numerators: solve A x = d * 1
+        sol = linalg.solve(linalg.transpose(self._shifts(a.num)), [a.den] + [0] * (self.g - 1))
         assert sol is not None  # multiplication by a nonzero field element is invertible
         return CycloElement(self, sol)
 
@@ -250,8 +291,8 @@ class CyclotomicContext:
         """Matrix of multiplication by a on power-basis coordinates: column j
         holds a * zeta^j. For a ring integer it is integral, with int entries,
         so it maps integer coordinate rows to integer rows."""
-        return linalg.transpose(self._shifts(
-            [c.numerator if c.denominator == 1 else c for c in a.coords]))
+        rows = linalg.transpose(self._shifts(a.num))
+        return rows if a.den == 1 else [[Fraction(c, a.den) for c in r] for r in rows]
 
     def different_generator(self) -> CycloElement:
         """Phi_m'(zeta); its inverse generates the codifferent over Z[zeta]."""
@@ -263,5 +304,4 @@ class CyclotomicContext:
     def coords_in_codiff(self, a: CycloElement) -> list[Fraction]:
         """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
         which are the power-basis coordinates of a * Phi_m'(zeta)."""
-        return _apply(self._diff_matrix, a.coords)
-
+        return [Fraction(c, a.den) for c in linalg.mat_vec(self._diff_matrix, a.num)]

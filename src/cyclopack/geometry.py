@@ -3,10 +3,10 @@
 K sits inside C^g via its g complex embeddings; E is the real span of K, and
 C^g = E + iE. The euclidean pairing on rational points of E is the exact trace
 form <a, b> = Tr(a * conj(b)), evaluated without field multiplication as
-a^T T b / d^2 on the integer numerators of the power-basis coordinates over
-one denominator d, with T = ctx.ok_gram the integral trace-form matrix. Points
-of C^g handled here are pairs of field elements (rational points), which keeps
-every norm and pairing an exact rational.
+a^T T b / (d e) on the integer numerators, a over d and b over e, of the
+power-basis coordinates, with T = ctx.ok_gram the integral trace-form matrix.
+Points of C^g handled here are pairs of field elements (rational points),
+which keeps every norm and pairing an exact rational.
 """
 from __future__ import annotations
 
@@ -37,8 +37,7 @@ def pairing(a: CycloElement, b: CycloElement) -> Fraction:
     """Euclidean pairing Tr(a * conj(b)) = a^T T b on E; symmetric, positive
     definite."""
     a._check(b)
-    (ra, rb), d = linalg.integer_matrix([a.coords, b.coords])
-    return Fraction(sum(map(mul, ra, linalg.mat_vec(a.ctx.ok_gram, rb))), d * d)
+    return Fraction(sum(map(mul, a.num, linalg.mat_vec(a.ctx.ok_gram, b.num))), a.den * b.den)
 
 
 def gram(basis) -> list[list[Fraction]]:
@@ -61,6 +60,6 @@ def g_act(k: int, p: ComplexPoint) -> ComplexPoint:
     k is any exponent mod m; the acting group is the full cyclic group of
     order m generated by zeta, so k need not be coprime to m.
     """
-    zeta = p.ctx.zeta  # zeta^-k = conj(zeta^k)
-    return ComplexPoint(zeta(k) * p.x, zeta(-k) * p.y)
+    act = p.ctx.mul_zeta
+    return ComplexPoint(act(k, p.x), act(-k, p.y))
 

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import tempfile
 from fractions import Fraction
 
 
@@ -19,12 +17,15 @@ def parse_rat(s: str) -> Fraction:
 
 
 def parse_fmt_rat(s: str, name: str) -> Fraction:
-    """The rational of a "p/q" string as fmt_rat writes it. Anything else
-    raises ValueError: Fraction would also read decimals and exponents, and
-    a short "1e-5000000" stands for a number of millions of digits."""
-    if not re.fullmatch(r"-?[0-9]+/[0-9]+", s):
+    """The rational of a "p/q" string as fmt_rat writes it: ASCII decimal
+    digits, one "/" and ASCII decimal digits, with an optional leading "-".
+    Anything else raises ValueError: Fraction would also read decimals and
+    exponents, and a short "1e-5000000" stands for a number of millions of
+    digits."""
+    p, slash, q = s.partition("/")
+    if not (slash and s.isascii() and p.removeprefix("-").isdigit() and q.isdigit()):
         raise ValueError(f'{name} must be a "p/q" rational, got {s[:40]!r}')
-    return Fraction(s)
+    return Fraction(int(p), int(q))
 
 
 def dump_json(obj) -> str:
@@ -33,6 +34,7 @@ def dump_json(obj) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write-then-rename so interrupted runs never leave partial files."""
+    import tempfile  # here, not at the top: only a written file needs it
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
     try:

@@ -19,10 +19,6 @@ Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
 

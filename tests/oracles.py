@@ -420,6 +420,10 @@ def poly_trace(a, m: int) -> Fraction:
     return sum((c * t for c, t in zip(a, power_traces(m))), Fraction(0))
 
 
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 def poly_mul(a, b) -> list[int]:
     """Schoolbook product of two integer coefficient lists, low degree first."""
     out = [0] * (len(a) + len(b) - 1)

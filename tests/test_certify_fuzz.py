@@ -7,6 +7,7 @@ Only the g = 2 files are mutated, and a digit mutation keeps the number of
 digits, so x keeps small denominators: r^2 is capped from both ends before
 counting, but a large denominator of x still raises the cap on r^2."""
 import json
+import re
 import tempfile
 import time
 from fractions import Fraction
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cyclopack.cli import main
 from cyclopack.cyclotomic import CyclotomicContext
+from cyclopack.ioutil import parse_fmt_rat
 from cyclopack.lattice import build_lattice
 from oracles import box_shortest_norm_sq
 from test_certificate_parser import DOCS, mutated
@@ -61,3 +64,29 @@ def test_certify_rejects_rationals_not_in_p_q_form(key, value, tmp_path, capsys)
     assert main(["certify", str(path)]) == 2
     assert time.perf_counter() - t0 < 1
     assert "malformed certificate" in capsys.readouterr().err
+
+
+P_Q = re.compile(r"-?[0-9]+/[0-9]+")  # the form fmt_rat writes
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.from_regex(P_Q, fullmatch=True) | st.text("0123456789-+/ ._e\n\u00b2\u0661", max_size=8))
+def test_parse_fmt_rat_reads_exactly_the_p_q_form(s):
+    if not P_Q.fullmatch(s):
+        with pytest.raises(ValueError, match='r must be a "p/q" rational'):
+            parse_fmt_rat(s, "r")
+    elif int(s.partition("/")[2]) == 0:
+        with pytest.raises(ZeroDivisionError):
+            parse_fmt_rat(s, "r")
+    else:
+        got = parse_fmt_rat(s, "r")
+        assert type(got) is Fraction and got == Fraction(s)
+
+
+@pytest.mark.parametrize("s", ["\u00b2/3", "\u0661/2", "+1/2", "1/-2", "1/2/3", "/2", "1/",
+                               "-/2", "--1/2", "1/2\n", "1 /2", ""])
+def test_parse_fmt_rat_rejects(s):
+    # "\u00b2" (superscript two) and "\u0661" (Arabic-Indic one) are digits
+    # to str.isdigit, not to [0-9]
+    with pytest.raises(ValueError):
+        parse_fmt_rat(s, "r")

@@ -223,6 +223,19 @@ def test_cli_import_does_not_load_mpmath():
     assert (lines[0], lines[-1]) == ("[]", "[] 0")
 
 
+def test_cli_loads_tempfile_only_to_write_a_file(tmp_path):
+    # -S: no site, whose .pth files may import tempfile themselves
+    proc = run_python("-S", "-c", "import sys, cyclopack.cli as cli\n"
+                                  "code = cli.main(['certify', sys.argv[1]])\n"
+                                  "print('tempfile' in sys.modules, code)\n"
+                                  "code = cli.main(['construct', '--m', '4', '--r2', '2',\n"
+                                  "                 '--x', '0', '--out', sys.argv[2]])\n"
+                                  "print('tempfile' in sys.modules, code)",
+                      str(ROOT / "perfbench" / "reference" / "m12.json"), str(tmp_path / "lat.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False 0", "True 0"]
+
+
 def test_python_m_cyclopack_runs_cli():
     proc = run_python("-m", "cyclopack", "--help")
     assert proc.returncode == 0, proc.stderr
@@ -239,6 +252,15 @@ def test_verify_m12(capsys):
     code, out, _ = run(capsys, "verify", "--m", "12", "--trials", "25")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_m30_as_benchmarked(capsys):
+    # perfbench/run.py's second verify operation; its output_ok needs one
+    # PASS word per suite and no FAIL
+    code, out, _ = run(capsys, "verify", "--m", "30", "--trials", "4", "--seed", "0")
+    assert code == 0
+    words = out.split()
+    assert words.count("PASS") == 6 and "FAIL" not in words
 
 
 def test_verify_rejects_nonpositive_trials(capsys):

@@ -11,7 +11,7 @@ from cyclopack.geometry import pairing
 from cyclopack.svp import shortest_norm_sq
 from cyclopack.tables import phi, prime_factors
 from conftest import get_ctx
-from oracles import (poly_conj, poly_mul, poly_mul_mod, poly_trace, power_traces,
+from oracles import (identity, poly_conj, poly_mul, poly_mul_mod, poly_trace, power_traces,
                      trace_by_embeddings)
 
 
@@ -113,6 +113,68 @@ def test_operations_reject_other_fields(ctx3, ctx4):
                 op(ctx3.one(), other)
 
 
+def in_lowest_terms(a) -> bool:
+    """a holds g ints over one positive int denominator sharing no factor
+    with them, and no Fraction."""
+    return (type(a.num) is tuple and len(a.num) == a.ctx.g
+            and all(type(c) is int for c in (*a.num, a.den))
+            and a.den > 0 and gcd(a.den, *a.num) == 1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12, 15, 30])
+def test_elements_are_numerators_over_one_denominator(m):
+    # each result of the element operations is in lowest terms, and its
+    # coordinates are those of the same operation on the Fraction lists the
+    # elements were built from (the polynomial oracle for the products)
+    ctx = get_ctx(m)
+    rng = random.Random(100 + m)
+    zero, one = Fraction(0), Fraction(1)
+    lists = [[zero] * ctx.g, [one] + [zero] * (ctx.g - 1),
+             *([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6, 12, 35))) for _ in range(ctx.g)]
+               for _ in range(4))]
+    scalars = [1, -1, 3, -6, Fraction(-2, 3), Fraction(35, 4)]
+    for xs in lists:
+        a = ctx.element(xs)
+        assert in_lowest_terms(a) and list(a.coords) == xs
+        assert a / 1 == a and hash(a / 1) == hash(a)
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+        with pytest.raises(ZeroDivisionError):
+            a / Fraction(0)
+        results = [(-a, [-x for x in xs]), (a * 0, [zero] * ctx.g), (a.conj(), poly_conj(xs, m))]
+        results += [(op(a, s), [op(x, s) for x in xs])
+                    for s in scalars for op in (operator.mul, operator.truediv)]
+        results += [(s * a, poly_mul_mod([s], xs, m)) for s in scalars]
+        for ys in lists:
+            b = ctx.element(ys)
+            results += [(a + b, [x + y for x, y in zip(xs, ys)]),
+                        (a - b, [x - y for x, y in zip(xs, ys)]),
+                        (a * b, poly_mul_mod(xs, ys, m))]
+        for c, want in results:
+            assert in_lowest_terms(c) and list(c.coords) == want, (xs, c)
+
+
+def test_equal_values_compare_and_hash_equal(ctx4, ctx12):
+    # the same element reached by different paths has the same (num, den)
+    half = Fraction(1, 2)
+    for ctx in (ctx4, ctx12):
+        zeros = [0] * (ctx.g - 1)
+        z = ctx.zeta(1)
+        same = [ctx.element([half, *zeros]), ctx.element([Fraction(3, 6), *zeros]),
+                ctx.element(["1/2", *zeros]), ctx.element([0.5, *zeros]),
+                ctx.one() / 2, ctx.one() * half, half * ctx.one(), (ctx.one() + ctx.one()) / 4,
+                z * z.conj() / 2, ctx.one() - ctx.element([half, *zeros]),
+                -(ctx.element([Fraction(-3, 4), *zeros]) * Fraction(2, 3)),
+                ctx.mul_zeta(-1, z) / Fraction(2)]
+        assert all(e.num == (1, *zeros) and e.den == 2 for e in same)
+        assert len(set(same)) == 1 and len({hash(e) for e in same}) == 1
+        assert ctx.one() / 2 != ctx.one() / 3
+    assert ctx4.one() / 2 != get_ctx(3).one() / 2  # same numerators, another field
+    zero = ctx4.zero()
+    assert zero == ctx4.element([Fraction(0, 5), 0]) == ctx4.one() * 0 == ctx4.zeta(1) - ctx4.zeta(1)
+    assert zero.den == 1 and not zero
+
+
 def test_mul_inverse_roundtrip():
     rng = random.Random(7)
     for m in (3, 4, 5, 8, 12):
@@ -150,7 +212,7 @@ def test_conjugation_matrix_is_involution():
     for m in (3, 4, 5, 8, 12, 15):
         ctx = get_ctx(m)
         p = ctx.conj_matrix
-        assert linalg.mat_mul([list(r) for r in p], [list(r) for r in p]) == linalg.identity(ctx.g)
+        assert linalg.mat_mul([list(r) for r in p], [list(r) for r in p]) == identity(ctx.g)
 
 
 def test_trace(ctx3):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cyclopack import linalg
+from cyclopack import cyclotomic, geometry, linalg
 from cyclopack.geometry import ComplexPoint, g_act, gram, norm_sq, pairing
 from conftest import get_ctx
-from oracles import embed
-from test_cyclotomic import random_element
+from oracles import embed, poly_mul_mod
+from test_cyclotomic import in_lowest_terms, random_element
 
 
 def random_point(ctx, rng):
@@ -107,6 +107,51 @@ def test_g_act_identity_and_composition(ctx12):
         a = g_act(k2, g_act(k1, p))
         b = g_act(k1 + k2, p)
         assert a.x == b.x and a.y == b.y
+
+
+@pytest.mark.parametrize("m", range(3, 31))
+def test_g_act_matches_polynomial_oracle(m):
+    # x + iy -> zeta^k x + i zeta^-k y, the powers of zeta as coefficient
+    # lists reduced by the oracle; a unit keeps each denominator
+    ctx = get_ctx(m)
+    rng = random.Random(m)
+    xs, ys = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ctx.g)]
+              for _ in range(2))
+    p = ComplexPoint(ctx.element(xs), ctx.element(ys))
+    for k in range(-m, m + 1):
+        q = g_act(k, p)
+        assert list(q.x.coords) == poly_mul_mod([0] * (k % m) + [1], xs, m), k
+        assert list(q.y.coords) == poly_mul_mod([0] * (-k % m) + [1], ys, m), k
+        assert in_lowest_terms(q.x) and in_lowest_terms(q.y)
+        assert (q.x.den, q.y.den) == (p.x.den, p.y.den)
+
+
+def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
+    # products, unit multiples, conjugates and powers of zeta work on the
+    # numerators: no Fraction and no clearing of denominators; a trace and a
+    # pairing build one Fraction each, for their result
+    rng = random.Random(12)
+    a, b = random_element(ctx12, rng), random_element(ctx12, rng)
+    p = ComplexPoint(a, b)
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    def no_clearing(rows):
+        raise AssertionError("integer_matrix called on element operands")
+
+    for module in (cyclotomic, geometry):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    monkeypatch.setattr(linalg, "integer_matrix", no_clearing)
+    for k in range(-12, 13):
+        ctx12.mul(a, b), ctx12.mul(ctx12.zeta(k), b), ctx12.conj(a)
+        ctx12.mul_zeta(k, a), g_act(k, p)
+    assert made == []
+    ctx12.trace(a), pairing(a, b)
+    assert len(made) == 2
 
 
 def test_g_act_preserves_norm_exactly():

@@ -8,7 +8,7 @@ from cyclopack import linalg
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.lattice import PolarizedLattice, build_lattice
 from conftest import get_ctx
-from oracles import block_contains, elimination_spans
+from oracles import block_contains, elimination_spans, identity
 from test_cyclotomic import random_element
 
 
@@ -28,7 +28,7 @@ def gram_oracle(ctx, r_sq, x, pairs):
 
 def test_m4_unit_gram(ctx4):
     lat = build_lattice(ctx4, 2, ctx4.zero())
-    assert lat.real_gram == linalg.identity(4)
+    assert lat.real_gram == identity(4)
     assert lat.det_real_gram() == 1
     assert lat.is_riemann_integral() and lat.is_unimodular()
 

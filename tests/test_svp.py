@@ -15,7 +15,7 @@ from cyclopack.svp import (ball_volume, enumerate_in_ball,
                            norm_counts, packing_density, shortest_norm_sq)
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq, contains_interval,
-                     midpoint, rational_enumerate_in_ball, rational_lll_reduce, width)
+                     identity, midpoint, rational_enumerate_in_ball, rational_lll_reduce, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -33,7 +33,7 @@ def random_pd_gram(n, rng):
 
 
 def random_unimodular(n, rng):
-    u = linalg.identity(n)
+    u = identity(n)
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -76,7 +76,7 @@ def test_ball_volume_rejects_odd_or_tiny():
 # -- LLL -------------------------------------------------------------------------
 
 def test_lll_identity_fixed():
-    g = linalg.identity(4)
+    g = identity(4)
     u, r, _, _ = lll_reduce(g)
     assert u == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert r == g
@@ -134,7 +134,7 @@ def test_lll_rejects_non_pd():
 # -- enumeration -------------------------------------------------------------------
 
 def test_enumerate_trivial_cases():
-    gid = linalg.identity(2)
+    gid = identity(2)
     assert enumerate_in_ball(gid, None, 0) == [(0, 0)]
     assert len(enumerate_in_ball(gid, None, 1)) == 5
     assert enumerate_in_ball(gid, None, Fraction(-1)) == []
@@ -174,7 +174,7 @@ def test_norm_counts_tally_the_enumerated_norms():
         radius = Fraction(rng.randint(0, 60), rng.randint(1, 7))
         tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius) if any(v))
         assert norm_counts(g, radius) == sorted(tally.items()), (trial, g, radius)
-    assert norm_counts(linalg.identity(2), -1) == []
+    assert norm_counts(identity(2), -1) == []
 
 
 def test_half_walk_emits_one_of_each_opposite_pair():
@@ -270,7 +270,7 @@ def test_twisted_lattice_enumeration_matches_rational_reference():
 # -- shortest vectors ---------------------------------------------------------------
 
 def test_shortest_norm_known_values(ctx3, ctx4):
-    assert shortest_norm_sq(linalg.identity(4)) == 1
+    assert shortest_norm_sq(identity(4)) == 1
     assert shortest_norm_sq([list(r) for r in ctx3.ok_gram]) == 2
     assert shortest_norm_sq([list(r) for r in ctx4.codiff_gram]) == Fraction(1, 2)
     assert shortest_norm_sq([list(r) for r in ctx3.codiff_gram]) == Fraction(2, 3)
@@ -337,10 +337,10 @@ def test_shortest_norm_homogeneous_and_unimodular_invariant():
 def test_packing_density_values():
     with mpmath.workprec(300):
         pi = +mpmath.pi
-        iv = packing_density(linalg.identity(2), 2)
+        iv = packing_density(identity(2), 2)
         assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator < pi / 4
         assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator > pi / 4
-        iv4 = packing_density(linalg.identity(4), 4)  # the m=4 witness lattice
+        iv4 = packing_density(identity(4), 4)  # the m=4 witness lattice
         t = pi ** 2 / 32
         assert mpmath.mpf(iv4.lo.numerator) / iv4.lo.denominator < t
         assert mpmath.mpf(iv4.hi.numerator) / iv4.hi.denominator > t
@@ -348,7 +348,7 @@ def test_packing_density_values():
 
 def test_packing_density_monotone_in_lambda():
     small = packing_density(frac_mat([[Fraction(1, 2), 0], [0, 2]]), 2)
-    large = packing_density(linalg.identity(2), 2)
+    large = packing_density(identity(2), 2)
     assert small.hi < large.lo
 
 
@@ -356,4 +356,4 @@ def test_packing_density_rejects_bad_input():
     with pytest.raises(ValueError):
         packing_density(frac_mat([[2, 0], [0, 2]]), 2)  # covolume != 1
     with pytest.raises(ValueError):
-        packing_density(linalg.identity(3), 2)
+        packing_density(identity(3), 2)
