@@ -13,18 +13,20 @@ Pipeline for a given m and rational epsilon in (0, m):
      integers, so one streamed enumeration of the ring per field serves it
      (ring_norms).
   2. Twist points x are sampled from the fundamental parallelepiped of the
-     codifferent; x = 0 is always tried first, and its count is read off the
-     same ring norms, since its lattice splits. The first x with N(x) = 0
+     codifferent; x = 0 is always tried first. The first x with N(x) = 0
      wins; since the count is divisible by m and has mean J(r0) < m, such x
-     exist in abundance. Each sampled twist's lattice is built and
-     LLL-reduced once. select_r puts every nonzero vector with b = 0 outside
-     the chi ball, so any nonzero lattice vector inside it is a point N(x)
-     counts: if the least reduced basis vector lies inside, the twist loses
-     without a walk.
+     exist in abundance. The lattice at x = 0 splits, and its shortest
+     vectors with nonzero ring part, (0, 1) among them, have squared norm
+     g/r^2: x = 0 is decided by chi at that one norm, with no lattice built
+     unless it wins. Each sampled twist's lattice is built and LLL-reduced
+     once. select_r puts every nonzero vector with b = 0 outside the chi
+     ball, so any nonzero lattice vector inside it is a point N(x) counts: if
+     the least reduced basis vector lies inside, the twist loses without a
+     walk.
   3. Otherwise lambda1 is taken first, and a twist whose shortest vector
      lies inside the ball loses too. So N(x) = 0 exactly when lambda1^2 lies
-     outside it, and the exact count_N of a remaining twist reads a ball
-     below lambda1 that holds only the origin: a winner takes one walk.
+     outside it, and the exact count_N of a winner, x = 0 included, reads a
+     ball below lambda1 that holds only the origin: a winner takes one walk.
      The certificate's bound is NOT inferred from the counting argument: the
      shortest vector is enumerated exactly and v_2g * lambda1^2g is bounded
      below by interval arithmetic. A re-check (certify) also takes lambda1
@@ -181,7 +183,7 @@ def chi_radius_sq(ctx: CyclotomicContext, epsilon, precision: int) -> IntervalVa
     return _radius_sq(ctx.g, ctx.m - Fraction(epsilon), precision)
 
 
-# -- the ring norms: J(r) and N(0) ---------------------------------------------
+# -- J(r) ----------------------------------------------------------------------
 
 # m -> (ring's prepared form, radius, norms up to it); norms depend on neither r nor epsilon
 _RING_NORMS: dict[int, tuple[PreparedForm, Fraction, list[tuple[Fraction, int]]]] = {}
@@ -243,24 +245,6 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
     nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
     vg = ball_volume(g, guard)
     return (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
-
-
-def count_zero_twist(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> int:
-    """count_N(build_lattice(ctx, r_sq, ctx.zero()), epsilon, precision), read
-    off the ring norms, for an r^2 at which select_r certified
-    r^2 lambda1^2(I) outside the chi ball.
-
-    At x = 0 the lattice splits as r I + (1/r) Z[zeta_m], so a vector (a, b)
-    has squared norm r^2 |a|^2 + |b|^2 / r^2. Any a != 0 puts it outside the
-    ball, so N(0) counts the b != 0 with chi at |b|^2 / r^2, taken over the
-    norms up to r^2 times an outer bound of R^2; the enclosure is the one
-    j_value reads, so the ring norms are not enumerated again.
-    """
-    r_sq = Fraction(r_sq)
-    bound = ctx.m - Fraction(epsilon)
-    r2 = chi_radius_sq(ctx, epsilon, precision + 32)
-    return sum(k for t, k in ring_norms(ctx, r_sq * r2.hi)
-               if chi_norm_sq(2 * ctx.g, t / r_sq, bound, precision))
 
 
 def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> Fraction:
@@ -377,54 +361,54 @@ def _certificate_at(config: SearchConfig, lat: PolarizedLattice, n_value: int,
     )
 
 
+def _twists(config: SearchConfig, ctx: CyclotomicContext) -> Iterator[CycloElement]:
+    """The candidates at sample_index 0, 1, ..., budget - 1: x = 0, then
+    budget - 1 twists drawn from the seed. Each call draws them afresh, so
+    the budget's count sees the twists the search saw without keeping them."""
+    rng = random.Random(config.seed)
+    yield ctx.zero()
+    for _ in range(1, config.budget):
+        yield sample_x(ctx, config.denom, rng)
+
+
 def search(config: SearchConfig) -> Certificate:
     """Run the full pipeline; raises NoQualifyingRadius or
     SearchBudgetExceeded when the certified witness cannot be produced
     within the configured resources.
 
-    Candidate 0 is x = 0, counted from the ring norms (count_zero_twist).
-    The sampled twists, indices 1, 2, ..., are then drawn and decided one at
-    a time; the first with count zero wins, so no twist past it is drawn. A
-    twist loses uncounted when its least reduced basis vector, or else its
-    shortest vector, lies in the chi ball; any other twist takes count_N,
-    which reads the empty ball below lambda1 without walking. When the
-    budget runs out, _budget_histogram counts every drawn twist exactly."""
+    The candidates of _twists are decided one at a time; the first with
+    count zero wins, so no twist past it is drawn. x = 0 is decided by a
+    closed form and builds no lattice unless it wins. A sampled twist loses
+    uncounted when its least reduced basis vector, or else its shortest
+    vector, lies in the chi ball. A winner takes lambda1 first and then
+    count_N, which reads the empty ball below lambda1 without walking. When
+    the budget runs out, the candidates are drawn again and each is counted
+    exactly."""
     config.validate()
     ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, default_r_grid(), config.precision)
-    rng = random.Random(config.seed)
+    g, bound, precision = ctx.g, ctx.m - config.epsilon, config.precision
 
-    # x = 0 is candidate 0; its lattice splits, so its count is read off the
-    # ring norms that J(r) enumerated, and the sampled twists start at index 1
-    n0 = count_zero_twist(ctx, r_sq, config.epsilon, config.precision)
-    if n0 == 0:
-        lat = build_lattice(ctx, r_sq, ctx.zero())
-        return _certificate_at(config, lat, 0, 0, shortest_norm_sq(lat.form))
-    g, bound = ctx.g, ctx.m - config.epsilon
-    for i in range(1, config.budget):
-        lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
+    def inside(nsq: Fraction) -> bool:
+        return chi_norm_sq(2 * g, nsq, bound, precision)
+
+    for i, x in enumerate(_twists(config, ctx)):
+        # x = 0 splits as r D^-1 + (1/r) Z[zeta_m], and |b|^2 >= g for every
+        # nonzero ring integer b (AM-GM on Tr(b conj(b))), attained at b = 1:
+        # N(0) = 0 exactly when (0, 1), of squared norm g / r^2, lies outside
+        if i == 0 and inside(g / r_sq):
+            continue
+        lat = build_lattice(ctx, r_sq, x)
         form = lat.form
         # select_r put every nonzero vector with b = 0 outside the ball, so a
         # nonzero vector inside it is counted by N(x); lambda1^2 <= min_diagonal
-        if (chi_norm_sq(2 * g, form.min_diagonal, bound, config.precision)
-                or chi_norm_sq(2 * g, form.shortest_norm_sq(), bound, config.precision)):
+        if i > 0 and (inside(form.min_diagonal) or inside(form.shortest_norm_sq())):
             continue
-        if count_N(lat, config.epsilon, config.precision) == 0:
-            return _certificate_at(config, lat, 0, i, form.shortest_norm_sq())
-    raise SearchBudgetExceeded(config.m, _budget_histogram(config, ctx, r_sq, n0))
-
-
-def _budget_histogram(config: SearchConfig, ctx: CyclotomicContext, r_sq: Fraction,
-                     n0: int) -> Counter[Fraction]:
-    """N(x)/m -> number of twists, over x = 0 (count n0) and the twists at
-    indices 1 .. budget - 1, each counted exactly with count_N. The twists are
-    drawn again from the seed, so the search keeps none of them."""
-    rng = random.Random(config.seed)
-    histogram: Counter[Fraction] = Counter({Fraction(n0, config.m): 1})
-    for _ in range(1, config.budget):
-        lat = build_lattice(ctx, r_sq, sample_x(ctx, config.denom, rng))
-        histogram[Fraction(count_N(lat, config.epsilon, config.precision), config.m)] += 1
-    return histogram
+        lam = form.shortest_norm_sq()
+        return _certificate_at(config, lat, count_N(lat, config.epsilon, precision), i, lam)
+    raise SearchBudgetExceeded(config.m, Counter(
+        Fraction(count_N(build_lattice(ctx, r_sq, x), config.epsilon, precision), ctx.m)
+        for x in _twists(config, ctx)))
 
 
 # -- certificate (de)serialization and re-verification -------------------------

@@ -8,10 +8,10 @@ denominator, so the range at each level comes from an integer square root,
 never from floating bounds. The walk hands each point to a visitor instead
 of building a list: enumerate collects the points, mapped back to the input
 basis, and norm_counts only tallies the integer values of the form, which is
-all that a theta-series question (the ring norms behind J(r) and N(0)) or
-the shortest vector needs. Its ball is centred at the origin and so
-symmetric under v -> -v: norm_counts walks half of it, one vector of each
-pair +-v, and doubles every multiplicity. The enumerations are complete by
+all that a theta-series question (the ring norms behind J(r)) or the
+shortest vector needs. Its ball is centred at the origin and so symmetric
+under v -> -v: norm_counts walks half of it, one vector of each pair +-v,
+and doubles every multiplicity. The enumerations are complete by
 construction and the returned minima are exact.
 
 The LLL reduction and the LDL factors of the reduced form depend only on
@@ -19,10 +19,11 @@ the Gram matrix. The enumeration functions take a Gram matrix, prepared
 afresh for that call, or a PreparedForm owned by a caller that asks
 several questions of one form: a lattice owns its form
 (PolarizedLattice.form) and ring_norms keeps the ring's. The module keeps
-no state. A search decides each twist from its lattice's form: the least
-diagonal entry of the reduced form is the squared norm of a lattice vector,
-known with no walk, which settles a twist whose obstruction count it
-already makes positive; otherwise the shortest vector is walked once, and a
+no state. A closed form decides the split lattice at x = 0 with no form
+at all; a search decides each sampled twist from its lattice's form: the
+least diagonal entry of the reduced form is the squared norm of a lattice
+vector, known with no walk, which settles a twist whose obstruction count
+it already makes positive; otherwise the shortest vector is walked once, and a
 form whose minimum is known answers the count's ball about the origin
 below it without a walk.
 """

@@ -120,5 +120,9 @@ def primorial_row(x: int) -> PrimorialRow:
     ps = primes_up_to(x)
     m = math.prod(ps)
     g = math.prod(p - 1 for p in ps)
-    diag = math.exp(EULER_GAMMA) * g * math.log(math.log(g))
+    try:
+        diag = math.exp(EULER_GAMMA) * g * math.log(math.log(g))
+    except OverflowError:
+        raise ValueError(f"x = {x}: g = phi(m) has {g.bit_length()} bits, too large for "
+                         "the float asymptotic_diag") from None
     return PrimorialRow(m=m, g=g, bound=f"4^g*V_g >= {m}", asymptotic_diag=diag)

@@ -321,6 +321,20 @@ def test_primorial_csv(capsys):
     assert row.split(",") == ["30", "8", "4^g*V_g >= 30", str(primorial_row(5).asymptotic_diag)]
 
 
+def test_primorial_past_the_float_range(capsys):
+    # x = 742 is the last x whose g = phi(m) lies below 2^1024; from x = 743
+    # on the float asymptotic_diag overflows, which is a usage error
+    code, out, err = run(capsys, "primorial", "--x", "742")
+    doc = json.loads(out)
+    assert (code, err) == (0, "") and doc["g"].bit_length() == 1015
+    assert doc["asymptotic_diag"] == 3.856730470207922e+306
+    for x in ("743", "1000"):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "primorial", "--x", x, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: x = {x}: g = phi(m) has ") and err.count("\n") == 1
+
+
 TABLE_JSON = """\
 [
   {

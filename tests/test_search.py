@@ -16,7 +16,7 @@ from cyclopack.search import (NoQualifyingRadius,
                               SearchBudgetExceeded, SearchConfig,
                               certificate_from_json_dict,
                               certificate_to_json_dict, chi, chi_norm_sq,
-                              chi_radius_sq, count_N, count_zero_twist,
+                              chi_radius_sq, count_N,
                               default_r_grid, j_value, _randbelow,
                               recompute_certificate, ring_norms, sample_x,
                               search, select_r)
@@ -226,31 +226,54 @@ def test_count_zero_at_origin_for_m4(ctx4):
     assert count_N(build_lattice(ctx4, 2, ctx4.zero()), EPS) == 0
 
 
-def test_zero_twist_count_from_ring_norms():
-    # at the selected scale, and for m = 3, 4, 5 (where N(0) = 0 there) at a
-    # larger admissible scale where N(0) > 0
-    cases = [(m, select_r(get_ctx(m), EPS, default_r_grid())) for m in SMALL_FIELDS]
-    larger = [(3, Fraction(3)), (4, Fraction(5, 2)), (5, Fraction(4))]
-    for m, r_sq in cases + larger:
+def test_zero_twist_decided_by_the_ring_minimum():
+    # x = 0 splits as r D^-1 + (1/r) Z[zeta_m] and |b|^2 >= g for every
+    # nonzero ring integer b, with b = 1 attaining it, so N(0) = 0 exactly
+    # when g / r^2 lies outside the chi ball. Checked at select_r's scale,
+    # at a larger scale where N(0) > 0 for m = 3, 4 and 5, and on the four
+    # r^2 = k/2 nearest the flip g / R^2, two on each side of it
+    larger = {3: Fraction(3), 4: Fraction(5, 2), 5: Fraction(4)}
+    for m in SMALL_FIELDS:
         ctx = get_ctx(m)
-        n0 = count_zero_twist(ctx, r_sq, EPS)
-        assert n0 == count_N(build_lattice(ctx, r_sq, ctx.zero()), EPS), (m, r_sq)
-        assert n0 > 0 or (m, r_sq) not in larger
+        g, bound = ctx.g, m - EPS
+        k = int(2 * g / midpoint(chi_radius_sq(ctx, EPS, 64)))
+        scales = [select_r(ctx, EPS, default_r_grid()),
+                  *[Fraction(j, 2) for j in range(k - 1, k + 3)]]
+        if m in larger:
+            scales.append(larger[m])
+        outside = {}
+        for r_sq in scales:
+            n0 = count_N(build_lattice(ctx, r_sq, ctx.zero()), EPS)
+            outside[r_sq] = not chi_norm_sq(2 * g, g / r_sq, bound)
+            assert (n0 == 0) == outside[r_sq], (m, r_sq, n0)
+        assert set(outside.values()) == {True, False}, m
+        assert m not in larger or not outside[larger[m]], m
 
 
 def test_search_counts_only_sampled_twists(monkeypatch):
-    # x = 0 loses at m = 8 (N(0) = 8); its count comes from the ring norms.
-    # The winners sit at sample_index 3 (seed 0), 1 (seed 1) and 4 (seed 2).
-    # Each sampled twist is drawn once and LLL-reduced once; a loser's least
-    # reduced basis vector lies in the chi ball, so it is neither counted nor
-    # walked, and the winner walks once, for lambda1, before its count
+    # x = 0 loses at m = 6, 8 and 30 on g / r^2 alone: once select_r
+    # returns, the first event is a draw, and no lattice is built at x = 0.
+    # The winners sit at sample_index 3, 1 and 4 for m = 8, seeds 0, 1, 2,
+    # and at 1 for m = 6 and 30, seed 0. Each sampled twist is drawn once, built once and LLL-reduced once; a
+    # loser's least reduced basis vector lies in the chi ball, so it is
+    # neither counted nor walked, and the winner walks once, for lambda1,
+    # before its count
     events, drawn, reduced, walked = [], [], [], []
     lll_reduce, walk = svp.lll_reduce, svp.PreparedForm._walk
+
+    def selecting(*args):
+        r_sq = select_r(*args)
+        events.append("select_r")
+        return r_sq
 
     def drawing(ctx, denom, rng):
         drawn.append(sample_x(ctx, denom, rng))
         events.append("draw")
         return drawn[-1]
+
+    def building(ctx, r_sq, x):
+        events.append("build" if x else "build x = 0")
+        return build_lattice(ctx, r_sq, x)
 
     def reducing(gram):
         reduced.append(tuple(map(tuple, gram)))
@@ -266,19 +289,20 @@ def test_search_counts_only_sampled_twists(monkeypatch):
         events.append("count")
         return count_N(lattice, epsilon, precision)
 
+    monkeypatch.setattr(search_module, "select_r", selecting)
     monkeypatch.setattr(search_module, "sample_x", drawing)
+    monkeypatch.setattr(search_module, "build_lattice", building)
     monkeypatch.setattr(svp, "lll_reduce", reducing)
     monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
     monkeypatch.setattr(search_module, "count_N", recording)
-    ctx = get_ctx(8)
-    for seed, index in ((0, 3), (1, 1), (2, 4)):
+    for m, seed, index in ((8, 0, 3), (8, 1, 1), (8, 2, 4), (6, 0, 1), (30, 0, 1)):
         for log in (events, drawn, reduced, walked):
             log.clear()
-        cert = search(SearchConfig(m=8, seed=seed))
+        cert = search(SearchConfig(m=m, seed=seed))
         assert cert.sample_index == index == len(drawn) and all(drawn)
-        first = events.index("draw")
-        assert events[first:] == ["draw", "lll"] * index + ["walk", "count"]
-        grams = [tuple(map(tuple, build_lattice(ctx, cert.r_sq, x).real_gram))
+        after = events[events.index("select_r") + 1:]
+        assert after == ["draw", "build", "lll"] * index + ["walk", "count"], (m, seed)
+        grams = [tuple(map(tuple, build_lattice(get_ctx(m), cert.r_sq, x).real_gram))
                  for x in drawn]
         assert reduced[-index:] == grams
         assert walked[-1].lambda1_sq == cert.lambda1_sq
@@ -350,9 +374,11 @@ def test_count_matches_box_scan_on_twists():
 
 
 def test_search_budget_counts_losers_exactly(monkeypatch):
-    # at m = 8, seed 0, x = 0 and twists 1 and 2 all have N = 8; the two
-    # sampled twists lose on their reduced basis without a count, and once
-    # the budget of 3 runs out they are drawn again from the seed and counted
+    # at m = 8, seed 0, x = 0 and twists 1 and 2 all have N = 8; x = 0 loses
+    # on g / r^2 and the two sampled twists on their reduced basis, none of
+    # them counted. Once the budget of 3 runs out the same candidates, x = 0
+    # first, are drawn again from the seed and each is counted on its own
+    # lattice
     drawn, counted = [], []
 
     def drawing(ctx, denom, rng):
@@ -360,7 +386,7 @@ def test_search_budget_counts_losers_exactly(monkeypatch):
         return drawn[-1]
 
     def recording(lattice, *args):
-        counted.append(lattice.x)
+        counted.append((lattice.x, lattice.r_sq))
         return count_N(lattice, *args)
 
     monkeypatch.setattr(search_module, "sample_x", drawing)
@@ -369,9 +395,11 @@ def test_search_budget_counts_losers_exactly(monkeypatch):
         search(SearchConfig(m=8, budget=3))
     assert exc.value.histogram == {1: 3}
     assert exc.value.best_n == 8 and exc.value.tried == 3
-    assert len(drawn) == 4 and drawn[:2] == drawn[2:] == counted
     ctx, r_sq = get_ctx(8), reference_certificate(8).r_sq
-    counts = [count_N(build_lattice(ctx, r_sq, x), EPS) for x in [ctx.zero(), *drawn[:2]]]
+    candidates = [ctx.zero(), *drawn[:2]]
+    assert len(drawn) == 4 and drawn[:2] == drawn[2:]
+    assert counted == [(x, r_sq) for x in candidates]
+    counts = [count_N(build_lattice(ctx, r_sq, x), EPS) for x in candidates]
     assert exc.value.histogram == {Fraction(n, 8): counts.count(n) for n in counts}
 
 
@@ -513,8 +541,9 @@ def test_search_m4_certificate():
 
 
 def test_search_budget_exhaustion_reports_best():
-    # x = 0 fails for m = 6 and is counted off the ring norms; denom = 1 draws
-    # only x = 0 again, so every sampled twist is x = 0 too
+    # x = 0 fails for m = 6 and is counted on its own lattice once the budget
+    # runs out; denom = 1 draws only x = 0 again, so every sampled twist is
+    # x = 0 too
     for denom, budget in ((8, 1), (1, 10)):
         with pytest.raises(SearchBudgetExceeded) as exc:
             search(SearchConfig(m=6, denom=denom, budget=budget))

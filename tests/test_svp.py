@@ -199,7 +199,7 @@ def test_half_walk_emits_one_of_each_opposite_pair():
 
 def test_norm_counts_tally_the_reference_lattices():
     # the twisted Gram at its least reduced diagonal entry (the lambda_1 walk)
-    # and the ring at r^2 R^2 (the walk behind J(r) and N(0)), for every
+    # and the ring at r^2 R^2 (the walk behind J(r)), for every
     # reference certificate
     for path in sorted(REFERENCE.glob("m*.json")):
         cert = certificate_from_json_dict(json.loads(path.read_text()))
