@@ -13,6 +13,11 @@ def fmt_rat(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
+    """A command-line rational: an integer, "p/q" or a plain decimal such as
+    0.5. An exponent raises ValueError, since from "1e999999999" Fraction
+    would build a billion-digit integer."""
+    if "e" in s.lower():
+        raise ValueError(f"a rational takes no exponent, got {s[:40]!r}")
     return Fraction(s)
 
 

@@ -75,7 +75,8 @@ class PolarizedLattice:
     @cached_property
     def form(self) -> PreparedForm:
         """real_gram prepared for enumeration: LLL-reduced and factored on
-        first read, then shared by the lattice's SVP and its count."""
+        first read, then shared by shortest_norm_sq and count_N, in the
+        order search._certificate_at states."""
         return PreparedForm(self.real_gram)
 
     @cached_property

@@ -23,15 +23,15 @@ Pipeline for a given m and rational epsilon in (0, m):
      ball, so any nonzero lattice vector inside it is a point N(x) counts: if
      the least reduced basis vector lies inside, the twist loses without a
      walk.
-  3. Otherwise lambda1 is taken first, and a twist whose shortest vector
-     lies inside the ball loses too. So N(x) = 0 exactly when lambda1^2 lies
-     outside it, and the exact count_N of a winner, x = 0 included, reads a
-     ball below lambda1 that holds only the origin: a winner takes one walk.
-     The certificate's bound is NOT inferred from the counting argument: the
-     shortest vector is enumerated exactly and v_2g * lambda1^2g is bounded
-     below by interval arithmetic. A re-check (certify) also takes lambda1
-     before the count. Losers are counted exactly only if the budget runs
-     out, by drawing the seed's twists again.
+  3. Otherwise lambda1 is taken, and a twist whose shortest vector lies
+     inside the ball loses too. So N(x) = 0 exactly when lambda1^2 lies
+     outside it. A winner, x = 0 included, and a re-check (certify) build
+     their certificate in one step, _certificate_at, which fixes the order
+     lambda1 first, then the exact count_N. The certificate's bound is NOT
+     inferred from the counting argument: the shortest vector is enumerated
+     exactly and v_2g * lambda1^2g is bounded below by interval arithmetic.
+     Losers are counted exactly only if the budget runs out, by drawing the
+     seed's twists again.
 
 All certified quantities are exact rationals; interval refinement is
 deterministic, so a certificate reproduces bit-for-bit from (m, epsilon,
@@ -291,9 +291,9 @@ def count_N(lattice: PolarizedLattice, epsilon, precision: int = 128) -> int:
     Candidates are enumerated in the lattice's own Gram matrix against the
     outer bound R^2.hi of chi_radius_sq at this precision, the enclosure chi
     refines from, and each one is confirmed by the certified chi itself, so
-    the count is exact despite the irrational threshold. The SVP of a
-    certified twist enumerates the same form, lattice.form; once it has run,
-    a ball below lambda_1 is answered without a walk (N = 0).
+    the count is exact despite the irrational threshold. It enumerates
+    lattice.form; a certificate takes lambda_1 on that form first (see
+    _certificate_at), and a ball below lambda_1 is answered without a walk.
     """
     ctx = lattice.ctx
     g = ctx.g
@@ -347,9 +347,15 @@ def run_checks(lat) -> dict[str, bool]:
     }
 
 
-def _certificate_at(config: SearchConfig, lat: PolarizedLattice, n_value: int,
-                    sample_index: int, lam: Fraction) -> Certificate:
+def _certificate_at(config: SearchConfig, lat: PolarizedLattice,
+                    sample_index: int) -> Certificate:
+    """The certificate of a built lattice: the one step of search's winner
+    and of recompute_certificate. lambda1 comes first, then count_N on the
+    same form, whose ball for a winner lies below lambda1, holds only the
+    origin and is answered without a walk: a certificate costs one walk."""
     ctx = lat.ctx
+    lam = shortest_norm_sq(lat.form)
+    n_value = count_N(lat, config.epsilon, config.precision)
     checks = run_checks(lat)
     bound_lo = certified_lower_bound(2 * ctx.g, lam, ctx.m - config.epsilon,
                                      config.precision)
@@ -380,10 +386,9 @@ def search(config: SearchConfig) -> Certificate:
     count zero wins, so no twist past it is drawn. x = 0 is decided by a
     closed form and builds no lattice unless it wins. A sampled twist loses
     uncounted when its least reduced basis vector, or else its shortest
-    vector, lies in the chi ball. A winner takes lambda1 first and then
-    count_N, which reads the empty ball below lambda1 without walking. When
-    the budget runs out, the candidates are drawn again and each is counted
-    exactly."""
+    vector, lies in the chi ball. A winner's certificate is built by
+    _certificate_at. When the budget runs out, the candidates are drawn
+    again and each is counted exactly."""
     config.validate()
     ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, default_r_grid(), config.precision)
@@ -399,13 +404,11 @@ def search(config: SearchConfig) -> Certificate:
         if i == 0 and inside(g / r_sq):
             continue
         lat = build_lattice(ctx, r_sq, x)
-        form = lat.form
         # select_r put every nonzero vector with b = 0 outside the ball, so a
         # nonzero vector inside it is counted by N(x); lambda1^2 <= min_diagonal
-        if i > 0 and (inside(form.min_diagonal) or inside(form.shortest_norm_sq())):
+        if i > 0 and (inside(lat.form.min_diagonal) or inside(shortest_norm_sq(lat.form))):
             continue
-        lam = form.shortest_norm_sq()
-        return _certificate_at(config, lat, count_N(lat, config.epsilon, precision), i, lam)
+        return _certificate_at(config, lat, i)
     raise SearchBudgetExceeded(config.m, Counter(
         Fraction(count_N(build_lattice(ctx, r_sq, x), config.epsilon, precision), ctx.m)
         for x in _twists(config, ctx)))
@@ -471,7 +474,8 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     Raises CertificateFormatError before counting, which caps r^2 both ways,
     if the chi ball holds the lattice vector (0, d), d x in the codifferent,
     of squared norm d^2 g / r^2 (so N(x) >= 1), or a codifferent generator
-    (c_j, 0), of squared norm r^2 codiff_gram[j][j] (so lambda1 < R)."""
+    (c_j, 0), of squared norm r^2 codiff_gram[j][j] (so lambda1 < R). The
+    certificate is rebuilt by _certificate_at, the step of search's winner."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
     g, bound, precision = ctx.g, cert.m - cert.epsilon, cert.precision_bits
@@ -483,11 +487,8 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
                    bound, precision):
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
                                      "inside the chi ball, so lambda1 < R")
-    lat = build_lattice(ctx, cert.r_sq, x)
-    lam = shortest_norm_sq(lat.form)  # lambda1 first: a count ball below it needs no walk
-    n = count_N(lat, cert.epsilon, precision)
     config = SearchConfig(m=cert.m, epsilon=cert.epsilon, seed=cert.seed,
                           precision=precision)
-    fresh = _certificate_at(config, lat, n, cert.sample_index, lam)
+    fresh = _certificate_at(config, build_lattice(ctx, cert.r_sq, x), cert.sample_index)
     return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
                    if getattr(fresh, k) != getattr(cert, k)]

@@ -6,26 +6,27 @@ LLL runs fraction-free on the Gram matrix times its common denominator, and
 the walk keeps every partial sum of the form as an integer over one common
 denominator, so the range at each level comes from an integer square root,
 never from floating bounds. The walk hands each point to a visitor instead
-of building a list: enumerate collects the points, mapped back to the input
-basis, and norm_counts only tallies the integer values of the form, which is
-all that a theta-series question (the ring norms behind J(r)) or the
-shortest vector needs. Its ball is centred at the origin and so symmetric
-under v -> -v: norm_counts walks half of it, one vector of each pair +-v,
-and doubles every multiplicity. The enumerations are complete by
-construction and the returned minima are exact.
+of building a list: enumerate_in_ball_with_norms collects the points,
+mapped back to the input basis, and norm_counts only tallies the integer
+values of the form, which is all that a theta-series question (the ring
+norms behind J(r)) or the shortest vector needs. Its ball is centred at the
+origin and so symmetric under v -> -v: norm_counts walks half of it, one
+vector of each pair +-v, and doubles every multiplicity. The enumerations
+are complete by construction and the returned minima are exact.
 
-The LLL reduction and the LDL factors of the reduced form depend only on
-the Gram matrix. The enumeration functions take a Gram matrix, prepared
-afresh for that call, or a PreparedForm owned by a caller that asks
-several questions of one form: a lattice owns its form
-(PolarizedLattice.form) and ring_norms keeps the ring's. The module keeps
-no state. A closed form decides the split lattice at x = 0 with no form
-at all; a search decides each sampled twist from its lattice's form: the
-least diagonal entry of the reduced form is the squared norm of a lattice
-vector, known with no walk, which settles a twist whose obstruction count
-it already makes positive; otherwise the shortest vector is walked once, and a
-form whose minimum is known answers the count's ball about the origin
-below it without a walk.
+Each question of a form has one function: enumerate_in_ball_with_norms
+(and enumerate_in_ball on top of it), norm_counts and shortest_norm_sq.
+Each takes a Gram matrix, prepared afresh for that call, or a PreparedForm
+owned by a caller that asks several questions of one form: a lattice owns
+its form (PolarizedLattice.form) and ring_norms keeps the ring's. A
+PreparedForm holds data and the walk, nothing else: the LLL transform, the
+least diagonal entry of the reduced form (the squared norm of a lattice
+vector, known with no walk), the LDL factors and, once walked, lambda_1^2.
+The module keeps no state. shortest_norm_sq is the only writer of a form's
+lambda1_sq and enumerate_in_ball_with_norms its only reader: a ball about
+the origin below a known minimum holds the origin alone and is answered
+without a walk. A certificate asks lambda_1 before the count; that order
+is stated once, in search._certificate_at.
 """
 from __future__ import annotations
 
@@ -215,58 +216,32 @@ class PreparedForm:
             descend(n - 1, budget, half)
         return scale
 
-    def enumerate(self, center, radius_sq: Fraction):
-        """Pairs (v, Q(v - center)) for the integer v with Q(v - center) <= radius_sq.
-        A ball about the origin strictly inside a known lambda_1 holds the
-        origin alone, so it is answered without a walk."""
-        U = self.transform
-        n = len(U)
-        known = self.lambda1_sq
-        if known is not None and 0 <= radius_sq < known and not any(center):
-            return [((0,) * n, Fraction(0))]
-        # in reduced coordinates the center is the solution of U^T c' = center
-        cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
-                  if any(center) else center)
-        cols = tuple(zip(*U))
-        pairs = []
-        scale = self._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
-        return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
-                for s, k in pairs]
 
-    def norm_counts(self, radius_sq: Fraction) -> list[tuple[Fraction, int]]:
-        """Sorted pairs (q, k): the k nonzero integer v with Q(v) = q, for each
-        value q <= radius_sq that Q takes on them. The ball is symmetric
-        under v -> -v, so a half walk visits one of each pair and every
-        multiplicity is doubled. The walk feeds a counter of integer
-        numerators, so no point is kept, mapped back through U or turned into
-        a Fraction; the zero vector is the only point of value 0."""
-        counts = Counter()
-
-        def tally(s, k: int) -> None:
-            counts[k] += 1
-
-        scale = self._walk([0] * len(self.d), radius_sq, tally, True)
-        counts.pop(0, None)
-        return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
-
-    def shortest_norm_sq(self) -> Fraction:
-        """Exact lambda_1^2 by exhaustive enumeration below the smallest
-        diagonal entry of R, which some basis vector attains (so the ball
-        holds a nonzero point). Walks once; later calls read lambda1_sq."""
-        if self.lambda1_sq is None:
-            self.lambda1_sq = self.norm_counts(self.min_diagonal)[0][0]
-        return self.lambda1_sq
+def _prepared(gram) -> PreparedForm:
+    return gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
 
 
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
-    """As enumerate_in_ball, but paired with the exact value of the form."""
+    """As enumerate_in_ball, but paired with the exact value of the form.
+    A ball about the origin strictly inside a known lambda_1 holds the
+    origin alone, so it is answered without a walk."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
-    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
-    if center is None:
-        center = [Fraction(0)] * len(form.d)
-    return form.enumerate([Fraction(c) for c in center], radius_sq)
+    form = _prepared(gram)
+    U = form.transform
+    n = len(U)
+    center = [Fraction(0)] * n if center is None else [Fraction(c) for c in center]
+    if form.lambda1_sq is not None and radius_sq < form.lambda1_sq and not any(center):
+        return [((0,) * n, Fraction(0))]
+    # in reduced coordinates the center is the solution of U^T c' = center
+    cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
+              if any(center) else center)
+    cols = tuple(zip(*U))
+    pairs = []
+    scale = form._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
+    return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
+            for s, k in pairs]
 
 
 def enumerate_in_ball(gram, center=None, radius_sq=0):
@@ -277,15 +252,31 @@ def enumerate_in_ball(gram, center=None, radius_sq=0):
 
 def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
     """Sorted (value, multiplicity) pairs of the form over the nonzero integer
-    vectors v with Q(v) <= radius_sq: the start of the lattice's theta series."""
-    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
-    return form.norm_counts(Fraction(radius_sq))
+    vectors v with Q(v) <= radius_sq: the start of the lattice's theta series.
+    The ball is symmetric under v -> -v, so a half walk visits one of each
+    pair and every multiplicity is doubled. The walk feeds a counter of
+    integer numerators, so no point is kept, mapped back through U or turned
+    into a Fraction; the zero vector is the only point of value 0."""
+    form = _prepared(gram)
+    counts = Counter()
+
+    def tally(s, k: int) -> None:
+        counts[k] += 1
+
+    scale = form._walk([0] * len(form.d), Fraction(radius_sq), tally, True)
+    counts.pop(0, None)
+    return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
 
 
 def shortest_norm_sq(gram) -> Fraction:
-    """Exact lambda_1^2: the minimal nonzero value of the form over Z^n."""
-    form = gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
-    return form.shortest_norm_sq()
+    """Exact lambda_1^2: the minimal nonzero value of the form over Z^n, by
+    exhaustive enumeration below the least diagonal entry of the reduced
+    form, which some basis vector attains (so the ball holds a nonzero
+    point). A PreparedForm walks once and keeps the result in lambda1_sq."""
+    form = _prepared(gram)
+    if form.lambda1_sq is None:
+        form.lambda1_sq = norm_counts(form, form.min_diagonal)[0][0]
+    return form.lambda1_sq
 
 
 def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:

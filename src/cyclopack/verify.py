@@ -1,10 +1,11 @@
 """Randomized exact property suites behind the verify command.
 
 Each suite quantifies an identity that holds exactly over the rationals
-(norm invariance under the unit action, integrality and unimodularity of the
-symplectic form, stability of the lattice, divisibility of the obstruction
-count, the covolume product) over seeded random instances, and reports the
-first failing instance verbatim so a defect is reproducible.
+(norm invariance under the unit action, a free orbit of the unit action,
+integrality and unimodularity of the symplectic form, stability of the
+lattice, the covolume product, divisibility of the obstruction count) over
+seeded random instances, and reports the first failing instance verbatim so
+a defect is reproducible.
 """
 from __future__ import annotations
 
@@ -98,10 +99,10 @@ def suite_covolume_product(ctx, trials: int, rng) -> SuiteResult:
 def suite_count_divisibility(ctx, trials: int, rng) -> SuiteResult:
     name = "count_divisibility"
     defaults = SearchConfig._field_defaults  # those of search and certify
-    epsilon, precision = defaults["epsilon"], defaults["precision"]
+    epsilon, denom, precision = defaults["epsilon"], defaults["denom"], defaults["precision"]
     r_sq = select_r(ctx, epsilon, default_r_grid(), precision)
     for t in range(trials):
-        x = sample_x(ctx, 8, rng)
+        x = sample_x(ctx, denom, rng)
         n = count_N(build_lattice(ctx, r_sq, x), epsilon, precision)
         if n % ctx.m != 0:
             return _fail(name, trial=t, r_sq=r_sq, x=x.coords, count=n)

@@ -207,6 +207,32 @@ def test_certify_rejects_g_above_cap_at_once(tmp_path, capsys):
     assert f"g <= {MAX_G}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--m", "4", "--r2", "1e999999999"],
+    ["search", "--m", "4", "--epsilon", "1e-999999999"],
+    ["construct", "--m", "4", "--r2", "2", "--x", "1E999999999,0"],
+])
+def test_rational_with_an_exponent_exits_2_at_once(argv):
+    # Fraction would build 10^999999999 digit by digit; a child process, so
+    # a hang fails on the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, time\nfrom cyclopack.cli import main\n"
+                               "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+                               "print(code, time.perf_counter() - start)", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20)
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "exponent" in proc.stderr
+
+
+def test_command_line_rationals_read_integers_fractions_and_decimals(capsys):
+    for r2, x in (("2", "0"), ("4/2", "0/1,0"), ("2.0", "0.0, 0")):
+        code, out, _ = run(capsys, "construct", "--m", "4", "--r2", r2, "--x", x)
+        assert code == 0 and json.loads(out)["checks"]["unimodular"]
+    assert run(capsys, "search", "--m", "4", "--epsilon", "0.5", "--seed", "0")[0] == 0
+
+
 def test_cli_import_does_not_load_mpmath():
     # nor multiprocessing: every command, search included, runs in one process;
     # nor argparse, gettext or locale, whose import is most of a cold parse;
