@@ -14,12 +14,12 @@ import json
 import sys
 from types import SimpleNamespace
 
+from .checker import (CertificateFormatError, certificate_from_json_dict,
+                      certificate_to_json_dict, recompute_certificate, run_checks)
 from .cyclotomic import CyclotomicContext
 from .ioutil import atomic_write, dump_json, parse_rat
 from .lattice import build_lattice
-from .search import (CertificateFormatError, SearchConfig, SearchError,
-                     certificate_from_json_dict, certificate_to_json_dict,
-                     recompute_certificate, run_checks, search)
+from .search import SearchConfig, SearchError, search
 from .tables import bound_table, bound_table_csv, primorial_row
 from .verify import run_suites
 

@@ -76,7 +76,7 @@ class PolarizedLattice:
     def form(self) -> PreparedForm:
         """real_gram prepared for enumeration: LLL-reduced and factored on
         first read, then shared by shortest_norm_sq and count_N, in the
-        order search._certificate_at states."""
+        order checker._certificate_at states."""
         return PreparedForm(self.real_gram)
 
     @cached_property
@@ -136,11 +136,6 @@ class PolarizedLattice:
         g = self.ctx.g
         return self._spans([linalg.mat_vec(mu, r[:g]) + linalg.mat_vec(mv, r[g:])
                             for r in self._rows])
-
-    def contains(self, u: CycloElement, v: CycloElement) -> bool:
-        """True iff r*u + (i/r)*v is a point of the lattice."""
-        w = [c * self._den for c in self.ctx.coords_in_codiff(u) + list(v.coords)]
-        return all(c.denominator == 1 for c in w) and self._spans([[int(c) for c in w]])
 
     def is_g_stable(self) -> bool:
         """Stability under the order-m unit group: it is enough to check the

@@ -1,5 +1,5 @@
 """Exact shortest-vector and point-in-ball enumeration on rational Gram
-matrices, plus certified packing-density evaluation.
+matrices, and the certified volume of the unit ball.
 
 Enumeration is Fincke-Pohst after an integral LLL, both on Python ints: the
 LLL runs fraction-free on the Gram matrix times its common denominator, and
@@ -14,19 +14,19 @@ origin and so symmetric under v -> -v: norm_counts walks half of it, one
 vector of each pair +-v, and doubles every multiplicity. The enumerations
 are complete by construction and the returned minima are exact.
 
-Each question of a form has one function: enumerate_in_ball_with_norms
-(and enumerate_in_ball on top of it), norm_counts and shortest_norm_sq.
-Each takes a Gram matrix, prepared afresh for that call, or a PreparedForm
-owned by a caller that asks several questions of one form: a lattice owns
-its form (PolarizedLattice.form) and ring_norms keeps the ring's. A
-PreparedForm holds data and the walk, nothing else: the LLL transform, the
-least diagonal entry of the reduced form (the squared norm of a lattice
-vector, known with no walk), the LDL factors and, once walked, lambda_1^2.
-The module keeps no state. shortest_norm_sq is the only writer of a form's
-lambda1_sq and enumerate_in_ball_with_norms its only reader: a ball about
-the origin below a known minimum holds the origin alone and is answered
-without a walk. A certificate asks lambda_1 before the count; that order
-is stated once, in search._certificate_at.
+Each question of a form has one function: enumerate_in_ball_with_norms,
+norm_counts and shortest_norm_sq. Each takes a Gram matrix, prepared afresh
+for that call, or a PreparedForm owned by a caller that asks several
+questions of one form: a lattice owns its form (PolarizedLattice.form) and
+ring_norms keeps the ring's. A PreparedForm holds data and the walk,
+nothing else: the LLL transform, the least diagonal entry of the reduced
+form (the squared norm of a lattice vector, known with no walk), the LDL
+factors and, once walked, lambda_1^2. The module keeps no state.
+shortest_norm_sq is the only writer of a form's lambda1_sq and
+enumerate_in_ball_with_norms its only reader: a ball about the origin below
+a known minimum holds the origin alone and is answered without a walk. A
+certificate asks lambda_1 before the count; that order is stated once, in
+checker._certificate_at.
 """
 from __future__ import annotations
 
@@ -222,9 +222,10 @@ def _prepared(gram) -> PreparedForm:
 
 
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
-    """As enumerate_in_ball, but paired with the exact value of the form.
-    A ball about the origin strictly inside a known lambda_1 holds the
-    origin alone, so it is answered without a walk."""
+    """The pairs (v, Q(v - center)) over exactly the integer vectors v with
+    Q(v - center) <= radius_sq, for the quadratic form Q given by gram, in
+    walk order. A ball about the origin strictly inside a known lambda_1
+    holds the origin alone, so it is answered without a walk."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
@@ -242,12 +243,6 @@ def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
     scale = form._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
     return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
             for s, k in pairs]
-
-
-def enumerate_in_ball(gram, center=None, radius_sq=0):
-    """Exactly the integer vectors v with Q(v - center) <= radius_sq for the
-    quadratic form Q given by gram; sorted, no duplicates."""
-    return sorted(v for v, _ in enumerate_in_ball_with_norms(gram, center, radius_sq))
 
 
 def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
@@ -278,13 +273,3 @@ def shortest_norm_sq(gram) -> Fraction:
         form.lambda1_sq = norm_counts(form, form.min_diagonal)[0][0]
     return form.lambda1_sq
 
-
-def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
-    """Enclosure of (v_n / 2^n) * lambda_1^n for a covolume-1 Gram matrix."""
-    if len(gram) != n:
-        raise ValueError("gram size does not match n")
-    if linalg.determinant([list(map(Fraction, row)) for row in gram]) != 1:
-        raise ValueError("packing density is normalized to covolume-1 lattices")
-    lam = shortest_norm_sq(gram)
-    vn = ball_volume(n, precision + 8)
-    return (vn * Fraction(lam ** (n // 2), 1 << n)).outward(precision)

@@ -97,32 +97,25 @@ def bound_table_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def primes_up_to(x: int) -> list[int]:
-    if x < 2:
-        return []
-    sieve = bytearray([1]) * (x + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(x) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [i for i, v in enumerate(sieve) if v]
-
-
 # asymptotic_diag is e^gamma * g * ln ln g, never certified
 PrimorialRow = namedtuple("PrimorialRow", "m g bound asymptotic_diag")
 
 
 def primorial_row(x: int) -> PrimorialRow:
     """Witness row for m = product of primes <= x, the construction behind
-    the infinitely-many-g refinement."""
+    the infinitely-many-g refinement. m and g grow one prime at a time, so
+    an x whose g = phi(m) passes the float range of asymptotic_diag (every
+    x >= 743) is refused at that prime, without a scan up to x."""
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
-    ps = primes_up_to(x)
-    m = math.prod(ps)
-    g = math.prod(p - 1 for p in ps)
-    try:
-        diag = math.exp(EULER_GAMMA) * g * math.log(math.log(g))
-    except OverflowError:
-        raise ValueError(f"x = {x}: g = phi(m) has {g.bit_length()} bits, too large for "
-                         "the float asymptotic_diag") from None
+    m = g = 1
+    for p in range(2, x + 1):
+        if prime_factors(p) != [p]:
+            continue
+        m, g = m * p, g * (p - 1)
+        # at p = 739 g has 1015 bits, so every g let through fits the float
+        if g.bit_length() > 1024:
+            raise ValueError(f"x = {x}: g = phi(m) has more than 1024 bits, too large for "
+                             "the float asymptotic_diag")
+    diag = math.exp(EULER_GAMMA) * g * math.log(math.log(g))
     return PrimorialRow(m=m, g=g, bound=f"4^g*V_g >= {m}", asymptotic_diag=diag)

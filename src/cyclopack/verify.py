@@ -14,10 +14,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
+from .checker import count_N
 from .cyclotomic import CyclotomicContext
 from .geometry import ComplexPoint, g_act, gram, norm_sq
 from .lattice import build_lattice
-from .search import SearchConfig, count_N, default_r_grid, sample_x, select_r
+from .search import SearchConfig, default_r_grid, sample_x, select_r
 
 
 SuiteResult = namedtuple("SuiteResult", "name passed detail", defaults=(None,))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cyclopack.svp import enumerate_in_ball
+from oracles import enumerate_in_ball
 
 
 def unit_ball_volume(n: int) -> float:

@@ -5,7 +5,9 @@ floating embedding sums, point counts from naive coefficient-box scans,
 integrals from Monte-Carlo estimates, J(r) from one term per ring vector,
 and field products from polynomial long division by Phi_m (itself pinned by
 the product identity prod_{d | m} Phi_d = x^m - 1). Expected values in the
-test files were produced by these oracles.
+test files were produced by these oracles. The last section holds what
+only the tests ask of the library: thin wrappers over the library code they
+call, so the tests that use them still exercise it, and a prime sieve.
 """
 from __future__ import annotations
 
@@ -18,10 +20,12 @@ from math import gcd, isqrt
 import mpmath
 
 from cyclopack import cli, linalg
+from cyclopack.checker import chi_norm_sq, chi_radius_sq, refine
 from cyclopack.cyclotomic import cyclotomic_polynomial
+from cyclopack.geometry import norm_sq
 from cyclopack.intervals import IntervalValue
-from cyclopack.search import SearchConfig, chi_radius_sq, refine
-from cyclopack.svp import ball_volume, enumerate_in_ball_with_norms
+from cyclopack.search import SearchConfig
+from cyclopack.svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
 
 
 def embed(a, precision: int = 53):
@@ -510,3 +514,49 @@ def fraction_arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Frac
         j += 1
         if t < limit:
             return (min(prev, total), max(prev, total))
+
+
+# -- library questions only the tests ask -------------------------------------------
+#
+# No command asks these. Each but the sieve wraps the library function that
+# answers it.
+
+def chi(p, epsilon, precision: int = 128) -> bool:
+    """Indicator of the ball v_2g |z|^2g <= m - epsilon at a rational point."""
+    ctx = p.ctx
+    return chi_norm_sq(2 * ctx.g, norm_sq(p), ctx.m - Fraction(epsilon), precision)
+
+
+def enumerate_in_ball(gram, center=None, radius_sq=0):
+    """Exactly the integer vectors v with Q(v - center) <= radius_sq for the
+    quadratic form Q given by gram; sorted, no duplicates."""
+    return sorted(v for v, _ in enumerate_in_ball_with_norms(gram, center, radius_sq))
+
+
+def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
+    """Enclosure of (v_n / 2^n) * lambda_1^n for a covolume-1 Gram matrix."""
+    if len(gram) != n:
+        raise ValueError("gram size does not match n")
+    if linalg.determinant([list(map(Fraction, row)) for row in gram]) != 1:
+        raise ValueError("packing density is normalized to covolume-1 lattices")
+    lam = shortest_norm_sq(gram)
+    vn = ball_volume(n, precision + 8)
+    return (vn * Fraction(lam ** (n // 2), 1 << n)).outward(precision)
+
+
+def contains(lat, u, v) -> bool:
+    """True iff r*u + (i/r)*v is a point of the PolarizedLattice lat."""
+    w = [c * lat._den for c in lat.ctx.coords_in_codiff(u) + list(v.coords)]
+    return all(c.denominator == 1 for c in w) and lat._spans([[int(c) for c in w]])
+
+
+def primes_up_to(x: int) -> list[int]:
+    """The primes <= x, by the sieve of Eratosthenes."""
+    if x < 2:
+        return []
+    sieve = bytearray([1]) * (x + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(x) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    return [i for i, v in enumerate(sieve) if v]

@@ -15,14 +15,13 @@ from cyclopack import linalg
 from cyclopack.cli import main as cli_main
 from cyclopack.geometry import ComplexPoint, g_act, gram, norm_sq
 from cyclopack.lattice import build_lattice
-from cyclopack.search import (SearchConfig, certificate_to_json_dict, count_N,
-                              default_r_grid, j_value, sample_x, search,
-                              select_r)
-from cyclopack.svp import enumerate_in_ball, shortest_norm_sq
+from cyclopack.checker import certificate_to_json_dict, count_N
+from cyclopack.search import SearchConfig, default_r_grid, j_value, sample_x, search, select_r
+from cyclopack.svp import shortest_norm_sq
 from cyclopack.ioutil import dump_json
 from cyclopack.tables import bound_table
 from conftest import get_ctx
-from oracles import box_points_in_ball, box_shortest_norm_sq, midpoint, width
+from oracles import box_points_in_ball, box_shortest_norm_sq, enumerate_in_ball, midpoint, width
 from test_cyclotomic import random_element
 from mc import chi_radius_sq_float, mc_ball_slice, mc_fold_lhs
 
@@ -241,7 +240,7 @@ def test_criterion_10_certificate_roundtrip(small_certs, large_certs, tmp_path):
         code = cli_main(["certify", str(path)])
         assert code == 0, f"certify exit {code} for m={m}"
         # byte-for-byte identity of the rational fields after recomputation
-        from cyclopack.search import recompute_certificate
+        from cyclopack.checker import recompute_certificate
         fresh, mismatches = recompute_certificate(cert)
         assert mismatches == []
         fresh_doc = certificate_to_json_dict(fresh)

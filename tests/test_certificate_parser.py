@@ -6,7 +6,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclopack.search import Certificate, CertificateFormatError, certificate_from_json_dict
+from cyclopack.checker import Certificate, CertificateFormatError, certificate_from_json_dict
 from test_certs import STORED
 
 DOCS = [json.loads(p.read_text()) for p in STORED]

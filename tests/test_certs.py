@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from cyclopack.ioutil import dump_json
-from cyclopack.search import (SearchConfig, certificate_from_json_dict,
-                              certificate_to_json_dict, recompute_certificate, search)
+from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
+                               recompute_certificate)
+from cyclopack.search import SearchConfig, search
 from cyclopack.tables import bound_table, phi
 
 ROOT = Path(__file__).resolve().parent.parent

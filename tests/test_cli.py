@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from cyclopack import linalg
+from cyclopack.checker import CHECK_NAMES, MAX_G, certificate_from_json_dict
 from cyclopack.cli import COMMANDS, main, parse_args
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.geometry import ComplexPoint
-from cyclopack.search import CHECK_NAMES, MAX_G, SearchConfig, certificate_from_json_dict
+from cyclopack.search import SearchConfig
 from cyclopack.tables import bound_table, primorial_row
 from cyclopack.verify import SuiteResult
 from oracles import argparse_parser
@@ -35,6 +36,18 @@ def run_python(*argv):
     return subprocess.run([sys.executable, *argv],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60)
+
+
+def timed_main(*argv):
+    """(exit code, seconds inside cli.main, stderr) of one command in a fresh
+    interpreter, so a hang fails on the timeout instead of stalling the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, time\nfrom cyclopack.cli import main\n"
+                               "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+                               "print(code, time.perf_counter() - start)", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20)
+    code, seconds = proc.stdout.split()
+    return int(code), float(seconds), proc.stderr
 
 
 def test_construct_ok(tmp_path, capsys):
@@ -213,17 +226,11 @@ def test_certify_rejects_g_above_cap_at_once(tmp_path, capsys):
     ["construct", "--m", "4", "--r2", "2", "--x", "1E999999999,0"],
 ])
 def test_rational_with_an_exponent_exits_2_at_once(argv):
-    # Fraction would build 10^999999999 digit by digit; a child process, so
-    # a hang fails on the timeout instead of stalling the suite
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, time\nfrom cyclopack.cli import main\n"
-                               "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
-                               "print(code, time.perf_counter() - start)", *argv],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20)
-    code, seconds = proc.stdout.split()
-    assert code == "2" and float(seconds) < 1
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert "exponent" in proc.stderr
+    # Fraction would build 10^999999999 digit by digit
+    code, seconds, err = timed_main(*argv)
+    assert code == 2 and seconds < 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exponent" in err
 
 
 def test_command_line_rationals_read_integers_fractions_and_decimals(capsys):
@@ -359,6 +366,15 @@ def test_primorial_past_the_float_range(capsys):
             code, out, err = run(capsys, "primorial", "--x", x, "--format", fmt)
             assert (code, out) == (2, "")
             assert err.startswith(f"error: x = {x}: g = phi(m) has ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", ["10000000", "1000000000"])
+def test_primorial_far_past_the_float_range_exits_2_at_once(x):
+    # m and g grow one prime at a time and stop at p = 743: no scan up to x
+    code, seconds, err = timed_main("primorial", "--x", x)
+    assert code == 2 and seconds < 1
+    assert err.startswith(f"error: x = {x}: g = phi(m) has more than 1024 bits")
+    assert err.count("\n") == 1
 
 
 TABLE_JSON = """\

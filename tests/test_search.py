@@ -8,23 +8,20 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cyclopack import svp
+from cyclopack import checker, svp
+from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
+                               chi_norm_sq, chi_radius_sq, count_N, recompute_certificate)
 from cyclopack.geometry import ComplexPoint
 from cyclopack.ioutil import dump_json
 from cyclopack.lattice import build_lattice
-from cyclopack.search import (NoQualifyingRadius,
-                              SearchBudgetExceeded, SearchConfig,
-                              certificate_from_json_dict,
-                              certificate_to_json_dict, chi, chi_norm_sq,
-                              chi_radius_sq, count_N,
-                              default_r_grid, j_value, _randbelow,
-                              recompute_certificate, ring_norms, sample_x,
+from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchConfig,
+                              default_r_grid, j_value, _randbelow, ring_norms, sample_x,
                               search, select_r)
 from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
 from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import (box_points_in_ball, contains_interval, midpoint, vector_j_value,
+from oracles import (box_points_in_ball, chi, contains_interval, midpoint, vector_j_value,
                      volume_chi_norm_sq, width)
 
 # the package re-exports the function search under the submodule's name
@@ -85,8 +82,8 @@ def test_radius_sq_at_low_precision(m, precision):
     # 128-bit one
     g, bound = phi(m), m - EPS
     assert svp.ball_volume(2 * g, precision).lo == 0
-    coarse = search_module._radius_sq(g, bound, precision)
-    assert contains_interval(coarse, search_module._radius_sq(g, bound, 128))
+    coarse = checker._radius_sq(g, bound, precision)
+    assert contains_interval(coarse, checker._radius_sq(g, bound, 128))
     r2 = _radius_sq_near(g, bound)
     for k in (8, 100, 140):
         for q, inside in ((r2 - Fraction(1, 2 ** k), True), (r2 + Fraction(1, 2 ** k), False)):
@@ -294,7 +291,7 @@ def test_search_counts_only_sampled_twists(monkeypatch):
     monkeypatch.setattr(search_module, "build_lattice", building)
     monkeypatch.setattr(svp, "lll_reduce", reducing)
     monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
-    monkeypatch.setattr(search_module, "count_N", recording)
+    monkeypatch.setattr(checker, "count_N", recording)
     for m, seed, index in ((8, 0, 3), (8, 1, 1), (8, 2, 4), (6, 0, 1), (30, 0, 1)):
         for log in (events, drawn, reduced, walked):
             log.clear()
@@ -449,7 +446,7 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
         return walk(form, *args)
 
     monkeypatch.setattr(svp, "lll_reduce", counting)
-    monkeypatch.setattr(search_module, "build_lattice", building)
+    monkeypatch.setattr(checker, "build_lattice", building)
     monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
     for m in (8, 22):
         cert = reference_certificate(m)

@@ -9,13 +9,13 @@ import pytest
 
 from cyclopack import linalg, svp
 from cyclopack.lattice import build_lattice
-from cyclopack.search import certificate_from_json_dict, chi_radius_sq
-from cyclopack.svp import (ball_volume, enumerate_in_ball,
-                           enumerate_in_ball_with_norms, lll_reduce,
-                           norm_counts, packing_density, shortest_norm_sq)
+from cyclopack.checker import certificate_from_json_dict, chi_radius_sq
+from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, lll_reduce,
+                           norm_counts, shortest_norm_sq)
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq, contains_interval,
-                     identity, midpoint, rational_enumerate_in_ball, rational_lll_reduce, width)
+                     enumerate_in_ball, identity, midpoint, packing_density,
+                     rational_enumerate_in_ball, rational_lll_reduce, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 

@@ -4,7 +4,8 @@ import pytest
 
 from cyclopack.tables import (bound_table, bound_table_csv,
                               inverse_phi_max, mobius_pairs, phi,
-                              prime_factors, primes_up_to, primorial_row)
+                              prime_factors, primorial_row)
+from oracles import primes_up_to
 
 
 def test_phi_values():
