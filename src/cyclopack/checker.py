@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd
 
 from .cyclotomic import CyclotomicContext
 from .intervals import IntervalValue, pi_interval
@@ -234,17 +234,18 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     Raises CertificateFormatError before counting, which caps r^2 both ways,
     if the chi ball holds the lattice vector (0, d), d x in the codifferent,
     of squared norm d^2 g / r^2 (so N(x) >= 1), or a codifferent generator
-    (c_j, 0), of squared norm r^2 codiff_gram[j][j] (so lambda1 < R). The
+    (c_j, 0), of squared norm r^2 Tr(c_j conj(c_j)) (so lambda1 < R). The
     certificate is rebuilt by _certificate_at, the step of search's winner."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
     g, bound, precision = ctx.g, cert.m - cert.epsilon, cert.precision_bits
-    d = lcm(*(c.denominator for c in ctx.coords_in_codiff(x)))
+    num, den = ctx.coords_in_codiff(x)
+    d = den // gcd(den, *num)
     if chi_norm_sq(2 * g, d * d * g / cert.r_sq, bound, precision):
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts the lattice vector (0, {d}) "
                                      "inside the chi ball, so N(x) >= 1")
-    if chi_norm_sq(2 * g, cert.r_sq * min(ctx.codiff_gram[j][j] for j in range(g)),
-                   bound, precision):
+    least = min(ctx.codiff_gram_num[j][j] for j in range(g))
+    if chi_norm_sq(2 * g, cert.r_sq * least / ctx.codiff_gram_den, bound, precision):
         raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
                                      "inside the chi ball, so lambda1 < R")
     fresh = _certificate_at(build_lattice(ctx, cert.r_sq, x), cert.epsilon, precision,

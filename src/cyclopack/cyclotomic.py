@@ -218,8 +218,10 @@ class CyclotomicContext:
         # codiff_pairing[j][k] = Tr(zeta^k conj(c_j)), integral on the codifferent
         self.codiff_pairing: tuple[tuple[int, ...], ...] = tuple(
             tuple(v // e for v in linalg.mat_vec(self.ok_gram, c)) for c in cd)
-        self.codiff_gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(v, e) for v in linalg.mat_vec(cd, p)) for p in self.codiff_pairing)
+        # the codifferent Gram, Tr(c_j conj(c_k)), as integer rows over one
+        # denominator in lowest common terms
+        self.codiff_gram_num, self.codiff_gram_den = linalg.lowest_terms(
+            [linalg.mat_vec(cd, p) for p in self.codiff_pairing], e)
 
     # -- construction helpers -------------------------------------------------
 
@@ -287,12 +289,13 @@ class CyclotomicContext:
         assert sol is not None  # multiplication by a nonzero field element is invertible
         return CycloElement(self, sol)
 
-    def mul_matrix(self, a: CycloElement) -> list[list]:
-        """Matrix of multiplication by a on power-basis coordinates: column j
-        holds a * zeta^j. For a ring integer it is integral, with int entries,
-        so it maps integer coordinate rows to integer rows."""
-        rows = linalg.transpose(self._shifts(a.num))
-        return rows if a.den == 1 else [[Fraction(c, a.den) for c in r] for r in rows]
+    def mul_matrix(self, a: CycloElement) -> list[list[int]]:
+        """Integer matrix of multiplication by the ring integer a on
+        power-basis coordinates: column j holds a * zeta^j, so it maps integer
+        coordinate rows to integer rows."""
+        if a.den != 1:
+            raise ValueError("mul_matrix takes a ring integer")
+        return linalg.transpose(self._shifts(a.num))
 
     def different_generator(self) -> CycloElement:
         """Phi_m'(zeta); its inverse generates the codifferent over Z[zeta]."""
@@ -301,7 +304,8 @@ class CyclotomicContext:
 
     # -- lattice coordinates --------------------------------------------------
 
-    def coords_in_codiff(self, a: CycloElement) -> list[Fraction]:
+    def coords_in_codiff(self, a: CycloElement) -> tuple[list[int], int]:
         """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
-        which are the power-basis coordinates of a * Phi_m'(zeta)."""
-        return [Fraction(c, a.den) for c in linalg.mat_vec(self._diff_matrix, a.num)]
+        which are the power-basis coordinates of a * Phi_m'(zeta): integer
+        numerators over a's denominator, not necessarily in lowest terms."""
+        return linalg.mat_vec(self._diff_matrix, a.num), a.den

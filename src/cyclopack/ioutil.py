@@ -38,11 +38,16 @@ def dump_json(obj) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write-then-rename so interrupted runs never leave partial files."""
+    """Write-then-rename so interrupted runs never leave partial files. The
+    file gets the mode open(path, "w") would give it, 0o666 less the umask;
+    mkstemp alone would leave it readable by its owner only."""
     import tempfile  # here, not at the top: only a written file needs it
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

@@ -8,21 +8,25 @@ r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
 every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
 be extracted as a real number.
 
-A lattice keeps its generators as integer rows N over one common
-denominator D, in codifferent coordinates for u and power-basis coordinates
-for v: build_lattice's rows are then [[I, 0], [X, I]] and D is the
-denominator of x in the codifferent. Both forms are integer products with the
-trace pairings of these bases, one Fraction per entry at the end. Membership,
-and with it the unit action and real multiplication checks, reduces integer
-rows against a lower-triangular basis of N built once per lattice
-(build_lattice's rows are one already), with a ring integer acting through
-the same integral multiplication matrix in both bases: no field
-multiplication, no elimination, and valid for any generators.
+A lattice keeps every form as integer rows over one positive denominator in
+lowest common terms. The generators are rows N over D, in codifferent
+coordinates for u and power-basis coordinates for v: build_lattice's rows are
+then [[I, 0], [X, I]] and D is the denominator of x in the codifferent. The
+Gram matrix and the symplectic form are integer products of N with the trace
+pairings of these bases over multiples of D^2, so the checks, the LLL and the
+LDL factors run on integers. The Fraction views real_gram (for the lattice
+JSON) and symplectic are built only when read. Membership, and with it the
+unit action and real multiplication checks, reduces integer rows against a
+lower-triangular basis of N built once per lattice (build_lattice's rows are
+one already), with a ring integer acting through the same integral
+multiplication matrix in both bases: no field multiplication, no elimination,
+and valid for any generators.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -32,12 +36,12 @@ from .svp import PreparedForm
 class PolarizedLattice:
     """Lattice with exact real Gram matrix and integer symplectic form.
 
-    generators holds the (u, v) pairs; real_gram[j][k] is the real part of
-    the hermitian product of generators j and k, symplectic[j][k] its
-    imaginary part (kept as Fractions so that integrality is checkable), and
-    form the PreparedForm of real_gram. Each is built on first read: the
-    stability and divisibility checks and a search's losing twists never
-    read symplectic, and the stability check reads none of them.
+    generators holds the (u, v) pairs. gram and skew are (rows, den) of the
+    real and the imaginary part of the hermitian product of the generators,
+    form the PreparedForm of gram, and real_gram and symplectic the Fraction
+    views of gram and skew. Each is built on first read: the stability and
+    divisibility checks and a search's losing twists never read skew, and
+    the stability check reads none of them.
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
@@ -50,61 +54,80 @@ class PolarizedLattice:
         self.x = x
         self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
 
-        # rows: codifferent coordinates a of u, power-basis coordinates b of v
-        self._rows, self._den = linalg.integer_matrix(
-            [ctx.coords_in_codiff(u) + list(v.coords) for u, v in self.generators])
+        # rows: codifferent coordinates a of u, power-basis coordinates b of v,
+        # each over its own denominator, brought over their lcm D
+        parts = [(*ctx.coords_in_codiff(u), v.num, v.den) for u, v in self.generators]
+        den = lcm(*(d for _, du, _, dv in parts for d in (du, dv)))
+        self._rows, self._den = linalg.lowest_terms(
+            [[c * (den // du) for c in a] + [c * (den // dv) for c in b]
+             for a, du, b, dv in parts], den)
 
-    # Tr(u conj(u')) = a G a'^T with G = codiff_gram = Gi / e, and
+    # Tr(u conj(u')) = a G a'^T with G = codiff_gram_num / e, and
     # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
-    # real_gram is (p^2 A + q^2 e B) / (p q e D^2) and symplectic is
-    # (C - C^T) / D^2, entry by entry, for integer matrices A, B and C.
+    # the Gram matrix is (p^2 A + q^2 e B) / (p q e D^2) and the symplectic
+    # form is (C - C^T) / D^2, entry by entry, for integer matrices A, B, C.
 
     @cached_property
-    def real_gram(self) -> list[list[Fraction]]:
+    def gram(self) -> tuple[list[list[int]], int]:
         ctx, g = self.ctx, self.ctx.g
         us = [r[:g] for r in self._rows]
         vs = [r[g:] for r in self._rows]
-        gi, e = linalg.integer_matrix(ctx.codiff_gram)
-        ug, vt = linalg.mat_mul(us, gi), linalg.mat_mul(vs, ctx.ok_gram)
+        e = ctx.codiff_gram_den
+        ug, vt = linalg.mat_mul(us, ctx.codiff_gram_num), linalg.mat_mul(vs, ctx.ok_gram)
         p, q = self.r_sq.numerator, self.r_sq.denominator
-        pp, qq, gram_den = p * p, q * q * e, p * q * e * self._den ** 2
-        return [[Fraction(pp * a + qq * b, gram_den)
-                 for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
-                for uj, vj in zip(ug, vt)]
+        pp, qq = p * p, q * q * e
+        return linalg.lowest_terms(
+            [[pp * a + qq * b for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
+             for uj, vj in zip(ug, vt)], p * q * e * self._den ** 2)
+
+    @cached_property
+    def real_gram(self) -> list[list[Fraction]]:
+        rows, den = self.gram
+        return [[Fraction(a, den) for a in row] for row in rows]
 
     @cached_property
     def form(self) -> PreparedForm:
-        """real_gram prepared for enumeration: LLL-reduced and factored on
-        first read, then shared by shortest_norm_sq and count_N, in the
+        """The Gram matrix prepared for enumeration: LLL-reduced and factored
+        on first read, then shared by shortest_norm_sq and count_N, in the
         order checker._certificate_at states."""
-        return PreparedForm(self.real_gram)
+        return PreparedForm(*self.gram)
+
+    @cached_property
+    def skew(self) -> tuple[list[list[int]], int]:
+        """(rows, den) of the symplectic form: C - C^T over D^2."""
+        g, pairing = self.ctx.g, self.ctx.codiff_pairing
+        us = [r[:g] for r in self._rows]
+        vu = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows]
+        return linalg.lowest_terms([[a - b for a, b in zip(row, col)]
+                                    for row, col in zip(vu, zip(*vu))], self._den ** 2)
 
     @cached_property
     def symplectic(self) -> list[list[Fraction]]:
-        g, pairing, dd = self.ctx.g, self.ctx.codiff_pairing, self._den ** 2
-        us = [r[:g] for r in self._rows]
-        vu = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows]
-        return [[Fraction(a - b, dd) for a, b in zip(row, col)]
-                for row, col in zip(vu, zip(*vu))]
+        rows, den = self.skew
+        return [[Fraction(a, den) for a in row] for row in rows]
 
     # -- checks ----------------------------------------------------------------
 
     def is_riemann_integral(self) -> bool:
-        """True iff the imaginary part of the form is integer on the lattice."""
-        return all(e.denominator == 1 for row in self.symplectic for e in row)
+        """True iff the imaginary part of the form is integer on the lattice,
+        i.e. D^2 divides every entry of C - C^T."""
+        return self.skew[1] == 1
 
     def symplectic_int(self) -> list[list[int]]:
         if not self.is_riemann_integral():
             raise ValueError("symplectic form is not integral")
-        return [[int(e) for e in row] for row in self.symplectic]
+        return [list(row) for row in self.skew[0]]
 
     def is_unimodular(self) -> bool:
-        """True iff |det| of the integer symplectic matrix is 1, i.e. the
-        polarization is principal."""
-        return abs(linalg.determinant(self.symplectic)) == 1
+        """True iff the symplectic form has |det| 1, i.e. the polarization is
+        principal: |det(rows)| = den^(2g) for its (rows, den), which needs no
+        integrality."""
+        rows, den = self.skew
+        return abs(linalg.determinant(rows)) == den ** len(rows)
 
     def det_real_gram(self) -> Fraction:
-        return linalg.determinant(self.real_gram)
+        rows, den = self.gram
+        return linalg.determinant(rows) / den ** len(rows)
 
     @cached_property
     def triangular_basis(self) -> list[list[int]] | None:

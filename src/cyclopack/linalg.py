@@ -1,18 +1,21 @@
 """Small dense exact linear algebra on integer and Fraction matrices.
 
-gauss_jordan is a fraction-free (Bareiss) Gauss-Jordan on integer rows in
-which every division is exact (Bareiss, Math. Comp. 22, 1968);
-integer_matrix clears a rational matrix's common denominator once.
-determinant and solve wrap the two. triangular_basis reduces integer rows
-by Euclid to a lower-triangular basis of the lattice they span, against
-which lattice membership is a back-substitution (Cohen, A Course in
-Computational Algebraic Number Theory, 2.4). The matrices are at most
-2g x 2g with g = phi(m), and none is ever inverted.
+A rational matrix on the lattice path is kept as integer rows over one
+positive denominator in lowest common terms: integer_matrix clears a Fraction
+matrix's denominators into that form and lowest_terms brings integer rows over
+any common denominator to it, so no Fraction is built on the way. gauss_jordan
+is a fraction-free (Bareiss) Gauss-Jordan on integer rows in which every
+division is exact (Bareiss, Math. Comp. 22, 1968); determinant and solve wrap
+it and build a Fraction only for their result. triangular_basis reduces
+integer rows by Euclid to a lower-triangular basis of the lattice they span,
+against which lattice membership is a back-substitution (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4). The matrices are at most 2g x 2g
+with g = phi(m), and none is ever inverted.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Vector = list[Fraction]
@@ -37,6 +40,13 @@ def integer_matrix(a) -> tuple[list[list[int]], int]:
     entries of a, and rows the integer matrix den * a."""
     den = lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def lowest_terms(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """The integer rows over den > 0 divided by the gcd of den and every
+    entry: the same matrix over its least common denominator."""
+    c = gcd(den, *(x for row in rows for x in row))
+    return ([[x // c for x in row] for row in rows], den // c) if c > 1 else (rows, den)
 
 
 def gauss_jordan(rows: list[list[int]], n: int) -> int:

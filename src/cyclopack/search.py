@@ -121,7 +121,7 @@ def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
     radius_sq = Fraction(radius_sq)
     cached = _RING_NORMS.get(ctx.m)
     if cached is None or cached[1] < radius_sq:
-        form, walk_sq = ((PreparedForm(ctx.ok_gram), radius_sq) if cached is None
+        form, walk_sq = ((PreparedForm(ctx.ok_gram, 1), radius_sq) if cached is None
                          else (cached[0], max(radius_sq, RING_HEADROOM * cached[1])))
         cached = _RING_NORMS[ctx.m] = (form, walk_sq, norm_counts(form, walk_sq))
     return [(t, k) for t, k in cached[2] if t <= radius_sq]
@@ -175,7 +175,7 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
     epsilon = Fraction(epsilon)
     m, g = ctx.m, ctx.g
     bound = m - epsilon
-    lam_codiff = shortest_norm_sq(ctx.codiff_gram)
+    lam_codiff = shortest_norm_sq(PreparedForm(ctx.codiff_gram_num, ctx.codiff_gram_den))
     failed = []
     for r_sq in r_grid:
         r_sq = Fraction(r_sq)

@@ -1,32 +1,35 @@
 """Exact shortest-vector and point-in-ball enumeration on rational Gram
 matrices, and the certified volume of the unit ball.
 
-Enumeration is Fincke-Pohst after an integral LLL, both on Python ints: the
-LLL runs fraction-free on the Gram matrix times its common denominator, and
-the walk keeps every partial sum of the form as an integer over one common
-denominator, so the range at each level comes from an integer square root,
-never from floating bounds. The walk hands each point to a visitor instead
-of building a list: enumerate_in_ball_with_norms collects the points,
+Enumeration is Fincke-Pohst after an integral LLL, both on Python ints. A form
+comes in as integer rows over one positive denominator (a lattice's gram, the
+ring's ok_gram over 1, the codifferent's Gram over its e); the LLL runs
+fraction-free on the rows and returns integers, its LDL factors as numerators
+over their least common denominators, and the walk keeps every partial sum of
+the form as an integer over one common denominator, so the range at each level
+comes from an integer square root, never from floating bounds. A Fraction is
+built only for a value handed out: a form's least reduced diagonal entry,
+lambda_1^2 and the walked norms. The walk hands each point to a visitor
+instead of building a list: enumerate_in_ball_with_norms collects the points,
 mapped back to the input basis, and norm_counts only tallies the integer
-values of the form, which is all that a theta-series question (the ring
-norms behind J(r)) or the shortest vector needs. Its ball is centred at the
-origin and so symmetric under v -> -v: norm_counts walks half of it, one
-vector of each pair +-v, and doubles every multiplicity. The enumerations
-are complete by construction and the returned minima are exact.
+values of the form, which is all that a theta-series question (the ring norms
+behind J(r)) or the shortest vector needs. Its ball is centred at the origin
+and so symmetric under v -> -v: norm_counts walks half of it, one vector of
+each pair +-v, and doubles every multiplicity. The enumerations are complete
+by construction and the returned minima are exact.
 
 Each question of a form has one function: enumerate_in_ball_with_norms,
-norm_counts and shortest_norm_sq. Each takes a Gram matrix, prepared afresh
-for that call, or a PreparedForm owned by a caller that asks several
+norm_counts and shortest_norm_sq. Each takes a rational Gram matrix, prepared
+afresh for that call, or a PreparedForm owned by a caller that asks several
 questions of one form: a lattice owns its form (PolarizedLattice.form) and
-ring_norms keeps the ring's. A PreparedForm holds data and the walk,
-nothing else: the LLL transform, the least diagonal entry of the reduced
-form (the squared norm of a lattice vector, known with no walk), the LDL
-factors and, once walked, lambda_1^2. The module keeps no state.
-shortest_norm_sq is the only writer of a form's lambda1_sq and
-enumerate_in_ball_with_norms its only reader: a ball about the origin below
-a known minimum holds the origin alone and is answered without a walk. A
-certificate asks lambda_1 before the count; that order is stated once, in
-checker._certificate_at.
+ring_norms keeps the ring's. A PreparedForm holds data and the walk, nothing
+else: the LLL transform, the least diagonal entry of the reduced form (the
+squared norm of a lattice vector, known with no walk), the LDL factors and,
+once walked, lambda_1^2. The module keeps no state. shortest_norm_sq is the
+only writer of a form's lambda1_sq and enumerate_in_ball_with_norms its only
+reader: a ball about the origin below a known minimum holds the origin alone
+and is answered without a walk. A certificate asks lambda_1 before the count;
+that order is stated once, in checker._certificate_at.
 """
 from __future__ import annotations
 
@@ -54,24 +57,23 @@ def ball_volume(n: int, precision: int = 128) -> IntervalValue:
     return (pi ** k / factorial(k)).outward(precision)
 
 
-def lll_reduce(gram):
-    """LLL-reduce a symmetric positive definite rational Gram matrix.
+def lll_reduce(rows, den: int):
+    """LLL-reduce the symmetric positive definite form G = rows / den, for
+    integer rows and den > 0. Returns integers, (U, reduced, (d, d_den),
+    (nu, nu_den)): U of determinant +-1, reduced = U rows U^T satisfying the
+    Lovasz condition for LLL_DELTA, and the LDL factors of reduced / den,
+    Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2 exactly, as numerators over
+    their least common denominators (row i of nu holds the entries right of
+    the diagonal). Non-PD input raises ValueError.
 
-    Returns (transform, reduced, d, nu) with transform an integer matrix of
-    determinant +-1 and reduced = transform * gram * transform^T satisfying
-    the Lovasz condition for LLL_DELTA. The final Gram-Schmidt data are
-    the LDL factors of reduced: Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
-    exactly. Non-PD input raises ValueError.
-
-    The reduction is the integral LLL (Cohen, Algorithm 2.6.7) on c * gram,
-    c the least common denominator of the entries: it keeps the leading
-    minors D_k of the Gram matrix and lambda_kj = D_j mu_kj, all integers,
+    The reduction is the integral LLL (Cohen, Algorithm 2.6.7): it keeps the
+    leading minors D_k of the rows and lambda_kj = D_j mu_kj, all integers,
     and so never reduces a fraction. Its size reductions (mu rounded half
     up) and swaps are those of the rational algorithm, whose decisions are
     invariant under scaling the form.
     """
-    n = len(gram)
-    b, c = linalg.integer_matrix(gram)
+    n = len(rows)
+    b = [list(row) for row in rows]
     for i in range(n):
         for j in range(i):
             if b[i][j] != b[j][i]:
@@ -139,31 +141,30 @@ def lll_reduce(gram):
             for l in range(k - 2, -1, -1):
                 reduce_row(k, l)
             k += 1
-    reduced = [[Fraction(x, c) for x in row] for row in b]
-    d = [Fraction(D[i + 1], D[i] * c) for i in range(n)]
-    # row j of b is b_j = b*_j + sum_{i<j} mu_ji b*_i, so nu is mu transposed
-    nu = [[Fraction(lam[j][i], D[i + 1]) if j > i else Fraction(0) for j in range(n)]
-          for i in range(n)]
-    return U, reduced, d, nu
+    # d_i = B_i / den = D[i+1] / (D[i] den) and, as row j of b is
+    # b_j = b*_j + sum_{i<j} mu_ji b*_i, nu_ij = mu_ji = lam[j][i] / D[i+1]
+    dl, nl = den * lcm(*D[:n]), lcm(*D[1:])
+    (d,), d_den = linalg.lowest_terms([[D[i + 1] * (dl // (D[i] * den)) for i in range(n)]], dl)
+    return U, b, (d, d_den), linalg.lowest_terms(
+        [[lam[j][i] * (nl // D[i + 1]) for j in range(i + 1, n)] for i in range(n)], nl)
 
 
 class PreparedForm:
     """A quadratic form made ready for repeated enumeration: the LLL
-    transform U, the least diagonal entry of the reduced form R = U G U^T (the
-    squared norm of a lattice vector, known with no walk) and the LDL factors
-    (d, nu) of R, Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2,
-    stored as integer numerators over the common denominators d_den and
-    nu_den (row i of nu holds the entries right of the diagonal). lambda1_sq
-    is None until shortest_norm_sq has walked once, then the exact minimum,
-    which depends on the Gram matrix alone."""
+    transform U of the form G = rows / den, the least diagonal entry of the
+    reduced form R = U G U^T (the squared norm of a lattice vector, known with
+    no walk) and the LDL factors (d, nu) of R,
+    Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2, stored as integer
+    numerators over the common denominators d_den and nu_den (row i of nu
+    holds the entries right of the diagonal). lambda1_sq is None until
+    shortest_norm_sq has walked once, then the exact minimum, which depends on
+    the Gram matrix alone."""
 
     __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den", "lambda1_sq")
 
-    def __init__(self, gram) -> None:
-        self.transform, R, d, nu = lll_reduce(gram)
-        self.min_diagonal = min(R[i][i] for i in range(len(R)))
-        (self.d,), self.d_den = linalg.integer_matrix([d])
-        self.nu, self.nu_den = linalg.integer_matrix([row[i + 1:] for i, row in enumerate(nu)])
+    def __init__(self, rows, den: int) -> None:
+        self.transform, R, (self.d, self.d_den), (self.nu, self.nu_den) = lll_reduce(rows, den)
+        self.min_diagonal = Fraction(min(R[i][i] for i in range(len(R))), den)
         self.lambda1_sq: Fraction | None = None
 
     def _walk(self, center, radius_sq: Fraction, emit, half: bool = False) -> int:
@@ -218,7 +219,7 @@ class PreparedForm:
 
 
 def _prepared(gram) -> PreparedForm:
-    return gram if isinstance(gram, PreparedForm) else PreparedForm(gram)
+    return gram if isinstance(gram, PreparedForm) else PreparedForm(*linalg.integer_matrix(gram))
 
 
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import enumerate_in_ball
+from oracles import codiff_coords, codiff_gram, enumerate_in_ball
 
 
 def unit_ball_volume(n: int) -> float:
@@ -79,10 +79,10 @@ def mc_fold_lhs(ctx, b_el, z_x, z_y, epsilon, n_samples: int, seed: int):
     if s <= 0:
         return 0.0, 0.0
     # affine map u -> codifferent coordinates of x*b + z_x for x = sum u_j a_j
-    cols = [ctx.coords_in_codiff(a * b_el) for a in ctx.codiff_basis]
+    cols = [codiff_coords(ctx, a * b_el) for a in ctx.codiff_basis]
     m_map = np.array([[float(cols[j][i]) for j in range(g)] for i in range(g)])
-    c0 = np.array([float(c) for c in ctx.coords_in_codiff(z_x)])
-    gram_cd = np.array([[float(e) for e in row] for row in ctx.codiff_gram])
+    c0 = np.array([float(c) for c in codiff_coords(ctx, z_x)])
+    gram_cd = np.array([[float(e) for e in row] for row in codiff_gram(ctx)])
 
     # candidate lattice points: exact enumeration around the center of the
     # image of the unit box, inflated by its reach (triangle inequality)
@@ -92,7 +92,7 @@ def mc_fold_lhs(ctx, b_el, z_x, z_y, epsilon, n_samples: int, seed: int):
     reach = max(math.sqrt(d @ gram_cd @ d) for d in corners - mid)
     rad = (math.sqrt(s) + reach + 1e-9) ** 2
     center = [-Fraction(c).limit_denominator(10 ** 9) for c in mid]
-    cands = enumerate_in_ball([list(r) for r in ctx.codiff_gram], center,
+    cands = enumerate_in_ball([list(r) for r in codiff_gram(ctx)], center,
                               Fraction(rad).limit_denominator(10 ** 9) + 1)
     cand_arr = np.array(cands, dtype=float)
 

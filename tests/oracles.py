@@ -25,7 +25,8 @@ from cyclopack.cyclotomic import cyclotomic_polynomial
 from cyclopack.geometry import norm_sq
 from cyclopack.intervals import IntervalValue
 from cyclopack.search import SearchConfig
-from cyclopack.svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
+from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
+                          shortest_norm_sq)
 
 
 def embed(a, precision: int = 53):
@@ -242,6 +243,46 @@ def rational_enumerate_in_ball(gram, center, radius_sq):
             for s, q in rational_enumerate(d, nu, cprime, Fraction(radius_sq))]
 
 
+# -- Fraction views of the integer forms ----------------------------------------
+#
+# The library keeps every form on the lattice path as integer rows over one
+# denominator and builds no Fraction there; these are the Fraction matrices
+# and coordinates the tests compare with.
+
+def fractions(rows, den) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix rows / den, entry by entry."""
+    return tuple(tuple(Fraction(a, den) for a in row) for row in rows)
+
+
+def codiff_coords(ctx, a) -> list[Fraction]:
+    """Coordinates of the field element a in the codifferent basis."""
+    num, den = ctx.coords_in_codiff(a)
+    return [Fraction(c, den) for c in num]
+
+
+def codiff_gram(ctx) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix Tr(c_j conj(c_k)) of the codifferent basis."""
+    return fractions(ctx.codiff_gram_num, ctx.codiff_gram_den)
+
+
+def prepared_form(gram) -> PreparedForm:
+    """The PreparedForm of an int or Fraction Gram matrix."""
+    return PreparedForm(*linalg.integer_matrix(gram))
+
+
+def fraction_lll_reduce(gram):
+    """lll_reduce on an int or Fraction Gram matrix, in the shape of
+    rational_lll_reduce: (transform, reduced, d, nu) as Fractions, with nu
+    a full matrix that is zero on and below the diagonal."""
+    rows, den = linalg.integer_matrix(gram)
+    U, reduced, (d, d_den), (nu, nu_den) = lll_reduce(rows, den)
+    n = len(U)
+    return (U, [list(row) for row in fractions(reduced, den)],
+            [Fraction(a, d_den) for a in d],
+            [[Fraction(nu[i][j - i - 1], nu_den) if j > i else Fraction(0) for j in range(n)]
+             for i in range(n)])
+
+
 # -- Fraction elimination and the block membership formula ----------------------
 #
 # The determinant and solve as the library computed them before it moved to
@@ -298,7 +339,7 @@ def elimination_spans(ctx, generators, points) -> bool:
     W = C N for an integer C iff the right block ends as d C^T, d = +-det N.
     False also when the generators are dependent."""
     rows, _ = linalg.integer_matrix(
-        [ctx.coords_in_codiff(u) + list(v.coords) for u, v in (*generators, *points)])
+        [codiff_coords(ctx, u) + list(v.coords) for u, v in (*generators, *points)])
     n = len(generators)
     mat = [[*a, *w] for a, w in zip(zip(*rows[:n]), zip(*rows[n:]))]
     d = linalg.gauss_jordan(mat, n)
@@ -310,7 +351,7 @@ def block_contains(ctx, x, u, v) -> bool:
     the block shape of its generators: the coordinates on the ring part are
     those of v in the power basis, and on the codifferent part those of
     u - x conj(v) in the codifferent basis; both must be integers."""
-    coords = list(v.coords) + ctx.coords_in_codiff(u - x * v.conj())
+    coords = list(v.coords) + codiff_coords(ctx, u - x * v.conj())
     return all(Fraction(c).denominator == 1 for c in coords)
 
 
@@ -546,7 +587,7 @@ def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
 
 def contains(lat, u, v) -> bool:
     """True iff r*u + (i/r)*v is a point of the PolarizedLattice lat."""
-    w = [c * lat._den for c in lat.ctx.coords_in_codiff(u) + list(v.coords)]
+    w = [c * lat._den for c in codiff_coords(lat.ctx, u) + list(v.coords)]
     return all(c.denominator == 1 for c in w) and lat._spans([[int(c) for c in w]])
 
 

@@ -75,6 +75,20 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    # --out writes through a temporary file and a rename; the file ends with
+    # the mode open(path, "w") gives, 0o666 less the umask, not mkstemp's 0600
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "search", "--m", "3", "--out", str(tmp_path / "c.json"))[0] == 0
+        assert run(capsys, "table", "--g", "2", "--out", str(tmp_path / "t.csv"))[0] == 0
+    finally:
+        os.umask(old)
+    for name in ("c.json", "t.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+
 def test_search_and_certify_roundtrip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "search", "--m", "4", "--epsilon", "1/2",

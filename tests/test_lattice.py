@@ -1,15 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cyclopack import linalg
+from cyclopack.checker import run_checks
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.lattice import PolarizedLattice, build_lattice
 from conftest import get_ctx
 from oracles import block_contains, contains, elimination_spans, identity
 from test_cyclotomic import random_element
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def gram_oracle(ctx, r_sq, x, pairs):
@@ -114,6 +118,51 @@ def test_integrality_breaks_under_half_codifferent_perturbation(ctx3):
     # u0 moves by an element of (1/2)I that is not in I
     broken = PolarizedLattice(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3))
     assert not broken.is_riemann_integral()
+
+
+def test_unimodularity_agrees_with_the_fraction_determinant(ctx4, ctx3):
+    # is_unimodular compares |det(C - C^T)| with D^(4g) on integers, with no
+    # integrality check first; the determinant of the Fraction form agrees
+    # on the index-2 sublattice, on non-integral forms of determinant 1 and
+    # not 1, and on the perturbed generators of another family
+    lat = build_lattice(ctx4, 2, ctx4.zero())
+    (u0, v0), (u1, v1), *rest = lat.generators
+    cases = [[(2 * u0, 2 * v0), (u1, v1), *rest],
+             [(2 * u0, 2 * v0), (u1 / 2, v1 / 2), *rest],
+             [(u0 / 3, v0 / 3), (u1, v1), *rest],
+             [(3 * u0, 3 * v0), (u1 / 2, v1 / 2), *rest]]
+    lattices = [PolarizedLattice(ctx4, 2, ctx4.zero(), pairs) for pairs in cases]
+    lattices.append(PolarizedLattice(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3)))
+    assert [sub.is_unimodular() for sub in lattices] == [False, True, False, False, False]
+    assert not lattices[1].is_riemann_integral()
+    for sub in lattices:
+        assert sub.is_unimodular() == (abs(linalg.determinant(sub.symplectic)) == 1)
+
+
+def test_certificate_lattice_builds_few_fractions(monkeypatch):
+    # every form of the lattice is integer rows over one denominator:
+    # building the stored m = 22 certificate's lattice, preparing its form
+    # and running its checks makes fewer Fractions than one generator row has
+    # coordinates (2g)
+    cert = json.loads((REFERENCE / "m22.json").read_text())
+    ctx = get_ctx(22)
+    r_sq, x = Fraction(cert["r_sq"]), ctx.element(map(Fraction, cert["x"]))
+    new, made = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        lat = build_lattice(ctx, r_sq, x)
+        form = lat.form
+        checks = run_checks(lat)
+    finally:
+        monkeypatch.undo()
+    assert Fraction.__new__ is new
+    assert all(checks.values()) and form.min_diagonal > 0
+    assert len(made) < 2 * ctx.g, made
 
 
 def test_unimodularity_breaks_on_index_two_sublattice(ctx4):

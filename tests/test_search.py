@@ -21,8 +21,8 @@ from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
 from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import (box_points_in_ball, chi, contains_interval, midpoint, vector_j_value,
-                     volume_chi_norm_sq, width)
+from oracles import (box_points_in_ball, chi, codiff_coords, codiff_gram, contains_interval,
+                     fractions, midpoint, vector_j_value, volume_chi_norm_sq, width)
 
 # the package re-exports the function search under the submodule's name
 search_module = importlib.import_module("cyclopack.search")
@@ -170,9 +170,9 @@ def test_select_r_walks_the_ring_a_few_times(monkeypatch):
         walks.append(radius_sq)
         return norm_counts(gram, radius_sq)
 
-    def reducing(gram):
-        reduced.append(tuple(map(tuple, gram)))
-        return lll_reduce(gram)
+    def reducing(rows, den):
+        reduced.append(fractions(rows, den))
+        return lll_reduce(rows, den)
 
     monkeypatch.setattr(search_module, "_RING_NORMS", {})
     monkeypatch.setattr(search_module, "norm_counts", recording)
@@ -195,7 +195,7 @@ def test_j_value_grows_toward_limit(ctx4):
 # -- select_r ----------------------------------------------------------------------
 
 def test_select_r_known_values(ctx3, ctx4):
-    assert shortest_norm_sq([list(r) for r in ctx4.codiff_gram]) == Fraction(1, 2)
+    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx4)]) == Fraction(1, 2)
     assert select_r(ctx4, EPS, default_r_grid()) == 2
     assert select_r(ctx3, EPS, default_r_grid()) == Fraction(3, 2)
 
@@ -272,10 +272,10 @@ def test_search_counts_only_sampled_twists(monkeypatch):
         events.append("build" if x else "build x = 0")
         return build_lattice(ctx, r_sq, x)
 
-    def reducing(gram):
-        reduced.append(tuple(map(tuple, gram)))
+    def reducing(rows, den):
+        reduced.append(fractions(rows, den))
         events.append("lll")
-        return lll_reduce(gram)
+        return lll_reduce(rows, den)
 
     def walking(form, *args):
         walked.append(form)
@@ -344,15 +344,15 @@ def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
     vector a near it, and chi on |r a + r x conj(b) + (i/r) b|^2."""
     r_sq = Fraction(r_sq)
     r2_hi = chi_radius_sq(ctx, epsilon, precision + 32).hi
-    total = 0
+    total, gram_cd = 0, codiff_gram(ctx)
     for bvec in box_points_in_ball(ctx.ok_gram, None, r_sq * r2_hi):
         if not any(bvec):
             continue
         t = _quad(ctx.ok_gram, bvec)
         rem_hi = (r2_hi - t / r_sq) / r_sq
-        center = [-c for c in ctx.coords_in_codiff(x * ctx.element(bvec).conj())]
-        for avec in box_points_in_ball(ctx.codiff_gram, center, rem_hi):
-            qa = _quad(ctx.codiff_gram, [a - c for a, c in zip(avec, center)])
+        center = [-c for c in codiff_coords(ctx, x * ctx.element(bvec).conj())]
+        for avec in box_points_in_ball(gram_cd, center, rem_hi):
+            qa = _quad(gram_cd, [a - c for a, c in zip(avec, center)])
             if chi_norm_sq(2 * ctx.g, r_sq * qa + t / r_sq, ctx.m - epsilon, precision):
                 total += 1
     return total
@@ -433,9 +433,9 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
     seen, built, walked = [], [], []
     lll_reduce, build, walk = svp.lll_reduce, build_lattice, svp.PreparedForm._walk
 
-    def counting(g):
-        seen.append(tuple(map(tuple, g)))
-        return lll_reduce(g)
+    def counting(rows, den):
+        seen.append(fractions(rows, den))
+        return lll_reduce(rows, den)
 
     def building(*args):
         built.append(build(*args))
@@ -501,10 +501,10 @@ def test_sample_x_translation_inequivalent(ctx4):
     seen = {}
     for _ in range(20):
         x = sample_x(ctx4, 8, rng)
-        key = tuple(ctx4.coords_in_codiff(x))
+        key = tuple(codiff_coords(ctx4, x))
         for other_key, other in seen.items():
             if other_key != key:
-                assert not all(c.denominator == 1 for c in ctx4.coords_in_codiff(x - other))
+                assert not all(c.denominator == 1 for c in codiff_coords(ctx4, x - other))
         seen[key] = x
 
 
@@ -516,7 +516,7 @@ def test_sample_x_codifferent_coordinates_are_the_draws():
             for seed in range(5):
                 x = sample_x(ctx, denom, random.Random(seed))
                 rng = random.Random(seed)
-                assert ctx.coords_in_codiff(x) == [Fraction(_randbelow(rng, denom), denom)
+                assert codiff_coords(ctx, x) == [Fraction(_randbelow(rng, denom), denom)
                                                    for _ in range(ctx.g)]
 
 

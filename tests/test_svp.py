@@ -10,12 +10,13 @@ import pytest
 from cyclopack import linalg, svp
 from cyclopack.lattice import build_lattice
 from cyclopack.checker import certificate_from_json_dict, chi_radius_sq
-from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, lll_reduce,
-                           norm_counts, shortest_norm_sq)
+from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts,
+                           shortest_norm_sq)
 from conftest import get_ctx
-from oracles import (box_points_in_ball, box_shortest_norm_sq, contains_interval,
-                     enumerate_in_ball, identity, midpoint, packing_density,
-                     rational_enumerate_in_ball, rational_lll_reduce, width)
+from oracles import (box_points_in_ball, box_shortest_norm_sq, codiff_gram, contains_interval,
+                     enumerate_in_ball, fraction_lll_reduce, identity, midpoint,
+                     packing_density, prepared_form, rational_enumerate_in_ball,
+                     rational_lll_reduce, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -77,7 +78,7 @@ def test_ball_volume_rejects_odd_or_tiny():
 
 def test_lll_identity_fixed():
     g = identity(4)
-    u, r, _, _ = lll_reduce(g)
+    u, r, _, _ = fraction_lll_reduce(g)
     assert u == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert r == g
 
@@ -87,7 +88,7 @@ def test_lll_preserves_determinant_and_matches_transform():
     for n in (2, 3, 4, 6):
         for _ in range(10):
             g = random_pd_gram(n, rng)
-            u, r, d, nu = lll_reduce(g)
+            u, r, d, nu = fraction_lll_reduce(g)
             uf = frac_mat(u)
             assert linalg.determinant(uf) in (1, -1)
             assert linalg.mat_mul(linalg.mat_mul(uf, g), linalg.transpose(uf)) == r
@@ -104,7 +105,7 @@ def test_lll_lovasz_condition_holds():
     delta = Fraction(99, 100)
     for _ in range(10):
         g = random_pd_gram(5, rng)
-        _, r, _, _ = lll_reduce(g)
+        _, r, _, _ = fraction_lll_reduce(g)
         # recompute GSO from scratch and check both LLL conditions
         n = len(r)
         mu = [[Fraction(0)] * n for _ in range(n)]
@@ -120,15 +121,15 @@ def test_lll_lovasz_condition_holds():
 
 
 def test_lll_example_gram(ctx12):
-    _, r, _, _ = lll_reduce([list(row) for row in ctx12.ok_gram])
+    _, r, _, _ = fraction_lll_reduce([list(row) for row in ctx12.ok_gram])
     assert r[0][0] <= 4
 
 
 def test_lll_rejects_non_pd():
     with pytest.raises(ValueError):
-        lll_reduce(frac_mat([[1, 0], [0, -1]]))
+        fraction_lll_reduce(frac_mat([[1, 0], [0, -1]]))
     with pytest.raises(ValueError):
-        lll_reduce(frac_mat([[0, 0], [0, 1]]))
+        fraction_lll_reduce(frac_mat([[0, 0], [0, 1]]))
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -147,7 +148,7 @@ def test_enumerate_matches_box_scan_random():
         g = random_pd_gram(n, rng)
         # the first ball on the bare Gram, the second and third on one
         # prepared form
-        form = svp.PreparedForm(g)
+        form = prepared_form(g)
         for quad in (g, form, form):
             center = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
             radius = Fraction(rng.randint(1, 40), rng.randint(1, 4))
@@ -184,7 +185,7 @@ def test_half_walk_emits_one_of_each_opposite_pair():
     grams = [[[Fraction(3)]]] + [random_rational_pd_gram(rng.randint(1, 6), rng)
                                  for _ in range(60)]
     for trial, g in enumerate(grams):
-        form = svp.PreparedForm(g)
+        form = prepared_form(g)
         n = len(g)
         radius = Fraction(rng.randint(0, 60), rng.randint(1, 7)) if trial % 10 else Fraction(0)
         full, half = [], []
@@ -194,7 +195,7 @@ def test_half_walk_emits_one_of_each_opposite_pair():
         assert half.count(((0,) * n, 0)) == 1, (trial, g, radius)
         assert Counter(half + negated) == Counter(full), (trial, g, radius)
     with pytest.raises(ValueError):
-        svp.PreparedForm(grams[0])._walk([Fraction(1, 2)], Fraction(1), print, True)
+        prepared_form(grams[0])._walk([Fraction(1, 2)], Fraction(1), print, True)
 
 
 def test_norm_counts_tally_the_reference_lattices():
@@ -205,7 +206,7 @@ def test_norm_counts_tally_the_reference_lattices():
         cert = certificate_from_json_dict(json.loads(path.read_text()))
         ctx = get_ctx(cert.m)
         gram = build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)).real_gram
-        balls = [(gram, svp.PreparedForm(gram).min_diagonal),
+        balls = [(gram, prepared_form(gram).min_diagonal),
                  (ctx.ok_gram, cert.r_sq * chi_radius_sq(ctx, cert.epsilon, 160).hi)]
         for g, radius in balls:
             tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius)
@@ -223,16 +224,22 @@ def random_rational_pd_gram(n, rng):
              for j in range(n)] for i in range(n)]
 
 
-def twisted_grams():
-    """real_gram of the twisted lattices at m = 11, 22, 30 at each field's
-    reference r^2, for x = 0, a 3-bit and a 53-bit twist."""
+def twisted_lattices():
+    """The twisted lattices at m = 11, 22, 30 at each field's reference r^2,
+    for x = 0, a 3-bit and a 53-bit twist."""
     rng = random.Random(47)
     for m, r_sq in ((11, Fraction(21, 2)), (22, Fraction(11)), (30, Fraction(7))):
         ctx = get_ctx(m)
         for bits in (0, 3, 53):
             x = sum((Fraction(rng.getrandbits(bits), 1 << bits) * a
                      for a in ctx.codiff_basis), ctx.zero())
-            yield ctx, build_lattice(ctx, r_sq, x).real_gram
+            yield ctx, build_lattice(ctx, r_sq, x)
+
+
+def twisted_grams():
+    """real_gram of each of twisted_lattices."""
+    for ctx, lat in twisted_lattices():
+        yield ctx, lat.real_gram
 
 
 def test_lll_matches_rational_reference():
@@ -240,7 +247,29 @@ def test_lll_matches_rational_reference():
     grams = [random_rational_pd_gram(rng.randint(1, 6), rng) for _ in range(40)]
     grams += [gram for _, gram in twisted_grams()]
     for gram in grams:
-        assert lll_reduce(gram) == rational_lll_reduce(gram)
+        assert fraction_lll_reduce(gram) == rational_lll_reduce(gram)
+
+
+def test_prepared_form_matches_rational_reference():
+    # PreparedForm(rows, den) builds no Fraction but its least diagonal entry;
+    # field by field it must be the rational LLL's transform, least reduced
+    # diagonal entry and LDL factors. A lattice's integer Gram is its
+    # real_gram over the least common denominator.
+    rng = random.Random(49)
+    forms = [(gram, linalg.integer_matrix(gram))
+             for gram in (random_rational_pd_gram(rng.randint(1, 6), rng) for _ in range(40))]
+    for _, lat in twisted_lattices():
+        assert lat.gram == linalg.integer_matrix(lat.real_gram)
+        forms.append((lat.real_gram, lat.gram))
+    for gram, (rows, den) in forms:
+        u, r, d, nu = rational_lll_reduce(gram)
+        form = svp.PreparedForm(rows, den)
+        n = len(gram)
+        assert form.transform == u
+        assert form.min_diagonal == min(r[i][i] for i in range(n))
+        assert [Fraction(a, form.d_den) for a in form.d] == d
+        assert ([[Fraction(a, form.nu_den) for a in row] for row in form.nu]
+                == [row[i + 1:] for i, row in enumerate(nu)])
 
 
 def test_enumeration_order_matches_rational_reference():
@@ -272,8 +301,8 @@ def test_twisted_lattice_enumeration_matches_rational_reference():
 def test_shortest_norm_known_values(ctx3, ctx4):
     assert shortest_norm_sq(identity(4)) == 1
     assert shortest_norm_sq([list(r) for r in ctx3.ok_gram]) == 2
-    assert shortest_norm_sq([list(r) for r in ctx4.codiff_gram]) == Fraction(1, 2)
-    assert shortest_norm_sq([list(r) for r in ctx3.codiff_gram]) == Fraction(2, 3)
+    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx4)]) == Fraction(1, 2)
+    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx3)]) == Fraction(2, 3)
 
 
 def test_shortest_norm_matches_box_scan():
@@ -310,7 +339,7 @@ def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
         v = [rng.randint(-2, 2) for _ in range(n)]
         v[rng.randrange(n)] = rng.choice((-1, 1))
         near = [a + Fraction(rng.randint(-1, 1), 1000) for a in v]
-        form = svp.PreparedForm(g)
+        form = prepared_form(g)
         check(g, None)
         check(form, None)
         assert form.lambda1_sq is None
