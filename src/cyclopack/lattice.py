@@ -14,13 +14,13 @@ coordinates for u and power-basis coordinates for v: build_lattice's rows are
 then [[I, 0], [X, I]] and D is the denominator of x in the codifferent. The
 Gram matrix and the symplectic form are integer products of N with the trace
 pairings of these bases over multiples of D^2, so the checks, the LLL and the
-LDL factors run on integers. The Fraction views real_gram (for the lattice
-JSON) and symplectic are built only when read. Membership, and with it the
-unit action and real multiplication checks, reduces integer rows against a
-lower-triangular basis of N built once per lattice (build_lattice's rows are
-one already), with a ring integer acting through the same integral
-multiplication matrix in both bases: no field multiplication, no elimination,
-and valid for any generators.
+LDL factors run on integers. The Fraction view real_gram (for the lattice
+JSON) is built only when read. Membership, and with it the unit action and
+real multiplication checks, reduces integer rows against a lower-triangular
+basis of N built once per lattice (build_lattice's rows are one already),
+with a ring integer acting through the same integral multiplication matrix in
+both bases: no field multiplication, no elimination, and valid for any
+generators.
 """
 from __future__ import annotations
 
@@ -38,10 +38,10 @@ class PolarizedLattice:
 
     generators holds the (u, v) pairs. gram and skew are (rows, den) of the
     real and the imaginary part of the hermitian product of the generators,
-    form the PreparedForm of gram, and real_gram and symplectic the Fraction
-    views of gram and skew. Each is built on first read: the stability and
-    divisibility checks and a search's losing twists never read skew, and
-    the stability check reads none of them.
+    form the PreparedForm of gram, and real_gram the Fraction view of gram.
+    Each is built on first read: the stability and divisibility checks and a
+    search's losing twists never read skew, and the stability check reads
+    none of them.
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
@@ -100,11 +100,6 @@ class PolarizedLattice:
         vu = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows]
         return linalg.lowest_terms([[a - b for a, b in zip(row, col)]
                                     for row, col in zip(vu, zip(*vu))], self._den ** 2)
-
-    @cached_property
-    def symplectic(self) -> list[list[Fraction]]:
-        rows, den = self.skew
-        return [[Fraction(a, den) for a in row] for row in rows]
 
     # -- checks ----------------------------------------------------------------
 

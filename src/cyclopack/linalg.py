@@ -4,13 +4,14 @@ A rational matrix on the lattice path is kept as integer rows over one
 positive denominator in lowest common terms: integer_matrix clears a Fraction
 matrix's denominators into that form and lowest_terms brings integer rows over
 any common denominator to it, so no Fraction is built on the way. gauss_jordan
-is a fraction-free (Bareiss) Gauss-Jordan on integer rows in which every
-division is exact (Bareiss, Math. Comp. 22, 1968); determinant and solve wrap
-it and build a Fraction only for their result. triangular_basis reduces
-integer rows by Euclid to a lower-triangular basis of the lattice they span,
-against which lattice membership is a back-substitution (Cohen, A Course in
-Computational Algebraic Number Theory, 2.4). The matrices are at most 2g x 2g
-with g = phi(m), and none is ever inverted.
+is a fraction-free (Bareiss) elimination below each pivot on integer rows, in
+which every division is exact (Bareiss, Math. Comp. 22, 1968), and an exact
+back-substitution; a determinant needs the elimination alone. determinant and
+solve wrap it and build a Fraction only for their result. triangular_basis
+reduces integer rows by Euclid to a lower-triangular basis of the lattice they
+span, against which lattice membership is a back-substitution (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4). The matrices are at
+most 2g x 2g with g = phi(m), and none is ever inverted.
 """
 from __future__ import annotations
 
@@ -50,10 +51,12 @@ def lowest_terms(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]
 
 
 def gauss_jordan(rows: list[list[int]], n: int) -> int:
-    """det(A) for the integer rows [A | B], A square of size n = len(rows),
-    by fraction-free Gauss-Jordan in place: after step k each entry is a
-    (k+1)-minor of [A | B] up to sign, so dividing by the last pivot is exact.
-    If det(A) != 0 the rows end as [d I | d A^-1 B], d = +-det(A)."""
+    """det(A) for the integer rows [A | B], A square of size n = len(rows), in
+    place: fraction-free elimination below each pivot leaves row k with
+    (k+1)-minors of [A | B] up to sign, so dividing by the last pivot d is
+    exact, and d = +-det(A). If det(A) != 0, back-substitution from the last
+    row, X_i = (d b_i - sum_{j>i} a_ij X_j) / a_ii, exact as X = d A^-1 B is
+    integral, ends the rows as [d I | d A^-1 B]."""
     det, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k]), None)
@@ -62,16 +65,17 @@ def gauss_jordan(rows: list[list[int]], n: int) -> int:
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             det = -det
-        pk = rows[k][k:]
-        p = pk[0]
-        # left of column k only the diagonal is nonzero: it is filled at the end
-        for i, ri in enumerate(rows):
-            if i != k:
-                f = ri[k]
-                ri[k:] = [(p * a - f * b) // prev for a, b in zip(ri[k:], pk)]
+        p, pk = rows[k][k], rows[k][k + 1:]
+        # column k below the pivot is left as it is: it is cleared at the end
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            ri[k + 1:] = [(p * a - f * b) // prev for a, b in zip(ri[k + 1:], pk)]
         prev = p
-    for i in range(n):
-        rows[i][i] = prev
+    for i in reversed(range(n)):
+        ri, below = rows[i], rows[i + 1:]
+        ri[n:] = [(prev * b - sum(r[c] * a for r, a in zip(below, ri[i + 1:n]))) // ri[i]
+                  for c, b in enumerate(ri[n:], n)]
+        ri[:n] = [0] * i + [prev] + [0] * (n - i - 1)
     return det * prev
 
 

@@ -13,10 +13,11 @@ lambda_1^2 and the walked norms. The walk hands each point to a visitor
 instead of building a list: enumerate_in_ball_with_norms collects the points,
 mapped back to the input basis, and norm_counts only tallies the integer
 values of the form, which is all that a theta-series question (the ring norms
-behind J(r)) or the shortest vector needs. Its ball is centred at the origin
-and so symmetric under v -> -v: norm_counts walks half of it, one vector of
-each pair +-v, and doubles every multiplicity. The enumerations are complete
-by construction and the returned minima are exact.
+behind J(r)) or the shortest vector needs. A ball about the origin is
+symmetric under v -> -v, so the walk takes one vector of each pair +-v:
+norm_counts doubles every multiplicity and enumerate_in_ball_with_norms adds
+the negatives, in the full walk's order. The enumerations are complete by
+construction and the returned minima are exact.
 
 Each question of a form has one function: enumerate_in_ball_with_norms,
 norm_counts and shortest_norm_sq. Each takes a rational Gram matrix, prepared
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, isqrt, lcm
-from operator import mul
+from operator import mul, neg
 
 from . import linalg
 from .intervals import IntervalValue, pi_interval
@@ -167,23 +168,21 @@ class PreparedForm:
         self.min_diagonal = Fraction(min(R[i][i] for i in range(len(R))), den)
         self.lambda1_sq: Fraction | None = None
 
-    def _walk(self, center, radius_sq: Fraction, emit, half: bool = False) -> int:
+    def _walk(self, center, radius_sq: Fraction, emit) -> int:
         """Fincke-Pohst on integers: emit(s, k) for each integer s with
         Q(s - center) = k / scale <= radius_sq, the top level outermost and
         each level in ascending order; returns scale. s is the walk's own
         list, so an emitter that keeps it copies it.
 
-        With half (legal only for a zero center, where the ball is symmetric
-        under s -> -s) the walk emits the origin once and, of each pair +-s,
-        only the s whose first nonzero coordinate from the top is positive:
-        while every higher coordinate is zero, a level's range starts at 0.
+        A zero center makes the ball symmetric under s -> -s, and the walk
+        takes half of it: the origin first and, of each pair +-s, only the s
+        whose first nonzero coordinate from the top is positive (while every
+        higher coordinate is zero, a level's range starts at 0).
 
         With B = lcm(nu_den, denominators of the center), every partial sum
         of Q is an integer over scale = d_den * B^4, so each level range is
         an isqrt of an integer quotient and the walk builds no Fraction.
         """
-        if half and any(center):
-            raise ValueError("a half walk needs a zero center")
         d, n = self.d, len(self.d)
         B = lcm(self.nu_den, *(c.denominator for c in center))
         e = [c.numerator * (B // c.denominator) for c in center]
@@ -198,7 +197,7 @@ class PreparedForm:
         def descend(i: int, rem: int, top: bool) -> None:
             # B^2 (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j)) = B^2 s_i - num,
             # and d_i times its square is a t^2 / scale with t = B^2 s_i - num;
-            # top: every s_j with j > i is zero (only ever with a half walk)
+            # top: the center and every s_j with j > i are zero
             num = B * e[i] - sum(map(mul, rows[i], w[i + 1:]))
             a = d[i]
             r = isqrt(rem // a)
@@ -214,7 +213,7 @@ class PreparedForm:
             w[i] = -e[i]
 
         if budget >= 0:
-            descend(n - 1, budget, half)
+            descend(n - 1, budget, not any(e))
         return scale
 
 
@@ -225,25 +224,27 @@ def _prepared(gram) -> PreparedForm:
 def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
     """The pairs (v, Q(v - center)) over exactly the integer vectors v with
     Q(v - center) <= radius_sq, for the quadratic form Q given by gram, in
-    walk order. A ball about the origin strictly inside a known lambda_1
-    holds the origin alone, so it is answered without a walk."""
+    walk order: ascending in the reduced coordinates (s_n-1, ..., s_0). A
+    ball about the origin strictly inside a known lambda_1 holds the origin
+    alone, so it is answered without a walk."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
     form = _prepared(gram)
-    U = form.transform
-    n = len(U)
+    n = len(form.transform)
     center = [Fraction(0)] * n if center is None else [Fraction(c) for c in center]
-    if form.lambda1_sq is not None and radius_sq < form.lambda1_sq and not any(center):
+    shifted = any(center)
+    if not shifted and form.lambda1_sq is not None and radius_sq < form.lambda1_sq:
         return [((0,) * n, Fraction(0))]
     # in reduced coordinates the center is the solution of U^T c' = center
-    cprime = (linalg.solve([[U[i][j] for i in range(n)] for j in range(n)], center)
-              if any(center) else center)
-    cols = tuple(zip(*U))
+    cols = linalg.transpose(form.transform)
+    cprime = linalg.solve(cols, center) if shifted else center
     pairs = []
     scale = form._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
-    return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
-            for s, k in pairs]
+    points = [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
+              for s, k in pairs]
+    # about 0 the walk gave 0, then one of each pair +-s ascending; negatives go first, descending
+    return points if shifted else [(tuple(map(neg, v)), q) for v, q in points[:0:-1]] + points
 
 
 def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
@@ -259,7 +260,7 @@ def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
     def tally(s, k: int) -> None:
         counts[k] += 1
 
-    scale = form._walk([0] * len(form.d), Fraction(radius_sq), tally, True)
+    scale = form._walk([0] * len(form.d), Fraction(radius_sq), tally)
     counts.pop(0, None)
     return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
 

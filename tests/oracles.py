@@ -254,6 +254,12 @@ def fractions(rows, den) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(a, den) for a in row) for row in rows)
 
 
+def symplectic(lat) -> list[list[Fraction]]:
+    """The symplectic form of a lattice: its skew rows over their denominator."""
+    rows, den = lat.skew
+    return [[Fraction(a, den) for a in row] for row in rows]
+
+
 def codiff_coords(ctx, a) -> list[Fraction]:
     """Coordinates of the field element a in the codifferent basis."""
     num, den = ctx.coords_in_codiff(a)

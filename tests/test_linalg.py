@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 from cyclopack import linalg
-from oracles import fraction_determinant, fraction_solve
+from oracles import fraction_determinant, fraction_solve, fractions
+from test_svp import twisted_lattices
 
 
-def random_system(rng):
-    """A random rational n x n system, n <= 9, with many zero entries (so
-    that pivots need row swaps), and about one in four singular."""
-    n = rng.randint(1, 9)
+def random_system(rng, n=None):
+    """A random rational n x n system, n <= 9 unless given, with many zero
+    entries (so that pivots need row swaps), and about one in four
+    singular."""
+    n = n or rng.randint(1, 9)
 
     def entry():
         return Fraction(0) if rng.random() < 0.35 else Fraction(rng.randint(-9, 9),
@@ -33,24 +35,55 @@ def test_elimination_matches_fraction_reference():
     assert singular > 100 and swapped > 100
 
 
-def test_gauss_jordan_end_state():
+def lattice_systems(rng):
+    """Systems at lattice size: random ones with n = 10..20, each also made
+    singular by setting its last row to the sum of the first two, and the
+    skew and gram rows of the twisted lattices at m = 11, 22 (2g = 20) and 30,
+    each with a random right-hand side."""
+    for n in range(10, 21):
+        a, b = random_system(rng, n)
+        yield a, b
+        yield a[:-1] + [[x + y for x, y in zip(a[0], a[1])]], b
+    for _, lat in twisted_lattices():
+        for rows, den in (lat.skew, lat.gram):
+            yield fractions(rows, den), [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                         for _ in rows]
+
+
+def test_elimination_at_lattice_size():
+    rng = random.Random(67)
+    singular = 0
+    for a, b in lattice_systems(rng):
+        det = fraction_determinant(a)
+        assert linalg.determinant(a) == det
+        assert linalg.solve(a, b) == fraction_solve(a, b)
+        check_end_state(linalg.integer_matrix(a)[0], [[rng.randint(-5, 5) for _ in range(3)]
+                                                      for _ in a])
+        singular += det == 0
+    assert singular >= 11
+
+
+def check_end_state(ai, b):
     # [A | B] ends as [d I | d A^-1 B] with d = +-det A
+    n = len(ai)
+    rows = [ra + rb for ra, rb in zip(ai, b)]
+    det = linalg.gauss_jordan(rows, n)
+    assert det == fraction_determinant(ai)
+    if det == 0:
+        return
+    d = rows[0][0]
+    assert d in (det, -det)
+    assert [r[:n] for r in rows] == [[d * (i == j) for j in range(n)] for i in range(n)]
+    x = [[Fraction(c, d) for c in r[n:]] for r in rows]
+    assert linalg.mat_mul(ai, x) == b
+
+
+def test_gauss_jordan_end_state():
     rng = random.Random(63)
     for _ in range(200):
         a, _ = random_system(rng)
-        n = len(a)
-        b = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
-        ai, _ = linalg.integer_matrix(a)
-        rows = [ra + rb for ra, rb in zip(ai, b)]
-        det = linalg.gauss_jordan(rows, n)
-        assert det == fraction_determinant(ai)
-        if det == 0:
-            continue
-        d = rows[0][0]
-        assert d in (det, -det)
-        assert [r[:n] for r in rows] == [[d * (i == j) for j in range(n)] for i in range(n)]
-        x = [[Fraction(c, d) for c in r[n:]] for r in rows]
-        assert linalg.mat_mul(ai, x) == b
+        b = [[rng.randint(-5, 5) for _ in range(3)] for _ in a]
+        check_end_state(linalg.integer_matrix(a)[0], b)
 
 
 def test_integer_matrix():

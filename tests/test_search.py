@@ -358,6 +358,34 @@ def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
     return total
 
 
+def test_count_walks_half_the_ball(monkeypatch):
+    # the count's ball is about the origin: the walk emits the origin and one
+    # of each pair +-v, and count_N reads both of each pair from the list.
+    # The twist is the third draw of verify's stream at m = 12, with N = 12.
+    ctx = get_ctx(12)
+    r_sq = select_r(ctx, EPS, default_r_grid(), 128)
+    rng = random.Random("0|suite_count_divisibility")
+    x = [sample_x(ctx, SearchConfig._field_defaults["denom"], rng) for _ in range(3)][-1]
+    emitted, listed = [], []
+    walk, enumerate_ = svp.PreparedForm._walk, checker.enumerate_in_ball_with_norms
+
+    def walking(form, center, radius_sq, emit):
+        def recording(s, k):
+            emitted.append(tuple(s))
+            emit(s, k)
+        return walk(form, center, radius_sq, recording)
+
+    def listing(*args):
+        listed.append(enumerate_(*args))
+        return listed[-1]
+
+    monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
+    monkeypatch.setattr(checker, "enumerate_in_ball_with_norms", listing)
+    n = count_N(build_lattice(ctx, r_sq, x), EPS)
+    assert n == brute_count_N(ctx, r_sq, x) == 12
+    assert len(listed) == 1 and len(emitted) == (len(listed[0]) + 1) / 2 > 1
+
+
 def test_count_matches_box_scan_on_twists():
     rng = random.Random(67)
     for m in (4, 5, 6):

@@ -15,8 +15,8 @@ from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, norm_count
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq, codiff_gram, contains_interval,
                      enumerate_in_ball, fraction_lll_reduce, identity, midpoint,
-                     packing_density, prepared_form, rational_enumerate_in_ball,
-                     rational_lll_reduce, width)
+                     packing_density, prepared_form, rational_enumerate,
+                     rational_enumerate_in_ball, rational_lll_reduce, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -179,23 +179,24 @@ def test_norm_counts_tally_the_enumerated_norms():
 
 
 def test_half_walk_emits_one_of_each_opposite_pair():
-    # the half walk's points and their negatives partition the full walk's
-    # points, with the origin emitted once
+    # about the origin the walk emits the origin first and then one of each
+    # pair +-s, the one whose first nonzero coordinate from the top is
+    # positive; with their negatives these are the full walk's points
     rng = random.Random(53)
     grams = [[[Fraction(3)]]] + [random_rational_pd_gram(rng.randint(1, 6), rng)
                                  for _ in range(60)]
     for trial, g in enumerate(grams):
-        form = prepared_form(g)
         n = len(g)
         radius = Fraction(rng.randint(0, 60), rng.randint(1, 7)) if trial % 10 else Fraction(0)
-        full, half = [], []
-        form._walk([0] * n, radius, lambda s, k: full.append((tuple(s), k)))
-        form._walk([0] * n, radius, lambda s, k: half.append((tuple(s), k)), True)
-        negated = [(tuple(-x for x in s), k) for s, k in half if any(s)]
-        assert half.count(((0,) * n, 0)) == 1, (trial, g, radius)
+        _, _, d, nu = rational_lll_reduce(g)
+        full = rational_enumerate(d, nu, [Fraction(0)] * n, radius)
+        half = []
+        scale = prepared_form(g)._walk([0] * n, radius, lambda s, k: half.append((tuple(s), k)))
+        half = [(s, Fraction(k, scale)) for s, k in half]
+        negated = [(tuple(-x for x in s), q) for s, q in half[1:]]
+        assert half[0] == ((0,) * n, 0), (trial, g, radius)
+        assert all(next(x for x in reversed(s) if x) > 0 for s, _ in half[1:]), (trial, g)
         assert Counter(half + negated) == Counter(full), (trial, g, radius)
-    with pytest.raises(ValueError):
-        prepared_form(grams[0])._walk([Fraction(1, 2)], Fraction(1), print, True)
 
 
 def test_norm_counts_tally_the_reference_lattices():
@@ -282,6 +283,12 @@ def test_enumeration_order_matches_rational_reference():
             radius = Fraction(rng.randint(1, 60), rng.randint(1, 7))
             assert (enumerate_in_ball_with_norms(g, center, radius)
                     == rational_enumerate_in_ball(g, center, radius)), (trial, g)
+        # about the origin the walk takes half the ball and the list is
+        # completed with the negatives, in the full walk's order
+        radius = Fraction(rng.randint(0, 60), rng.randint(1, 7))
+        for center in (None, [0] * n):
+            assert (enumerate_in_ball_with_norms(g, center, radius)
+                    == rational_enumerate_in_ball(g, center, radius)), (trial, g, radius)
 
 
 def test_twisted_lattice_enumeration_matches_rational_reference():
