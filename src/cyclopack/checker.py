@@ -125,16 +125,18 @@ def count_N(lattice: PolarizedLattice, epsilon, precision: int = 128) -> int:
     Candidates are enumerated in the lattice's own Gram matrix against the
     outer bound R^2.hi of chi_radius_sq at this precision, the enclosure chi
     refines from, and each one is confirmed by the certified chi itself, so
-    the count is exact despite the irrational threshold. It enumerates
-    lattice.form; a certificate takes lambda_1 on that form first (see
-    _certificate_at), and a ball below lambda_1 is answered without a walk.
+    the count is exact despite the irrational threshold. v and -v share their
+    norm and whether their ring part is zero, so the count reads one of each
+    pair from the half walk of lattice.form and doubles. A certificate takes
+    lambda_1 on that form first (see _certificate_at), and a ball below
+    lambda_1 is answered without a walk.
     """
     ctx = lattice.ctx
     g = ctx.g
     bound = ctx.m - Fraction(epsilon)
     r2 = chi_radius_sq(ctx, epsilon, precision)
-    return sum(1 for v, nsq in enumerate_in_ball_with_norms(lattice.form, None, r2.hi)
-               if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
+    return 2 * sum(1 for v, nsq in enumerate_in_ball_with_norms(lattice.form, r2.hi)
+                   if any(v[g:]) and chi_norm_sq(2 * g, nsq, bound, precision))
 
 
 def certified_lower_bound(two_g: int, lambda1_sq: Fraction, target: Fraction,

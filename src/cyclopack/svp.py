@@ -1,5 +1,5 @@
-"""Exact shortest-vector and point-in-ball enumeration on rational Gram
-matrices, and the certified volume of the unit ball.
+"""Exact shortest-vector and point-in-ball enumeration on integer Gram
+matrices over one denominator, and the certified volume of the unit ball.
 
 Enumeration is Fincke-Pohst after an integral LLL, both on Python ints. A form
 comes in as integer rows over one positive denominator (a lattice's gram, the
@@ -9,35 +9,34 @@ over their least common denominators, and the walk keeps every partial sum of
 the form as an integer over one common denominator, so the range at each level
 comes from an integer square root, never from floating bounds. A Fraction is
 built only for a value handed out: a form's least reduced diagonal entry,
-lambda_1^2 and the walked norms. The walk hands each point to a visitor
-instead of building a list: enumerate_in_ball_with_norms collects the points,
-mapped back to the input basis, and norm_counts only tallies the integer
-values of the form, which is all that a theta-series question (the ring norms
-behind J(r)) or the shortest vector needs. A ball about the origin is
-symmetric under v -> -v, so the walk takes one vector of each pair +-v:
-norm_counts doubles every multiplicity and enumerate_in_ball_with_norms adds
-the negatives, in the full walk's order. The enumerations are complete by
-construction and the returned minima are exact.
+lambda_1^2 and the walked norms. Every ball is centred at the origin, so it is
+symmetric under v -> -v, and the walk takes one vector of each pair +-v. It
+hands each point to a visitor instead of building a list:
+enumerate_in_ball_with_norms collects the origin and the walked half, mapped
+back to the input basis, and norm_counts only tallies the integer values of
+the form and doubles every multiplicity, which is all that a theta-series
+question (the ring norms behind J(r)) or the shortest vector needs. The
+enumerations are complete by construction and the returned minima are exact.
 
 Each question of a form has one function: enumerate_in_ball_with_norms,
-norm_counts and shortest_norm_sq. Each takes a rational Gram matrix, prepared
-afresh for that call, or a PreparedForm owned by a caller that asks several
-questions of one form: a lattice owns its form (PolarizedLattice.form) and
-ring_norms keeps the ring's. A PreparedForm holds data and the walk, nothing
-else: the LLL transform, the least diagonal entry of the reduced form (the
-squared norm of a lattice vector, known with no walk), the LDL factors and,
-once walked, lambda_1^2. The module keeps no state. shortest_norm_sq is the
-only writer of a form's lambda1_sq and enumerate_in_ball_with_norms its only
-reader: a ball about the origin below a known minimum holds the origin alone
-and is answered without a walk. A certificate asks lambda_1 before the count;
-that order is stated once, in checker._certificate_at.
+norm_counts and shortest_norm_sq. Each takes a PreparedForm owned by a caller
+that may ask several questions of one form: a lattice owns its form
+(PolarizedLattice.form) and ring_norms keeps the ring's. A PreparedForm holds
+data and the walk, nothing else: the LLL transform, the least diagonal entry
+of the reduced form (the squared norm of a lattice vector, known with no
+walk), the LDL factors and, once walked, lambda_1^2. The module keeps no
+state. shortest_norm_sq is the only writer of a form's lambda1_sq and
+enumerate_in_ball_with_norms its only reader: a ball below a known minimum
+holds the origin alone and is answered without a walk. A certificate asks
+lambda_1 before the count; that order is stated once, in
+checker._certificate_at.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from math import factorial, isqrt, lcm
-from operator import mul, neg
+from operator import mul
 
 from . import linalg
 from .intervals import IntervalValue, pi_interval
@@ -168,110 +167,87 @@ class PreparedForm:
         self.min_diagonal = Fraction(min(R[i][i] for i in range(len(R))), den)
         self.lambda1_sq: Fraction | None = None
 
-    def _walk(self, center, radius_sq: Fraction, emit) -> int:
-        """Fincke-Pohst on integers: emit(s, k) for each integer s with
-        Q(s - center) = k / scale <= radius_sq, the top level outermost and
-        each level in ascending order; returns scale. s is the walk's own
+    def _walk(self, radius_sq: Fraction, emit) -> int:
+        """Fincke-Pohst on integers about the origin: emit(s, k) for each
+        integer s with Q(s) = k / scale <= radius_sq, the top level outermost
+        and each level in ascending order; returns scale. s is the walk's own
         list, so an emitter that keeps it copies it.
 
-        A zero center makes the ball symmetric under s -> -s, and the walk
-        takes half of it: the origin first and, of each pair +-s, only the s
-        whose first nonzero coordinate from the top is positive (while every
-        higher coordinate is zero, a level's range starts at 0).
+        The ball is symmetric under s -> -s, and the walk takes half of it:
+        the origin first and, of each pair +-s, only the s whose first nonzero
+        coordinate from the top is positive (while every higher coordinate is
+        zero, a level's range starts at 0).
 
-        With B = lcm(nu_den, denominators of the center), every partial sum
-        of Q is an integer over scale = d_den * B^4, so each level range is
-        an isqrt of an integer quotient and the walk builds no Fraction.
+        With B = nu_den, t = B s_i + sum_{j>i} nu_ij s_j is an integer and
+        every partial sum of Q is an integer over scale = d_den * B^2, so each
+        level range is an isqrt of an integer quotient and the walk builds no
+        Fraction.
         """
-        d, n = self.d, len(self.d)
-        B = lcm(self.nu_den, *(c.denominator for c in center))
-        e = [c.numerator * (B // c.denominator) for c in center]
-        f = B // self.nu_den
-        rows = [[x * f for x in row] for row in self.nu]
-        B2 = B * B
-        scale = self.d_den * B2 * B2
+        d, nu, B, n = self.d, self.nu, self.nu_den, len(self.d)
+        scale = self.d_den * B * B
         budget = radius_sq.numerator * scale // radius_sq.denominator
         s = [0] * n
-        w = [-x for x in e]  # w_j = B (s_j - c_j)
 
         def descend(i: int, rem: int, top: bool) -> None:
-            # B^2 (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j)) = B^2 s_i - num,
-            # and d_i times its square is a t^2 / scale with t = B^2 s_i - num;
-            # top: the center and every s_j with j > i are zero
-            num = B * e[i] - sum(map(mul, rows[i], w[i + 1:]))
+            # d_i (s_i + sum_{j>i} nu_ij s_j)^2 = a t^2 / scale with t = B s_i + c;
+            # top: every s_j with j > i is zero
+            c = sum(map(mul, nu[i], s[i + 1:]))
             a = d[i]
             r = isqrt(rem // a)
-            for si in range(0 if top else -((r - num) // B2), (num + r) // B2 + 1):
-                t = B2 * si - num
+            for si in range(0 if top else -((r + c) // B), (r - c) // B + 1):
+                t = B * si + c
                 s[i] = si
-                w[i] = B * si - e[i]
                 if i:
                     descend(i - 1, rem - a * t * t, top and not si)
                 else:
                     emit(s, budget - rem + a * t * t)
             s[i] = 0
-            w[i] = -e[i]
 
         if budget >= 0:
-            descend(n - 1, budget, not any(e))
+            descend(n - 1, budget, True)
         return scale
 
 
-def _prepared(gram) -> PreparedForm:
-    return gram if isinstance(gram, PreparedForm) else PreparedForm(*linalg.integer_matrix(gram))
-
-
-def enumerate_in_ball_with_norms(gram, center=None, radius_sq=0):
-    """The pairs (v, Q(v - center)) over exactly the integer vectors v with
-    Q(v - center) <= radius_sq, for the quadratic form Q given by gram, in
-    walk order: ascending in the reduced coordinates (s_n-1, ..., s_0). A
-    ball about the origin strictly inside a known lambda_1 holds the origin
-    alone, so it is answered without a walk."""
+def enumerate_in_ball_with_norms(form: PreparedForm, radius_sq):
+    """The pairs (v, Q(v)) of the origin and of one vector v of each pair +-v
+    with Q(v) <= radius_sq, mapped back to the input basis, in walk order:
+    ascending in the reduced coordinates (s_n-1, ..., s_0) from the origin
+    on. A ball strictly inside a known lambda_1 holds the origin alone, so it
+    is answered without a walk."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
-    form = _prepared(gram)
-    n = len(form.transform)
-    center = [Fraction(0)] * n if center is None else [Fraction(c) for c in center]
-    shifted = any(center)
-    if not shifted and form.lambda1_sq is not None and radius_sq < form.lambda1_sq:
-        return [((0,) * n, Fraction(0))]
-    # in reduced coordinates the center is the solution of U^T c' = center
+    if form.lambda1_sq is not None and radius_sq < form.lambda1_sq:
+        return [((0,) * len(form.d), Fraction(0))]
     cols = linalg.transpose(form.transform)
-    cprime = linalg.solve(cols, center) if shifted else center
     pairs = []
-    scale = form._walk(cprime, radius_sq, lambda s, k: pairs.append((tuple(s), k)))
-    points = [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
-              for s, k in pairs]
-    # about 0 the walk gave 0, then one of each pair +-s ascending; negatives go first, descending
-    return points if shifted else [(tuple(map(neg, v)), q) for v, q in points[:0:-1]] + points
+    scale = form._walk(radius_sq, lambda s, k: pairs.append((tuple(s), k)))
+    return [(tuple(sum(map(mul, col, s)) for col in cols), Fraction(k, scale))
+            for s, k in pairs]
 
 
-def norm_counts(gram, radius_sq) -> list[tuple[Fraction, int]]:
+def norm_counts(form: PreparedForm, radius_sq) -> list[tuple[Fraction, int]]:
     """Sorted (value, multiplicity) pairs of the form over the nonzero integer
     vectors v with Q(v) <= radius_sq: the start of the lattice's theta series.
-    The ball is symmetric under v -> -v, so a half walk visits one of each
-    pair and every multiplicity is doubled. The walk feeds a counter of
-    integer numerators, so no point is kept, mapped back through U or turned
-    into a Fraction; the zero vector is the only point of value 0."""
-    form = _prepared(gram)
+    The half walk visits one of each pair +-v, so every multiplicity is
+    doubled. The walk feeds a counter of integer numerators, so no point is
+    kept, mapped back through U or turned into a Fraction; the zero vector is
+    the only point of value 0."""
     counts = Counter()
 
     def tally(s, k: int) -> None:
         counts[k] += 1
 
-    scale = form._walk([0] * len(form.d), Fraction(radius_sq), tally)
+    scale = form._walk(Fraction(radius_sq), tally)
     counts.pop(0, None)
     return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
 
 
-def shortest_norm_sq(gram) -> Fraction:
+def shortest_norm_sq(form: PreparedForm) -> Fraction:
     """Exact lambda_1^2: the minimal nonzero value of the form over Z^n, by
     exhaustive enumeration below the least diagonal entry of the reduced
     form, which some basis vector attains (so the ball holds a nonzero
-    point). A PreparedForm walks once and keeps the result in lambda1_sq."""
-    form = _prepared(gram)
+    point). The form walks once and keeps the result in lambda1_sq."""
     if form.lambda1_sq is None:
         form.lambda1_sq = norm_counts(form, form.min_diagonal)[0][0]
     return form.lambda1_sq
-

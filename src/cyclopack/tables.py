@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 EULER_GAMMA = 0.5772156649015329  # diagnostic use only
 
@@ -53,15 +54,30 @@ def phi(m: int) -> int:
 def inverse_phi_max(g: int) -> int:
     """Largest m >= 3 with phi(m) = g, or 0 if none exists.
 
-    The scan bound 2g^2 + 1 is safe because phi(m) >= sqrt(m/2) for all m.
+    phi(p^k) = p^(k-1) (p - 1) divides g for each prime power p^k of such an
+    m, so its primes are among the primes d + 1 over the divisors d of g.
+    largest(i, rest) gives each candidate, largest first, an exponent whose
+    phi divides rest, or none, and keeps the largest product.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
-    best = 0
-    for m in range(3, 2 * g * g + 2):
-        if phi(m) == g:
-            best = m
-    return best
+    small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
+    primes = sorted({q + 1 for d in small for q in (d, g // d) if prime_factors(q + 1) == [q + 1]},
+                    reverse=True)
+
+    @lru_cache(maxsize=None)
+    def largest(i: int, rest: int) -> int:
+        # the largest m made of primes[i:] with phi(m) = rest, or 0 if none
+        if i == len(primes):
+            return 1 if rest == 1 else 0
+        best, p, pk = largest(i + 1, rest), primes[i], primes[i]
+        while rest % (f := pk // p * (p - 1)) == 0:
+            best = max(best, pk * largest(i + 1, rest // f))
+            pk *= p
+        return best
+
+    m = largest(0, g)
+    return m if m >= 3 else 0
 
 
 def _is_power_of_two(g: int) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import codiff_coords, codiff_gram, enumerate_in_ball
+from oracles import box_points_in_ball, codiff_coords, codiff_gram, enumerate_in_ball
 
 
 def unit_ball_volume(n: int) -> float:
@@ -36,7 +36,7 @@ def mc_j_value(ctx, r_sq, epsilon, n_samples: int, seed: int):
     margin = Fraction(r_sq) * Fraction(int(big_r2 * 2 ** 40) + 1, 2 ** 40)
     ok_gram = [list(r) for r in ctx.ok_gram]
     thresholds = []
-    for v in enumerate_in_ball(ok_gram, None, margin):
+    for v in enumerate_in_ball(ok_gram, margin):
         if not any(v):
             continue
         t = float(sum(ctx.ok_gram[i][j] * v[i] * v[j] for i in range(g) for j in range(g)))
@@ -92,8 +92,8 @@ def mc_fold_lhs(ctx, b_el, z_x, z_y, epsilon, n_samples: int, seed: int):
     reach = max(math.sqrt(d @ gram_cd @ d) for d in corners - mid)
     rad = (math.sqrt(s) + reach + 1e-9) ** 2
     center = [-Fraction(c).limit_denominator(10 ** 9) for c in mid]
-    cands = enumerate_in_ball([list(r) for r in codiff_gram(ctx)], center,
-                              Fraction(rad).limit_denominator(10 ** 9) + 1)
+    cands = box_points_in_ball(codiff_gram(ctx), center,
+                               Fraction(rad).limit_denominator(10 ** 9) + 1)
     cand_arr = np.array(cands, dtype=float)
 
     rng = np.random.default_rng(seed)

@@ -202,10 +202,10 @@ def rational_lll_reduce(gram, delta=Fraction(99, 100)):
     return U, G, B, nu
 
 
-def rational_enumerate(d, nu, center, radius_sq):
+def rational_enumerate(d, nu, radius_sq):
     """Fincke-Pohst on Fractions: the integer s with
-    sum_i d_i (s_i - c_i + sum_{j>i} nu_ij (s_j - c_j))^2 <= radius_sq, as
-    ordered (s, value) pairs, the top level outermost, each level ascending."""
+    sum_i d_i (s_i + sum_{j>i} nu_ij s_j)^2 <= radius_sq, as ordered
+    (s, value) pairs, the top level outermost, each level ascending."""
     n = len(d)
     s = [0] * n
     out = []
@@ -214,11 +214,11 @@ def rational_enumerate(d, nu, center, radius_sq):
         if i < 0:
             out.append((tuple(s), radius_sq - rem))
             return
-        c = center[i]
+        c = Fraction(0)
         row = nu[i]
         for j in range(i + 1, n):
             if row[j]:
-                c -= row[j] * (s[j] - center[j])
+                c -= row[j] * s[j]
         for si in _sqrt_range(c, rem / d[i]):
             y = si - c
             contrib = d[i] * y * y
@@ -231,16 +231,13 @@ def rational_enumerate(d, nu, center, radius_sq):
     return out
 
 
-def rational_enumerate_in_ball(gram, center, radius_sq):
-    """The ordered (v, Q(v - center)) pairs of the rational pipeline: LLL,
-    the center in reduced coordinates, the walk, and back by the transform."""
+def rational_enumerate_in_ball(gram, radius_sq):
+    """The ordered (v, Q(v)) pairs of the rational pipeline about the origin:
+    LLL, the full walk, and back by the transform."""
     U, _, d, nu = rational_lll_reduce(gram)
     n = len(U)
-    center = [Fraction(c) for c in (center if center is not None else [0] * n)]
-    inv_ut = _inverse([[U[i][j] for i in range(n)] for j in range(n)])
-    cprime = [sum(a * c for a, c in zip(row, center)) for row in inv_ut]
     return [(tuple(sum(U[i][j] * s[i] for i in range(n)) for j in range(n)), q)
-            for s, q in rational_enumerate(d, nu, cprime, Fraction(radius_sq))]
+            for s, q in rational_enumerate(d, nu, Fraction(radius_sq))]
 
 
 # -- Fraction views of the integer forms ----------------------------------------
@@ -406,7 +403,7 @@ def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> IntervalValue:
     g = ctx.g
     guard = precision + 32
     r2 = chi_radius_sq(ctx, epsilon, guard)
-    vecs = enumerate_in_ball_with_norms(ctx.ok_gram, None, r_sq * r2.hi)
+    vecs = ball_with_norms(PreparedForm(ctx.ok_gram, 1), r_sq * r2.hi)
     total = IntervalValue.point(0)
     nonempty = False
     for v, t in vecs:
@@ -574,10 +571,18 @@ def chi(p, epsilon, precision: int = 128) -> bool:
     return chi_norm_sq(2 * ctx.g, norm_sq(p), ctx.m - Fraction(epsilon), precision)
 
 
-def enumerate_in_ball(gram, center=None, radius_sq=0):
-    """Exactly the integer vectors v with Q(v - center) <= radius_sq for the
-    quadratic form Q given by gram; sorted, no duplicates."""
-    return sorted(v for v, _ in enumerate_in_ball_with_norms(gram, center, radius_sq))
+def ball_with_norms(form, radius_sq):
+    """The (v, Q(v)) pairs over the whole ball Q(v) <= radius_sq of a
+    PreparedForm: the half walk of enumerate_in_ball_with_norms and the
+    negatives of its nonzero points."""
+    half = enumerate_in_ball_with_norms(form, radius_sq)
+    return half + [(tuple(-a for a in v), q) for v, q in half[1:]]
+
+
+def enumerate_in_ball(gram, radius_sq):
+    """Exactly the integer vectors v with Q(v) <= radius_sq for the quadratic
+    form Q given by gram; sorted, no duplicates."""
+    return sorted(v for v, _ in ball_with_norms(prepared_form(gram), radius_sq))
 
 
 def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
@@ -586,7 +591,7 @@ def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
         raise ValueError("gram size does not match n")
     if linalg.determinant([list(map(Fraction, row)) for row in gram]) != 1:
         raise ValueError("packing density is normalized to covolume-1 lattices")
-    lam = shortest_norm_sq(gram)
+    lam = shortest_norm_sq(prepared_form(gram))
     vn = ball_volume(n, precision + 8)
     return (vn * Fraction(lam ** (n // 2), 1 << n)).outward(precision)
 
@@ -595,6 +600,19 @@ def contains(lat, u, v) -> bool:
     """True iff r*u + (i/r)*v is a point of the PolarizedLattice lat."""
     w = [c * lat._den for c in codiff_coords(lat.ctx, u) + list(v.coords)]
     return all(c.denominator == 1 for c in w) and lat._spans([[int(c) for c in w]])
+
+
+def scanned_inverse_phi_max(g_max: int) -> dict[int, int]:
+    """g -> the largest m >= 3 with phi(m) = g, for the g <= g_max that have
+    one, by scanning a totient sieve over m <= 2 g_max^2 + 1: phi(m) >=
+    sqrt(m/2), so no larger m has phi(m) <= g_max."""
+    n = 2 * g_max * g_max + 1
+    phis = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phis[p] == p:  # untouched, so p is prime
+            for k in range(p, n + 1, p):
+                phis[k] -= phis[k] // p
+    return {phis[m]: m for m in range(3, n + 1) if phis[m] <= g_max}
 
 
 def primes_up_to(x: int) -> list[int]:

@@ -270,6 +270,19 @@ def test_cli_import_does_not_load_mpmath():
     assert (lines[0], lines[-1]) == ("[]", "[] 0")
 
 
+def test_cold_cli_import_loads_no_heavy_module():
+    # the modules the import adds, not all of sys.modules: a site hook may
+    # load tempfile before any user code runs
+    proc = run_python("-c", "import json, sys\nbefore = set(sys.modules)\n"
+                            "import cyclopack.cli\n"
+                            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "cyclopack.cli" in added
+    heavy = {"argparse", "dataclasses", "inspect", "tempfile", "numpy", "mpmath"}
+    assert not added & heavy, added & heavy
+
+
 def test_cli_loads_tempfile_only_to_write_a_file(tmp_path):
     # -S: no site, whose .pth files may import tempfile themselves
     proc = run_python("-S", "-c", "import sys, cyclopack.cli as cli\n"
@@ -389,6 +402,14 @@ def test_primorial_far_past_the_float_range_exits_2_at_once(x):
     assert code == 2 and seconds < 1
     assert err.startswith(f"error: x = {x}: g = phi(m) has more than 1024 bits")
     assert err.count("\n") == 1
+
+
+def test_table_for_a_large_g_exits_0_at_once(tmp_path):
+    # inverse_phi_max searches the primes p with (p - 1) | g, not every m <= 2g^2 + 1
+    out = tmp_path / "table.csv"
+    code, seconds, err = timed_main("table", "--g", "3000", "--out", str(out))
+    assert code == 0 and seconds < 2, err
+    assert out.read_text().splitlines()[1].startswith("3000,11250,")
 
 
 TABLE_JSON = """\

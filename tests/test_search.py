@@ -17,12 +17,13 @@ from cyclopack.lattice import build_lattice
 from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchConfig,
                               default_r_grid, j_value, _randbelow, ring_norms, sample_x,
                               search, select_r)
-from cyclopack.svp import enumerate_in_ball_with_norms, shortest_norm_sq
+from cyclopack.svp import shortest_norm_sq
 from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import (box_points_in_ball, chi, codiff_coords, codiff_gram, contains_interval,
-                     fractions, midpoint, vector_j_value, volume_chi_norm_sq, width)
+from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
+                     contains_interval, fractions, midpoint, prepared_form, vector_j_value,
+                     volume_chi_norm_sq, width)
 
 # the package re-exports the function search under the submodule's name
 search_module = importlib.import_module("cyclopack.search")
@@ -128,8 +129,7 @@ def test_ring_norms_count_the_nonzero_ring_vectors():
         ctx = get_ctx(m)
         radius = select_r(ctx, EPS, default_r_grid()) * chi_radius_sq(ctx, EPS, 160).hi
         norms = ring_norms(ctx, radius)
-        vecs = [t for v, t in enumerate_in_ball_with_norms(ctx.ok_gram, None, radius)
-                if any(v)]
+        vecs = [t for v, t in ball_with_norms(prepared_form(ctx.ok_gram), radius) if any(v)]
         assert all(k % m == 0 for _, k in norms), m
         assert sum(k for _, k in norms) == len(vecs)
         assert [t for t, _ in norms] == sorted(set(vecs))
@@ -151,11 +151,12 @@ def test_ring_norms_enumerate_again_only_past_the_cached_radius(monkeypatch):
     assert inner == [(t, k) for t, k in full if t <= Fraction(25, 2)]
     assert radii == [30]
     # past the cached radius the walk goes to max(request, 11/10 * cached)
-    assert ring_norms(ctx, 31) == norm_counts(ctx.ok_gram, 31)
+    ring = prepared_form(ctx.ok_gram)
+    assert ring_norms(ctx, 31) == norm_counts(ring, 31)
     assert radii == [30, 33]
     assert ring_norms(ctx, 30) == full and radii == [30, 33]
-    assert ring_norms(ctx, 33) == norm_counts(ctx.ok_gram, 33) and radii == [30, 33]
-    assert ring_norms(ctx, 40) == norm_counts(ctx.ok_gram, 40)
+    assert ring_norms(ctx, 33) == norm_counts(ring, 33) and radii == [30, 33]
+    assert ring_norms(ctx, 40) == norm_counts(ring, 40)
     assert radii == [30, 33, 40]
 
 
@@ -195,7 +196,7 @@ def test_j_value_grows_toward_limit(ctx4):
 # -- select_r ----------------------------------------------------------------------
 
 def test_select_r_known_values(ctx3, ctx4):
-    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx4)]) == Fraction(1, 2)
+    assert shortest_norm_sq(prepared_form(codiff_gram(ctx4))) == Fraction(1, 2)
     assert select_r(ctx4, EPS, default_r_grid()) == 2
     assert select_r(ctx3, EPS, default_r_grid()) == Fraction(3, 2)
 
@@ -360,30 +361,40 @@ def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
 
 def test_count_walks_half_the_ball(monkeypatch):
     # the count's ball is about the origin: the walk emits the origin and one
-    # of each pair +-v, and count_N reads both of each pair from the list.
+    # of each pair +-v, and count_N reads exactly those points; v and -v share
+    # their norm and whether their ring part is zero, so chi is decided at
+    # most once per pair and never on the origin.
     # The twist is the third draw of verify's stream at m = 12, with N = 12.
     ctx = get_ctx(12)
     r_sq = select_r(ctx, EPS, default_r_grid(), 128)
     rng = random.Random("0|suite_count_divisibility")
     x = [sample_x(ctx, SearchConfig._field_defaults["denom"], rng) for _ in range(3)][-1]
-    emitted, listed = [], []
+    emitted, listed, decided = [], [], []
     walk, enumerate_ = svp.PreparedForm._walk, checker.enumerate_in_ball_with_norms
+    chi_norm_sq_ = checker.chi_norm_sq
 
-    def walking(form, center, radius_sq, emit):
+    def walking(form, radius_sq, emit):
         def recording(s, k):
             emitted.append(tuple(s))
             emit(s, k)
-        return walk(form, center, radius_sq, recording)
+        return walk(form, radius_sq, recording)
 
     def listing(*args):
         listed.append(enumerate_(*args))
         return listed[-1]
 
+    def deciding(*args):
+        decided.append(args)
+        return chi_norm_sq_(*args)
+
     monkeypatch.setattr(svp.PreparedForm, "_walk", walking)
     monkeypatch.setattr(checker, "enumerate_in_ball_with_norms", listing)
+    monkeypatch.setattr(checker, "chi_norm_sq", deciding)
     n = count_N(build_lattice(ctx, r_sq, x), EPS)
+    monkeypatch.undo()
     assert n == brute_count_N(ctx, r_sq, x) == 12
-    assert len(listed) == 1 and len(emitted) == (len(listed[0]) + 1) / 2 > 1
+    assert len(listed) == 1 and len(emitted) == len(listed[0]) > 1
+    assert 0 < len(decided) <= len(emitted) - 1
 
 
 def test_count_matches_box_scan_on_twists():

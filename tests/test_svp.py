@@ -13,8 +13,8 @@ from cyclopack.checker import certificate_from_json_dict, chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts,
                            shortest_norm_sq)
 from conftest import get_ctx
-from oracles import (box_points_in_ball, box_shortest_norm_sq, codiff_gram, contains_interval,
-                     enumerate_in_ball, fraction_lll_reduce, identity, midpoint,
+from oracles import (ball_with_norms, box_points_in_ball, box_shortest_norm_sq, codiff_gram,
+                     contains_interval, enumerate_in_ball, fraction_lll_reduce, identity, midpoint,
                      packing_density, prepared_form, rational_enumerate,
                      rational_enumerate_in_ball, rational_lll_reduce, width)
 
@@ -136,9 +136,9 @@ def test_lll_rejects_non_pd():
 
 def test_enumerate_trivial_cases():
     gid = identity(2)
-    assert enumerate_in_ball(gid, None, 0) == [(0, 0)]
-    assert len(enumerate_in_ball(gid, None, 1)) == 5
-    assert enumerate_in_ball(gid, None, Fraction(-1)) == []
+    assert enumerate_in_ball(gid, 0) == [(0, 0)]
+    assert len(enumerate_in_ball(gid, 1)) == 5
+    assert enumerate_in_ball(gid, Fraction(-1)) == []
 
 
 def test_enumerate_matches_box_scan_random():
@@ -146,24 +146,20 @@ def test_enumerate_matches_box_scan_random():
     for trial in range(50):
         n = rng.randint(1, 4)
         g = random_pd_gram(n, rng)
-        # the first ball on the bare Gram, the second and third on one
-        # prepared form
+        # three balls on one prepared form
         form = prepared_form(g)
-        for quad in (g, form, form):
-            center = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        for _ in range(3):
             radius = Fraction(rng.randint(1, 40), rng.randint(1, 4))
-            got = enumerate_in_ball(quad, center, radius)
-            expect = box_points_in_ball(g, center, radius)
-            assert got == expect, (trial, g, center, radius)
+            got = sorted(v for v, _ in ball_with_norms(form, radius))
+            expect = box_points_in_ball(g, None, radius)
+            assert got == expect, (trial, g, radius)
 
 
 def test_enumerate_norms_are_exact():
     rng = random.Random(39)
     g = random_pd_gram(3, rng)
-    center = [Fraction(1, 3), Fraction(-1, 2), Fraction(0)]
-    for v, q in enumerate_in_ball_with_norms(g, center, 9):
-        d = [Fraction(t) - c for t, c in zip(v, center)]
-        direct = sum(g[i][j] * d[i] * d[j] for i in range(3) for j in range(3))
+    for v, q in ball_with_norms(prepared_form(g), 9):
+        direct = sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
         assert direct == q
 
 
@@ -173,9 +169,10 @@ def test_norm_counts_tally_the_enumerated_norms():
         n = rng.randint(1, 5)
         g = random_rational_pd_gram(n, rng)
         radius = Fraction(rng.randint(0, 60), rng.randint(1, 7))
-        tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius) if any(v))
-        assert norm_counts(g, radius) == sorted(tally.items()), (trial, g, radius)
-    assert norm_counts(identity(2), -1) == []
+        form = prepared_form(g)
+        tally = Counter(q for v, q in ball_with_norms(form, radius) if any(v))
+        assert norm_counts(form, radius) == sorted(tally.items()), (trial, g, radius)
+    assert norm_counts(prepared_form(identity(2)), -1) == []
 
 
 def test_half_walk_emits_one_of_each_opposite_pair():
@@ -189,9 +186,9 @@ def test_half_walk_emits_one_of_each_opposite_pair():
         n = len(g)
         radius = Fraction(rng.randint(0, 60), rng.randint(1, 7)) if trial % 10 else Fraction(0)
         _, _, d, nu = rational_lll_reduce(g)
-        full = rational_enumerate(d, nu, [Fraction(0)] * n, radius)
+        full = rational_enumerate(d, nu, radius)
         half = []
-        scale = prepared_form(g)._walk([0] * n, radius, lambda s, k: half.append((tuple(s), k)))
+        scale = prepared_form(g)._walk(radius, lambda s, k: half.append((tuple(s), k)))
         half = [(s, Fraction(k, scale)) for s, k in half]
         negated = [(tuple(-x for x in s), q) for s, q in half[1:]]
         assert half[0] == ((0,) * n, 0), (trial, g, radius)
@@ -210,9 +207,9 @@ def test_norm_counts_tally_the_reference_lattices():
         balls = [(gram, prepared_form(gram).min_diagonal),
                  (ctx.ok_gram, cert.r_sq * chi_radius_sq(ctx, cert.epsilon, 160).hi)]
         for g, radius in balls:
-            tally = Counter(q for v, q in enumerate_in_ball_with_norms(g, None, radius)
-                            if any(v))
-            assert norm_counts(g, radius) == sorted(tally.items()), (path.name, radius)
+            form = prepared_form(g)
+            tally = Counter(q for v, q in ball_with_norms(form, radius) if any(v))
+            assert norm_counts(form, radius) == sorted(tally.items()), (path.name, radius)
 
 
 # -- the integer core against the rational reference ----------------------------
@@ -273,43 +270,43 @@ def test_prepared_form_matches_rational_reference():
                 == [row[i + 1:] for i, row in enumerate(nu)])
 
 
+def from_origin(full):
+    """A full walk's (v, q) list from the origin onwards."""
+    return full[full.index(((0,) * len(full[0][0]), 0)):]
+
+
 def test_enumeration_order_matches_rational_reference():
     rng = random.Random(46)
     for trial in range(40):
         n = rng.randint(1, 5)
         g = random_rational_pd_gram(n, rng)
-        for _ in range(2):
-            center = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
-            radius = Fraction(rng.randint(1, 60), rng.randint(1, 7))
-            assert (enumerate_in_ball_with_norms(g, center, radius)
-                    == rational_enumerate_in_ball(g, center, radius)), (trial, g)
-        # about the origin the walk takes half the ball and the list is
-        # completed with the negatives, in the full walk's order
-        radius = Fraction(rng.randint(0, 60), rng.randint(1, 7))
-        for center in (None, [0] * n):
-            assert (enumerate_in_ball_with_norms(g, center, radius)
-                    == rational_enumerate_in_ball(g, center, radius)), (trial, g, radius)
+        # the walk takes half the ball: the full walk's list from the origin on
+        radii = [Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(2)]
+        radii.append(Fraction(rng.randint(0, 60), rng.randint(1, 7)))
+        for radius in radii:
+            expect = from_origin(rational_enumerate_in_ball(g, radius))
+            assert enumerate_in_ball_with_norms(prepared_form(g), radius) == expect, (trial, g)
 
 
 def test_twisted_lattice_enumeration_matches_rational_reference():
     # the ball count_N enumerates, and the one of the shortest-vector search
     for ctx, gram in twisted_grams():
         radius = chi_radius_sq(ctx, Fraction(1, 2), 160).hi
-        expect = rational_enumerate_in_ball(gram, None, radius)
-        assert enumerate_in_ball_with_norms(gram, None, radius) == expect
+        expect = from_origin(rational_enumerate_in_ball(gram, radius))
+        assert enumerate_in_ball_with_norms(prepared_form(gram), radius) == expect
         _, r, _, _ = rational_lll_reduce(gram)
         least = min(r[i][i] for i in range(len(r)))
-        svp = [q for v, q in rational_enumerate_in_ball(gram, None, least) if any(v)]
-        assert shortest_norm_sq(gram) == min(svp)
+        svp = [q for v, q in rational_enumerate_in_ball(gram, least) if any(v)]
+        assert shortest_norm_sq(prepared_form(gram)) == min(svp)
 
 
 # -- shortest vectors ---------------------------------------------------------------
 
 def test_shortest_norm_known_values(ctx3, ctx4):
-    assert shortest_norm_sq(identity(4)) == 1
-    assert shortest_norm_sq([list(r) for r in ctx3.ok_gram]) == 2
-    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx4)]) == Fraction(1, 2)
-    assert shortest_norm_sq([list(r) for r in codiff_gram(ctx3)]) == Fraction(2, 3)
+    assert shortest_norm_sq(prepared_form(identity(4))) == 1
+    assert shortest_norm_sq(prepared_form(ctx3.ok_gram)) == 2
+    assert shortest_norm_sq(prepared_form(codiff_gram(ctx4))) == Fraction(1, 2)
+    assert shortest_norm_sq(prepared_form(codiff_gram(ctx3))) == Fraction(2, 3)
 
 
 def test_shortest_norm_matches_box_scan():
@@ -317,13 +314,13 @@ def test_shortest_norm_matches_box_scan():
     for _ in range(25):
         n = rng.randint(1, 4)
         g = random_pd_gram(n, rng)
-        assert shortest_norm_sq(g) == box_shortest_norm_sq(g)
+        assert shortest_norm_sq(prepared_form(g)) == box_shortest_norm_sq(g)
 
 
 def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
-    # a ball about the origin strictly below a known lambda_1 is answered
-    # without a walk; at and above lambda_1, and about any nonzero center,
-    # the walk runs, so all must agree with the box scan either way
+    # a ball strictly below a known lambda_1 is answered without a walk; at
+    # and above lambda_1 the walk runs, so all must agree with the box scan
+    # either way, and a negative radius holds no point
     rng = random.Random(53)
     for trial in range(30):
         n = rng.randint(1, 4)
@@ -332,40 +329,32 @@ def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
         deltas = (lam / rng.randint(2, 9), lam / 10 ** 9)
         radii = [lam, *(lam - d for d in deltas), *(lam + d for d in deltas)]
 
-        def check(quad, center):
-            c = center or [0] * n
+        def check(form):
             for radius in radii:
-                got = sorted(enumerate_in_ball_with_norms(quad, center, radius))
-                expect = box_points_in_ball(g, center, radius)
-                assert [v for v, _ in got] == expect, (trial, g, center, radius)
-                assert all(q == sum(g[i][j] * (v[i] - c[i]) * (v[j] - c[j])
-                                    for i in range(n) for j in range(n)) for v, q in got)
+                got = sorted(ball_with_norms(form, radius))
+                expect = box_points_in_ball(g, None, radius)
+                assert [v for v, _ in got] == expect, (trial, g, radius)
+                assert all(q == sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+                           for v, q in got)
+            assert enumerate_in_ball_with_norms(form, -lam) == []
 
-        # a point of the lattice moved off by less than half its minimum:
-        # the ball about it below lambda_1 holds that point, not the origin
-        v = [rng.randint(-2, 2) for _ in range(n)]
-        v[rng.randrange(n)] = rng.choice((-1, 1))
-        near = [a + Fraction(rng.randint(-1, 1), 1000) for a in v]
         form = prepared_form(g)
-        check(g, None)
-        check(form, None)
+        check(form)
         assert form.lambda1_sq is None
         assert shortest_norm_sq(form) == lam == form.lambda1_sq
-        check(form, None)
-        check(form, [Fraction(0)] * (n - 1) + [Fraction(1, 1000)])
-        check(form, near)
+        check(form)
 
 
 def test_shortest_norm_homogeneous_and_unimodular_invariant():
     rng = random.Random(43)
     for _ in range(10):
         g = random_pd_gram(3, rng)
-        lam = shortest_norm_sq(g)
+        lam = shortest_norm_sq(prepared_form(g))
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert shortest_norm_sq([[c * x for x in row] for row in g]) == c * lam
+        assert shortest_norm_sq(prepared_form([[c * x for x in row] for row in g])) == c * lam
         u = random_unimodular(3, rng)
         gu = linalg.mat_mul(linalg.mat_mul(u, g), linalg.transpose(u))
-        assert shortest_norm_sq(gu) == lam
+        assert shortest_norm_sq(prepared_form(gu)) == lam
 
 
 # -- packing density ----------------------------------------------------------------

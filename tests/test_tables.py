@@ -5,7 +5,7 @@ import pytest
 from cyclopack.tables import (bound_table, bound_table_csv,
                               inverse_phi_max, mobius_pairs, phi,
                               prime_factors, primorial_row)
-from oracles import primes_up_to
+from oracles import primes_up_to, scanned_inverse_phi_max
 
 
 def test_phi_values():
@@ -48,6 +48,12 @@ def test_inverse_phi_max():
             assert phi(m) == g
             # maximality within the proven scan bound
             assert all(phi(k) != g for k in range(m + 1, 2 * g * g + 2))
+
+
+def test_inverse_phi_max_matches_the_scan():
+    scanned = scanned_inverse_phi_max(100)
+    assert [inverse_phi_max(g) for g in range(1, 101)] == [scanned.get(g, 0)
+                                                           for g in range(1, 101)]
 
 
 def test_bound_table_rows():
