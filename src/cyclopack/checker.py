@@ -18,7 +18,8 @@ the ball's squared radius R^2 until the rational in question leaves it
 (refine). Refinement is deterministic, so a certificate reproduces
 bit-for-bit from (m, epsilon, r^2, x, precision). The module imports no
 part of the search and no random numbers; its import closure is the field,
-lattice, interval, enumeration and table modules.
+lattice, interval, enumeration and linear-algebra modules, and it owns the
+certificate's "p/q" format (fmt_rat, parse_fmt_rat).
 """
 from __future__ import annotations
 
@@ -27,12 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from .cyclotomic import CyclotomicContext
+from .cyclotomic import CyclotomicContext, phi
 from .intervals import IntervalValue, pi_interval
-from .ioutil import fmt_rat, parse_fmt_rat
 from .lattice import PolarizedLattice, build_lattice
 from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
-from .tables import phi
 
 MAX_PRECISION = 4096
 # the largest g = phi(m) a stored certificate may have: twice g = 16, where
@@ -178,6 +177,24 @@ def _certificate_at(lat: PolarizedLattice, epsilon: Fraction, precision: int, se
 
 
 # -- certificate (de)serialization and re-verification -------------------------
+
+def fmt_rat(x) -> str:
+    """Lowest-terms "p/q" with q > 0; Fraction normalizes both on input."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_fmt_rat(s: str, name: str) -> Fraction:
+    """The rational of a "p/q" string as fmt_rat writes it: ASCII decimal
+    digits, one "/" and ASCII decimal digits, with an optional leading "-".
+    Anything else raises ValueError: Fraction would also read decimals and
+    exponents, and a short "1e-5000000" stands for a number of millions of
+    digits."""
+    p, slash, q = s.partition("/")
+    if not (slash and s.isascii() and p.removeprefix("-").isdigit() and q.isdigit()):
+        raise ValueError(f'{name} must be a "p/q" rational, got {s[:40]!r}')
+    return Fraction(int(p), int(q))
+
 
 # the certificate fields stored as JSON integers and as "p/q" strings; x is
 # a list of the latter and checks a dict of CHECK_NAMES to booleans

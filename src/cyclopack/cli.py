@@ -11,17 +11,53 @@ as exact "p/q" strings so certificates round-trip bit-for-bit.
 from __future__ import annotations
 
 import json
+import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
-from .checker import (CertificateFormatError, certificate_from_json_dict,
-                      certificate_to_json_dict, recompute_certificate, run_checks)
-from .cyclotomic import CyclotomicContext
-from .ioutil import atomic_write, dump_json, parse_rat
+from .checker import (MAX_G, CertificateFormatError, certificate_from_json_dict,
+                      certificate_to_json_dict, fmt_rat, recompute_certificate, run_checks)
+from .cyclotomic import CyclotomicContext, phi
 from .lattice import build_lattice
 from .search import SearchConfig, SearchError, search
 from .tables import bound_table, bound_table_csv, primorial_row
 from .verify import run_suites
+
+
+def parse_rat(s: str) -> Fraction:
+    """A command-line rational: an integer, "p/q" or a plain decimal such as
+    0.5. An exponent raises ValueError, since from "1e999999999" Fraction
+    would build a billion-digit integer."""
+    if "e" in s.lower():
+        raise ValueError(f"a rational takes no exponent, got {s[:40]!r}")
+    return Fraction(s)
+
+
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write-then-rename so interrupted runs never leave partial files. The
+    file gets the mode open(path, "w") would give it, 0o666 less the umask;
+    mkstemp alone would leave it readable by its owner only."""
+    import tempfile  # here, not at the top: only a written file needs it
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -41,11 +77,31 @@ def _parse_x(ctx: CyclotomicContext, raw: str):
     return ctx.element(parts)
 
 
+def _field_m(m: int) -> int:
+    """m itself, or ValueError if phi(m) passes certify's cap MAX_G: such a
+    field's context alone takes minutes, and no certificate of it would be
+    accepted. phi(m) >= sqrt(m/2) rejects a huge m before phi is computed."""
+    if m > 2 * MAX_G * MAX_G + 1 or m >= 1 and phi(m) > MAX_G:
+        raise ValueError(f"m = {m} has phi(m) above the cap g <= {MAX_G}")
+    return m
+
+
+def lattice_json_dict(lat) -> dict:
+    """A lattice as construct writes it: exact Gram and symplectic matrices."""
+    return {
+        "m": lat.ctx.m,
+        "r_sq": fmt_rat(lat.r_sq),
+        "x": [fmt_rat(c) for c in lat.x.coords],
+        "real_gram": [[fmt_rat(e) for e in row] for row in lat.real_gram],
+        "symplectic": lat.symplectic_int(),
+    }
+
+
 def cmd_construct(args) -> int:
-    ctx = CyclotomicContext(args.m)
+    ctx = CyclotomicContext(_field_m(args.m))
     lat = build_lattice(ctx, parse_rat(args.r2), _parse_x(ctx, args.x))
     checks = run_checks(lat)
-    doc = lat.to_json_dict()
+    doc = lattice_json_dict(lat)
     doc["checks"] = checks
     _emit(dump_json(doc), args.out)
     if all(checks.values()):
@@ -55,7 +111,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cert = search(SearchConfig(m=args.m, epsilon=parse_rat(args.epsilon),
+    cert = search(SearchConfig(m=_field_m(args.m), epsilon=parse_rat(args.epsilon),
                                denom=args.denom, budget=args.budget, seed=args.seed,
                                precision=args.precision))
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)
@@ -84,7 +140,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(args.m, args.trials, args.seed)
+    results = run_suites(_field_m(args.m), args.trials, args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
     failures = [r for r in results if not r.passed]

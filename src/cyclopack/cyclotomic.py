@@ -2,12 +2,12 @@
 
 An element is g integer numerators over one positive denominator, in lowest
 terms, in the power basis {1, zeta, ..., zeta^(g-1)}, g = phi(m). The
-constants of K are closed forms in the prime factors of m
-(tables.mobius_pairs): Phi_m as a Mobius product, the traces Tr(zeta^j) as
-Ramanujan sums and |disc| = m^g / prod_p p^(g/(p-1)). Every product,
-conjugate, trace and codifferent coordinate is an integer matrix applied to
-the numerators, over the product of the denominators: element arithmetic
-builds no Fraction. The trace-dual of the ring of integers (the codifferent)
+arithmetic of m lives here too: prime_factors and mobius_pairs factor m, and
+the totient, Phi_m as a Mobius product, the traces Tr(zeta^j) as Ramanujan
+sums and |disc| = m^g / prod_p p^(g/(p-1)) are sums and products over its
+primes. Every product, conjugate, trace and codifferent coordinate is an
+integer matrix applied to the numerators, over the product of the
+denominators: element arithmetic builds no Fraction. The trace-dual of the ring of integers (the codifferent)
 is the fractional ideal generated by 1/Phi_m'(zeta); since Z[zeta_m] is the
 full ring of integers, this is exact, not an approximation. No floating
 point is used anywhere in this module.
@@ -19,7 +19,38 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from . import linalg
-from .tables import mobius_pairs, phi, prime_factors
+
+
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending, by trial division."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def mobius_pairs(m: int) -> list[tuple[int, int]]:
+    """The pairs (d, mu(m/d)) over the divisors d of m with m/d squarefree,
+    the only divisors on which mu(m/d) is nonzero: one pair per set of primes
+    dividing m/d, so each prime doubles the list."""
+    pairs = [(m, 1)]
+    for p in prime_factors(m):
+        pairs += [(d // p, -mu) for d, mu in pairs]
+    return pairs
+
+
+def phi(m: int) -> int:
+    """Euler totient, sum of mu(m/d) d over the divisors d of m."""
+    return sum(mu * d for d, mu in mobius_pairs(m))
 
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:

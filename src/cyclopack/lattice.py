@@ -168,18 +168,6 @@ class PolarizedLattice:
         b = self.ctx.mul_matrix(self.ctx.zeta(1) + self.ctx.zeta(-1))
         return self._maps_into_itself(b, b)
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        from .ioutil import fmt_rat
-        return {
-            "m": self.ctx.m,
-            "r_sq": fmt_rat(self.r_sq),
-            "x": [fmt_rat(c) for c in self.x.coords],
-            "real_gram": [[fmt_rat(e) for e in row] for row in self.real_gram],
-            "symplectic": self.symplectic_int(),
-        }
-
 
 def build_lattice(ctx: CyclotomicContext, r_sq, x: CycloElement) -> PolarizedLattice:
     """Construct the lattice for scale r^2 > 0 and twist point x."""

@@ -103,7 +103,8 @@ class SearchConfig(namedtuple("SearchConfig", "m epsilon denom budget seed preci
 _RING_NORMS: dict[int, tuple[PreparedForm, Fraction, list[tuple[Fraction, int]]]] = {}
 # a walk to radius_sq costs about radius_sq^(g/2), so a walk past the cached
 # radius goes at least this factor beyond it: the last walk costs at most
-# 1.1^(g/2) times one at the request, and about three walks cover any scan
+# 1.1^(g/2) times one at the request. select_r walks once on every field
+# with g <= 10, and five times at m = 13 and 26
 RING_HEADROOM = Fraction(11, 10)
 
 

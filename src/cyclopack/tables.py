@@ -1,54 +1,17 @@
-"""Arithmetic of m from its prime factors, and the derived bound tables.
-
-prime_factors and mobius_pairs factor m; the totient here, and the
-cyclotomic polynomial, the traces of powers of zeta (Ramanujan sums) and the
-discriminant in the cyclotomic module, are sums and products over them. This
-module imports nothing from the package.
-
-For each dimension g the best witness is the largest m with phi(m) = g, giving
-the packing bound 4^g V_g >= m; the tables compare it against the classical
-baseline 2 (the buser_sarnak column) and record whether the thresholds 3g
-(g a power of two) and 2g + 2 are met.
+"""The bound tables: for each dimension g the best witness is the largest m
+with phi(m) = g, giving the packing bound 4^g V_g >= m; the tables compare it
+against the classical baseline 2 (the buser_sarnak column) and record whether
+the thresholds 3g (g a power of two) and 2g + 2 are met. The arithmetic of m
+(prime_factors) comes from the field module; certify reads nothing here.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+
+from .cyclotomic import prime_factors
 
 EULER_GAMMA = 0.5772156649015329  # diagnostic use only
-
-
-def prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m, ascending, by trial division."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    primes = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
-def mobius_pairs(m: int) -> list[tuple[int, int]]:
-    """The pairs (d, mu(m/d)) over the divisors d of m with m/d squarefree,
-    the only divisors on which mu(m/d) is nonzero: one pair per set of primes
-    dividing m/d, so each prime doubles the list."""
-    pairs = [(m, 1)]
-    for p in prime_factors(m):
-        pairs += [(d // p, -mu) for d, mu in pairs]
-    return pairs
-
-
-def phi(m: int) -> int:
-    """Euler totient, sum of mu(m/d) d over the divisors d of m."""
-    return sum(mu * d for d, mu in mobius_pairs(m))
 
 
 def inverse_phi_max(g: int) -> int:
@@ -56,27 +19,24 @@ def inverse_phi_max(g: int) -> int:
 
     phi(p^k) = p^(k-1) (p - 1) divides g for each prime power p^k of such an
     m, so its primes are among the primes d + 1 over the divisors d of g.
-    largest(i, rest) gives each candidate, largest first, an exponent whose
-    phi divides rest, or none, and keeps the largest product.
+    One pass over them keeps, for each phi reached so far (a divisor of g),
+    the largest product with that phi; each prime extends every entry of the
+    pass before it by each power whose phi keeps the product's phi a divisor.
     """
-    if g < 1:
-        raise ValueError(f"g must be >= 1, got {g}")
+    # the divisors of g are found by trial division up to sqrt(g), 65,536
+    # steps at the cap
+    if not 1 <= g <= 2 ** 32:
+        raise ValueError(f"g must lie in [1, 2^32], got {g}")
     small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
-    primes = sorted({q + 1 for d in small for q in (d, g // d) if prime_factors(q + 1) == [q + 1]},
-                    reverse=True)
-
-    @lru_cache(maxsize=None)
-    def largest(i: int, rest: int) -> int:
-        # the largest m made of primes[i:] with phi(m) = rest, or 0 if none
-        if i == len(primes):
-            return 1 if rest == 1 else 0
-        best, p, pk = largest(i + 1, rest), primes[i], primes[i]
-        while rest % (f := pk // p * (p - 1)) == 0:
-            best = max(best, pk * largest(i + 1, rest // f))
-            pk *= p
-        return best
-
-    m = largest(0, g)
+    primes = {q + 1 for d in small for q in (d, g // d) if prime_factors(q + 1) == [q + 1]}
+    largest = {1: 1}
+    for p in primes:
+        for f, m in list(largest.items()):
+            pk, fk = p, p - 1
+            while g % (f * fk) == 0:
+                largest[f * fk] = max(largest.get(f * fk, 0), m * pk)
+                pk, fk = pk * p, fk * p
+    m = largest.get(g, 0)
     return m if m >= 3 else 0
 
 

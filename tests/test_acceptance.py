@@ -12,13 +12,12 @@ from fractions import Fraction
 import pytest
 
 from cyclopack import linalg
-from cyclopack.cli import main as cli_main
+from cyclopack.cli import dump_json, main as cli_main
 from cyclopack.geometry import ComplexPoint, g_act, gram, norm_sq
 from cyclopack.lattice import build_lattice
 from cyclopack.checker import certificate_to_json_dict, count_N
 from cyclopack.search import SearchConfig, default_r_grid, j_value, sample_x, search, select_r
 from cyclopack.svp import shortest_norm_sq
-from cyclopack.ioutil import dump_json
 from cyclopack.tables import bound_table
 from conftest import get_ctx
 from oracles import (box_points_in_ball, box_shortest_norm_sq, codiff_gram, enumerate_in_ball,

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from cyclopack.checker import parse_fmt_rat
 from cyclopack.cli import main
 from cyclopack.cyclotomic import CyclotomicContext
-from cyclopack.ioutil import parse_fmt_rat
 from cyclopack.lattice import build_lattice
 from oracles import box_shortest_norm_sq
 from test_certificate_parser import DOCS, mutated

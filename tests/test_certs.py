@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from cyclopack.ioutil import dump_json
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
                                recompute_certificate)
+from cyclopack.cli import dump_json
+from cyclopack.cyclotomic import phi
 from cyclopack.search import SearchConfig, search
-from cyclopack.tables import bound_table, phi
+from cyclopack.tables import bound_table
 
 ROOT = Path(__file__).resolve().parent.parent
 STORED = sorted([*ROOT.glob("certs/m*.json"), *ROOT.glob("perfbench/reference/m*.json")],

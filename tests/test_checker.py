@@ -2,12 +2,20 @@
 
 certify re-checks a certificate with cyclopack.checker alone, so what the
 checker imports bounds what a certificate's trust rests on. These tests read
-the package's source with ast and import nothing from it.
+the package's source with ast, and import the checker only in a child
+interpreter.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclopack"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "cyclopack"
+# every module certify runs code from
+CLOSURE = {"checker", "cyclotomic", "intervals", "lattice", "linalg", "svp"}
 
 
 def _imports(name: str) -> tuple[set[str], set[str]]:
@@ -43,8 +51,22 @@ def _closure(start: str) -> dict[str, set[str]]:
 def test_checker_imports_neither_the_search_nor_random():
     closure = _closure("checker")
     # the whole closure, so a walk that followed nothing could not pass
-    assert set(closure) == {"checker", "cyclotomic", "intervals", "ioutil", "lattice",
-                            "linalg", "svp", "tables"}
+    assert set(closure) == CLOSURE
     assert not set(closure) & {"search", "verify", "geometry", "cli"}
     assert not [name for name, outside in closure.items() if "random" in outside]
 
+
+
+def test_importing_the_checker_loads_its_closure_and_no_more():
+    # -S: no site, whose .pth files may import modules of their own; the
+    # package __init__ re-exports nothing, so it loads no other module
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import json, sys\nbefore = set(sys.modules)\n"
+                                     "import cyclopack.checker\n"
+                                     "print(json.dumps(sorted(set(sys.modules) - before)))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert {n for n in added if n.split(".")[0] == "cyclopack"} == {
+        "cyclopack", *(f"cyclopack.{name}" for name in CLOSURE)}
+    assert "random" not in added

@@ -412,6 +412,33 @@ def test_table_for_a_large_g_exits_0_at_once(tmp_path):
     assert out.read_text().splitlines()[1].startswith("3000,11250,")
 
 
+def test_table_for_a_g_with_hundreds_of_candidate_primes_exits_0(tmp_path):
+    # 506 primes p have (p - 1) | g: one pass over them, no recursion per prime
+    out = tmp_path / "table.csv"
+    code, seconds, err = timed_main("table", "--g", "3491888400", "--out", str(out))
+    assert code == 0 and seconds < 2, err
+    assert out.read_text().splitlines()[1].startswith("3491888400,13443805914,")
+
+
+@pytest.mark.parametrize("g", ["4294967297", "963761198400", "10" * 30])
+def test_table_past_the_g_cap_exits_2_at_once(g):
+    # g > 2^32 is refused before its divisors are searched
+    code, seconds, err = timed_main("table", "--g", f"2,{g}")
+    assert code == 2 and seconds < 1
+    assert err == f"error: g must lie in [1, 2^32], got {g}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--r2", "2"], ["search"], ["verify"]])
+@pytest.mark.parametrize("m", ["100000000000000000000", "503", "67"])
+def test_a_field_past_the_g_cap_exits_2_at_once(argv, m):
+    # phi(67) = 66 > MAX_G; the context of m = 503 alone would take minutes,
+    # and phi of a huge m is never computed
+    code, seconds, err = timed_main(*argv, "--m", m)
+    assert code == 2 and seconds < 1
+    assert err == f"error: m = {m} has phi(m) above the cap g <= {MAX_G}\n"
+
+
 TABLE_JSON = """\
 [
   {

@@ -6,10 +6,9 @@ from math import gcd
 import pytest
 
 from cyclopack import linalg
-from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial
+from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial, phi, prime_factors
 from cyclopack.geometry import pairing
 from cyclopack.svp import shortest_norm_sq
-from cyclopack.tables import phi, prime_factors
 from conftest import get_ctx
 from oracles import (codiff_coords, codiff_gram, identity, poly_conj, poly_mul, poly_mul_mod,
                      poly_trace, power_traces, prepared_form, trace_by_embeddings)

@@ -7,6 +7,7 @@ import pytest
 
 from cyclopack import linalg
 from cyclopack.checker import run_checks
+from cyclopack.cli import lattice_json_dict
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.lattice import PolarizedLattice, build_lattice
 from conftest import get_ctx
@@ -331,7 +332,7 @@ def test_checks_need_no_field_multiplication(monkeypatch):
 
 def test_serialization_schema(ctx4):
     lat = build_lattice(ctx4, 2, ctx4.zero())
-    doc = lat.to_json_dict()
+    doc = lattice_json_dict(lat)
     assert set(doc) == {"m", "r_sq", "x", "real_gram", "symplectic"}
     assert doc["m"] == 4
     assert doc["r_sq"] == "2/1"

@@ -1,4 +1,3 @@
-import importlib
 import json
 import random
 from fractions import Fraction
@@ -9,24 +8,23 @@ import mpmath
 import pytest
 
 from cyclopack import checker, svp
+from cyclopack import search as search_module
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
                                chi_norm_sq, chi_radius_sq, count_N, recompute_certificate)
+from cyclopack.cli import dump_json
+from cyclopack.cyclotomic import phi
 from cyclopack.geometry import ComplexPoint
-from cyclopack.ioutil import dump_json
 from cyclopack.lattice import build_lattice
 from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchConfig,
                               default_r_grid, j_value, _randbelow, ring_norms, sample_x,
                               search, select_r)
 from cyclopack.svp import shortest_norm_sq
-from cyclopack.tables import phi
 from conftest import get_ctx
 from mc import mc_j_value
 from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
                      contains_interval, fractions, midpoint, prepared_form, vector_j_value,
                      volume_chi_norm_sq, width)
 
-# the package re-exports the function search under the submodule's name
-search_module = importlib.import_module("cyclopack.search")
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 EPS = Fraction(1, 2)
 # the 18 fields with phi(m) <= 10

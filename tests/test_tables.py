@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from cyclopack.tables import (bound_table, bound_table_csv,
-                              inverse_phi_max, mobius_pairs, phi,
-                              prime_factors, primorial_row)
+from cyclopack.cyclotomic import mobius_pairs, phi, prime_factors
+from cyclopack.tables import bound_table, bound_table_csv, inverse_phi_max, primorial_row
 from oracles import primes_up_to, scanned_inverse_phi_max
 
 
