@@ -7,8 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cyclopack import checker, svp
-from cyclopack import search as search_module
+from cyclopack import checker, search as search_module, svp
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
                                chi_norm_sq, chi_radius_sq, count_N, recompute_certificate)
 from cyclopack.cli import dump_json
