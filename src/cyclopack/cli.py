@@ -62,7 +62,10 @@ def atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        atomic_write(out, text)
+        try:
+            atomic_write(out, text)
+        except OSError as exc:  # name the file asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, out) from None
     else:
         sys.stdout.write(text)
 
@@ -88,11 +91,12 @@ def _field_m(m: int) -> int:
 
 def lattice_json_dict(lat) -> dict:
     """A lattice as construct writes it: exact Gram and symplectic matrices."""
+    rows, den = lat.gram
     return {
         "m": lat.ctx.m,
         "r_sq": fmt_rat(lat.r_sq),
         "x": [fmt_rat(c) for c in lat.x.coords],
-        "real_gram": [[fmt_rat(e) for e in row] for row in lat.real_gram],
+        "real_gram": [[fmt_rat(Fraction(e, den)) for e in row] for row in rows],
         "symplectic": lat.symplectic_int(),
     }
 

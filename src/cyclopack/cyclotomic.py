@@ -318,7 +318,7 @@ class CyclotomicContext:
         # a = A / d for the shift matrix A of a's numerators: solve A x = d * 1
         sol = linalg.solve(linalg.transpose(self._shifts(a.num)), [a.den] + [0] * (self.g - 1))
         assert sol is not None  # multiplication by a nonzero field element is invertible
-        return CycloElement(self, sol)
+        return _reduced(self, *sol)
 
     def mul_matrix(self, a: CycloElement) -> list[list[int]]:
         """Integer matrix of multiplication by the ring integer a on

@@ -40,15 +40,6 @@ def pairing(a: CycloElement, b: CycloElement) -> Fraction:
     return Fraction(sum(map(mul, a.num, linalg.mat_vec(a.ctx.ok_gram, b.num))), a.den * b.den)
 
 
-def gram(basis) -> list[list[Fraction]]:
-    """Gram matrix of the pairing on a linearly independent family."""
-    basis = list(basis)
-    mat = [[pairing(a, b) for b in basis] for a in basis]
-    if linalg.determinant(mat) == 0:
-        raise ValueError("family is linearly dependent")
-    return mat
-
-
 def norm_sq(p: ComplexPoint) -> Fraction:
     # the cross term of |x + iy|^2 vanishes because the pairing is real on E
     return pairing(p.x, p.x) + pairing(p.y, p.y)

@@ -14,13 +14,13 @@ coordinates for u and power-basis coordinates for v: build_lattice's rows are
 then [[I, 0], [X, I]] and D is the denominator of x in the codifferent. The
 Gram matrix and the symplectic form are integer products of N with the trace
 pairings of these bases over multiples of D^2, so the checks, the LLL and the
-LDL factors run on integers. The Fraction view real_gram (for the lattice
-JSON) is built only when read. Membership, and with it the unit action and
-real multiplication checks, reduces integer rows against a lower-triangular
-basis of N built once per lattice (build_lattice's rows are one already),
-with a ring integer acting through the same integral multiplication matrix in
-both bases: no field multiplication, no elimination, and valid for any
-generators.
+LDL factors run on integers, and no form is ever held as a Fraction matrix:
+det_real_gram builds one Fraction, for its result. Membership, and with it
+the unit action and real multiplication checks, reduces integer rows against
+a lower-triangular basis of N built once per lattice (build_lattice's rows
+are one already), with a ring integer acting through the same integral
+multiplication matrix in both bases: no field multiplication, no
+elimination, and valid for any generators.
 """
 from __future__ import annotations
 
@@ -38,10 +38,9 @@ class PolarizedLattice:
 
     generators holds the (u, v) pairs. gram and skew are (rows, den) of the
     real and the imaginary part of the hermitian product of the generators,
-    form the PreparedForm of gram, and real_gram the Fraction view of gram.
-    Each is built on first read: the stability and divisibility checks and a
-    search's losing twists never read skew, and the stability check reads
-    none of them.
+    and form is the PreparedForm of gram. Each is built on first read: the
+    stability and divisibility checks and a search's losing twists never read
+    skew, and the stability check reads none of them.
     """
 
     def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
@@ -81,11 +80,6 @@ class PolarizedLattice:
              for uj, vj in zip(ug, vt)], p * q * e * self._den ** 2)
 
     @cached_property
-    def real_gram(self) -> list[list[Fraction]]:
-        rows, den = self.gram
-        return [[Fraction(a, den) for a in row] for row in rows]
-
-    @cached_property
     def form(self) -> PreparedForm:
         """The Gram matrix prepared for enumeration: LLL-reduced and factored
         on first read, then shared by shortest_norm_sq and count_N, in the
@@ -122,7 +116,7 @@ class PolarizedLattice:
 
     def det_real_gram(self) -> Fraction:
         rows, den = self.gram
-        return linalg.determinant(rows) / den ** len(rows)
+        return Fraction(linalg.determinant(rows), den ** len(rows))
 
     @cached_property
     def triangular_basis(self) -> list[list[int]] | None:

@@ -1,46 +1,35 @@
-"""Small dense exact linear algebra on integer and Fraction matrices.
+"""Small dense exact linear algebra on integer matrices.
 
-A rational matrix on the lattice path is kept as integer rows over one
-positive denominator in lowest common terms: integer_matrix clears a Fraction
-matrix's denominators into that form and lowest_terms brings integer rows over
-any common denominator to it, so no Fraction is built on the way. gauss_jordan
-is a fraction-free (Bareiss) elimination below each pivot on integer rows, in
-which every division is exact (Bareiss, Math. Comp. 22, 1968), and an exact
-back-substitution; a determinant needs the elimination alone. determinant and
-solve wrap it and build a Fraction only for their result. triangular_basis
-reduces integer rows by Euclid to a lower-triangular basis of the lattice they
-span, against which lattice membership is a back-substitution (Cohen, A
-Course in Computational Algebraic Number Theory, 2.4). The matrices are at
-most 2g x 2g with g = phi(m), and none is ever inverted.
+Integer in, integer out: a rational matrix is kept as integer rows over one
+positive denominator in lowest common terms (lowest_terms), so no Fraction
+is built here. gauss_jordan is a fraction-free (Bareiss) elimination below
+each pivot on integer rows, in which every division is exact (Bareiss, Math.
+Comp. 22, 1968), and an exact back-substitution; a determinant needs the
+elimination alone. determinant and solve wrap it and refuse an entry that is
+not an int, on which its floor divisions would go wrong without an error.
+triangular_basis reduces integer rows by Euclid to a lower-triangular basis
+of the lattice they span, against which lattice membership is a
+back-substitution (Cohen, A Course in Computational Algebraic Number Theory,
+2.4). The matrices are at most 2g x 2g with g = phi(m), and none is ever
+inverted.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-Vector = list[Fraction]
-Matrix = list[list[Fraction]]
 
-
-def transpose(a: Matrix) -> Matrix:
+def transpose(a) -> list[list]:
     return [list(row) for row in zip(*a)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a, b) -> list[list]:
     bt = transpose(b)
     return [mat_vec(bt, row) for row in a]
 
 
 def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
-
-
-def integer_matrix(a) -> tuple[list[list[int]], int]:
-    """(rows, den): den the least common denominator of the int or Fraction
-    entries of a, and rows the integer matrix den * a."""
-    den = lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def lowest_terms(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
@@ -103,15 +92,25 @@ def triangular_basis(rows: list[list[int]]) -> list[list[int]] | None:
     return basis[::-1]
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant of a square int or Fraction matrix."""
-    rows, den = integer_matrix(a)
-    return Fraction(gauss_jordan(rows, len(rows)), den ** len(rows))
+def _int_rows(rows) -> list[list[int]]:
+    """A copy of the rows for gauss_jordan to work on in place; TypeError
+    on an entry that is not an int, a bool included."""
+    out = [list(row) for row in rows]
+    if any(type(x) is not int for row in out for x in row):
+        raise TypeError("linalg takes int entries only")
+    return out
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """Solve a square system exactly; None if the matrix is singular."""
-    rows, _ = integer_matrix([[*row, c] for row, c in zip(a, b)])
-    if not gauss_jordan(rows, len(rows)):
+def determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    return gauss_jordan(_int_rows(rows), len(rows))
+
+
+def solve(rows: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
+    """(nums, d) with nums / d the solution of the square integer system
+    rows x = b, d = +-det(rows) != 0 and not necessarily in lowest terms;
+    None if the matrix is singular."""
+    mat = _int_rows([*row, c] for row, c in zip(rows, b))
+    if not gauss_jordan(mat, len(mat)):
         return None
-    return [Fraction(r[-1], r[i]) for i, r in enumerate(rows)]
+    return [r[-1] for r in mat], mat[0][0]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import linalg
 from .checker import count_N
 from .cyclotomic import CyclotomicContext
-from .geometry import ComplexPoint, g_act, gram, norm_sq
+from .geometry import ComplexPoint, g_act, norm_sq
 from .lattice import build_lattice
 from .search import SearchConfig, default_r_grid, sample_x, select_r
 
@@ -91,9 +91,11 @@ def suite_stability(ctx, trials: int, rng) -> SuiteResult:
 
 def suite_covolume_product(ctx, trials: int, rng) -> SuiteResult:
     name = "covolume_product"
-    prod = linalg.determinant(gram(ctx.ok_basis)) * linalg.determinant(gram(ctx.codiff_basis))
-    if prod != 1:
-        return _fail(name, product=prod)
+    # the integer Grams that lattice.gram multiplies: det(T) det(C) = e^g for
+    # the codifferent Gram C / e
+    prod = linalg.determinant(ctx.ok_gram) * linalg.determinant(ctx.codiff_gram_num)
+    if prod != ctx.codiff_gram_den ** ctx.g:
+        return _fail(name, product=Fraction(prod, ctx.codiff_gram_den ** ctx.g))
     return SuiteResult(name, True)
 
 

@@ -15,7 +15,7 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -251,6 +251,18 @@ def fractions(rows, den) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(a, den) for a in row) for row in rows)
 
 
+def integer_matrix(a) -> tuple[list[list[int]], int]:
+    """(rows, den): den the least common denominator of the int or Fraction
+    entries of a, and rows the integer matrix den * a."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def real_gram(lat) -> list[list[Fraction]]:
+    """The Gram matrix of a lattice: its gram rows over their denominator."""
+    return [list(row) for row in fractions(*lat.gram)]
+
+
 def symplectic(lat) -> list[list[Fraction]]:
     """The symplectic form of a lattice: its skew rows over their denominator."""
     rows, den = lat.skew
@@ -270,14 +282,14 @@ def codiff_gram(ctx) -> tuple[tuple[Fraction, ...], ...]:
 
 def prepared_form(gram) -> PreparedForm:
     """The PreparedForm of an int or Fraction Gram matrix."""
-    return PreparedForm(*linalg.integer_matrix(gram))
+    return PreparedForm(*integer_matrix(gram))
 
 
 def fraction_lll_reduce(gram):
     """lll_reduce on an int or Fraction Gram matrix, in the shape of
     rational_lll_reduce: (transform, reduced, d, nu) as Fractions, with nu
     a full matrix that is zero on and below the diagonal."""
-    rows, den = linalg.integer_matrix(gram)
+    rows, den = integer_matrix(gram)
     U, reduced, (d, d_den), (nu, nu_den) = lll_reduce(rows, den)
     n = len(U)
     return (U, [list(row) for row in fractions(reduced, den)],
@@ -341,7 +353,7 @@ def elimination_spans(ctx, generators, points) -> bool:
     N and W the generator and point rows over one common denominator,
     W = C N for an integer C iff the right block ends as d C^T, d = +-det N.
     False also when the generators are dependent."""
-    rows, _ = linalg.integer_matrix(
+    rows, _ = integer_matrix(
         [codiff_coords(ctx, u) + list(v.coords) for u, v in (*generators, *points)])
     n = len(generators)
     mat = [[*a, *w] for a, w in zip(zip(*rows[:n]), zip(*rows[n:]))]
@@ -589,7 +601,7 @@ def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
     """Enclosure of (v_n / 2^n) * lambda_1^n for a covolume-1 Gram matrix."""
     if len(gram) != n:
         raise ValueError("gram size does not match n")
-    if linalg.determinant([list(map(Fraction, row)) for row in gram]) != 1:
+    if fraction_determinant(gram) != 1:
         raise ValueError("packing density is normalized to covolume-1 lattices")
     lam = shortest_norm_sq(prepared_form(gram))
     vn = ball_volume(n, precision + 8)

@@ -75,6 +75,29 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "a_directory"])
+def test_unwritable_out_names_the_given_path(tmp_path, capsys, target):
+    # the error names the path asked for, not the temporary file written
+    # first, whether creating that file or renaming it fails
+    (tmp_path / "a_directory").mkdir()
+    out = str(tmp_path / target)
+    code, stdout, err = run(capsys, "search", "--m", "4", "--out", out)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(out) in err and ".tmp-" not in err
+    assert os.listdir(tmp_path) == ["a_directory"] and not os.listdir(tmp_path / "a_directory")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--m", "5", "--r2", "7/2", "--x", "1/3,-2/7,0,5/11"], "construct_m5.json"),
+    (["--m", "12", "--r2", "3", "--x", "0"], "construct_m12.json")])
+def test_construct_output_is_pinned_byte_for_byte(capsys, argv, name):
+    # tests/data holds these commands' stdout as the Fraction Gram view wrote it
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert out == (ROOT / "tests" / "data" / name).read_text()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
     # --out writes through a temporary file and a rename; the file ends with

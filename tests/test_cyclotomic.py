@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 
-from cyclopack import linalg
+from cyclopack import cyclotomic, linalg
 from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial, phi, prime_factors
 from cyclopack.geometry import pairing
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
-from oracles import (codiff_coords, codiff_gram, identity, poly_conj, poly_mul, poly_mul_mod,
-                     poly_trace, power_traces, prepared_form, trace_by_embeddings)
+from oracles import (codiff_coords, codiff_gram, fraction_determinant, identity, poly_conj,
+                     poly_mul, poly_mul_mod, poly_trace, power_traces, prepared_form,
+                     trace_by_embeddings)
 
 
 def random_element(ctx, rng):
@@ -182,7 +183,26 @@ def test_mul_inverse_roundtrip():
             a = random_element(ctx, rng)
             if not a:
                 continue
-            assert a * ctx.inverse(a) == ctx.one()
+            inv = ctx.inverse(a)
+            assert in_lowest_terms(inv) and a * inv == ctx.one()
+
+
+def test_context_and_inverse_build_no_fraction(monkeypatch):
+    # inverse reduces solve's integer numerators over their denominator, so
+    # neither it nor a context build (codiff_gen is one inverse) makes a
+    # Fraction
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(cyclotomic, "Fraction", Counted)
+    for m in (5, 12, 30):
+        ctx = CyclotomicContext(m)
+        ctx.inverse(ctx.different_generator() + ctx.one())
+    assert made == []
 
 
 def test_ring_axioms_random():
@@ -262,7 +282,7 @@ def test_codifferent_duality(m):
     mat = [[ctx.trace(ctx.codiff_gen * ctx.zeta(j) * ctx.zeta(k)) for k in range(g)]
            for j in range(g)]
     assert all(e.denominator == 1 for row in mat for e in row)
-    assert abs(linalg.determinant(mat)) == 1
+    assert abs(fraction_determinant(mat)) == 1
     # both flavors of the pairing against the ring of integers are integral,
     # and codiff_pairing holds the conjugated one as ints
     for a, row in zip(ctx.codiff_basis, ctx.codiff_pairing):
@@ -290,8 +310,8 @@ def test_codifferent_coordinates_roundtrip(m):
 @pytest.mark.parametrize("m", range(3, 31))
 def test_covolume_product_is_one(m):
     ctx = get_ctx(m)
-    d_ok = linalg.determinant([list(r) for r in ctx.ok_gram])
-    d_cd = linalg.determinant([list(r) for r in codiff_gram(ctx)])
+    d_ok = linalg.determinant(ctx.ok_gram)
+    d_cd = fraction_determinant(codiff_gram(ctx))
     assert d_ok == ctx.disc_abs
     assert d_ok * d_cd == 1
     # the discriminant as det Tr(zeta^(i+j)), the trace form without conjugation

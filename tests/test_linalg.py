@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cyclopack import linalg
-from oracles import fraction_determinant, fraction_solve, fractions
+from oracles import fraction_determinant, fraction_solve, fractions, integer_matrix
 from test_svp import twisted_lattices
 
 
@@ -22,14 +24,34 @@ def random_system(rng, n=None):
     return a, [entry() for _ in range(n)]
 
 
+def determinant(a) -> Fraction:
+    """linalg.determinant of a Fraction matrix, through its integer rows
+    over one denominator."""
+    rows, den = integer_matrix(a)
+    return Fraction(linalg.determinant(rows), den ** len(rows))
+
+
+def solve(a, b):
+    """linalg.solve of a Fraction system, through the integer rows of
+    [A | b] over one denominator; its denominator is +-det."""
+    rows, _ = integer_matrix([[*row, c] for row, c in zip(a, b)])
+    a_int = [r[:-1] for r in rows]
+    sol = linalg.solve(a_int, [r[-1] for r in rows])
+    if sol is None:
+        return None
+    nums, d = sol
+    assert abs(d) == abs(linalg.determinant(a_int)) and all(type(x) is int for x in nums)
+    return [Fraction(x, d) for x in nums]
+
+
 def test_elimination_matches_fraction_reference():
     rng = random.Random(61)
     singular = swapped = 0
     for _ in range(1000):
         a, b = random_system(rng)
         det = fraction_determinant(a)
-        assert linalg.determinant(a) == det
-        assert linalg.solve(a, b) == fraction_solve(a, b)
+        assert determinant(a) == det
+        assert solve(a, b) == fraction_solve(a, b)
         singular += det == 0
         swapped += a[0][0] == 0 and det != 0
     assert singular > 100 and swapped > 100
@@ -55,9 +77,9 @@ def test_elimination_at_lattice_size():
     singular = 0
     for a, b in lattice_systems(rng):
         det = fraction_determinant(a)
-        assert linalg.determinant(a) == det
-        assert linalg.solve(a, b) == fraction_solve(a, b)
-        check_end_state(linalg.integer_matrix(a)[0], [[rng.randint(-5, 5) for _ in range(3)]
+        assert determinant(a) == det
+        assert solve(a, b) == fraction_solve(a, b)
+        check_end_state(integer_matrix(a)[0], [[rng.randint(-5, 5) for _ in range(3)]
                                                       for _ in a])
         singular += det == 0
     assert singular >= 11
@@ -83,11 +105,23 @@ def test_gauss_jordan_end_state():
     for _ in range(200):
         a, _ = random_system(rng)
         b = [[rng.randint(-5, 5) for _ in range(3)] for _ in a]
-        check_end_state(linalg.integer_matrix(a)[0], b)
+        check_end_state(integer_matrix(a)[0], b)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), True])
+def test_determinant_and_solve_take_only_ints(bad):
+    # the elimination floor-divides, which on a Fraction entry would give a
+    # wrong result without an error; a bool is refused with it
+    with pytest.raises(TypeError):
+        linalg.determinant([[2, 1], [1, bad]])
+    with pytest.raises(TypeError):
+        linalg.solve([[2, 1], [1, bad]], [1, 0])
+    with pytest.raises(TypeError):
+        linalg.solve([[2, 1], [1, 3]], [1, bad])
 
 
 def test_integer_matrix():
-    rows, den = linalg.integer_matrix([[Fraction(1, 2), 3], [Fraction(-5, 6), 0]])
+    rows, den = integer_matrix([[Fraction(1, 2), 3], [Fraction(-5, 6), 0]])
     assert den == 6
     assert rows == [[3, 18], [-5, 0]]
-    assert linalg.integer_matrix([[1, 2]]) == ([[1, 2]], 1)
+    assert integer_matrix([[1, 2]]) == ([[1, 2]], 1)

@@ -22,7 +22,7 @@ from conftest import get_ctx
 from mc import mc_j_value
 from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
                      contains_interval, fractions, midpoint, prepared_form, vector_j_value,
-                     volume_chi_norm_sq, width)
+                     real_gram, volume_chi_norm_sq, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 EPS = Fraction(1, 2)
@@ -297,7 +297,7 @@ def test_search_counts_only_sampled_twists(monkeypatch):
         assert cert.sample_index == index == len(drawn) and all(drawn)
         after = events[events.index("select_r") + 1:]
         assert after == ["draw", "build", "lll"] * index + ["walk", "count"], (m, seed)
-        grams = [tuple(map(tuple, build_lattice(get_ctx(m), cert.r_sq, x).real_gram))
+        grams = [tuple(map(tuple, real_gram(build_lattice(get_ctx(m), cert.r_sq, x))))
                  for x in drawn]
         assert reduced[-index:] == grams
         assert walked[-1].lambda1_sq == cert.lambda1_sq
@@ -492,7 +492,7 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
         _, mismatches = recompute_certificate(cert)
         assert mismatches == []
         assert len(built) == 1
-        assert seen == [tuple(map(tuple, built[0].real_gram))]
+        assert seen == [tuple(map(tuple, real_gram(built[0])))]
         assert walked == [built[0].form]
 
     # counting one lattice twice prepares it once; the form lives on the
@@ -502,7 +502,7 @@ def test_certify_prepares_the_twisted_lattice_once(monkeypatch):
     lat = build_lattice(ctx, cert.r_sq, sample_x(ctx, 8, random.Random(71)))
     seen.clear()
     assert count_N(lat, EPS) == count_N(lat, EPS)
-    assert seen == [tuple(map(tuple, lat.real_gram))]
+    assert seen == [tuple(map(tuple, real_gram(lat)))]
     assert not [k for k, v in vars(svp).items()
                 if hasattr(v, "cache_info") and v.__module__ == svp.__name__]
 

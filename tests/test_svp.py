@@ -14,9 +14,10 @@ from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, norm_count
                            shortest_norm_sq)
 from conftest import get_ctx
 from oracles import (ball_with_norms, box_points_in_ball, box_shortest_norm_sq, codiff_gram,
-                     contains_interval, enumerate_in_ball, fraction_lll_reduce, identity, midpoint,
-                     packing_density, prepared_form, rational_enumerate,
-                     rational_enumerate_in_ball, rational_lll_reduce, width)
+                     contains_interval, enumerate_in_ball, fraction_determinant,
+                     fraction_lll_reduce, identity, integer_matrix, midpoint, packing_density,
+                     prepared_form, rational_enumerate, rational_enumerate_in_ball,
+                     rational_lll_reduce, real_gram, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -90,9 +91,9 @@ def test_lll_preserves_determinant_and_matches_transform():
             g = random_pd_gram(n, rng)
             u, r, d, nu = fraction_lll_reduce(g)
             uf = frac_mat(u)
-            assert linalg.determinant(uf) in (1, -1)
+            assert linalg.determinant(u) in (1, -1)
             assert linalg.mat_mul(linalg.mat_mul(uf, g), linalg.transpose(uf)) == r
-            assert linalg.determinant(r) == linalg.determinant(g)
+            assert fraction_determinant(r) == fraction_determinant(g)
             # (d, nu) are the LDL factors of r: r = N^T diag(d) N, N unit upper
             unit = [[Fraction(1) if i == j else nu[i][j] if j > i else Fraction(0)
                      for j in range(n)] for i in range(n)]
@@ -203,7 +204,7 @@ def test_norm_counts_tally_the_reference_lattices():
     for path in sorted(REFERENCE.glob("m*.json")):
         cert = certificate_from_json_dict(json.loads(path.read_text()))
         ctx = get_ctx(cert.m)
-        gram = build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)).real_gram
+        gram = real_gram(build_lattice(ctx, cert.r_sq, ctx.element(cert.x_coords)))
         balls = [(gram, prepared_form(gram).min_diagonal),
                  (ctx.ok_gram, cert.r_sq * chi_radius_sq(ctx, cert.epsilon, 160).hi)]
         for g, radius in balls:
@@ -235,9 +236,9 @@ def twisted_lattices():
 
 
 def twisted_grams():
-    """real_gram of each of twisted_lattices."""
+    """The Fraction Gram matrix of each of twisted_lattices."""
     for ctx, lat in twisted_lattices():
-        yield ctx, lat.real_gram
+        yield ctx, real_gram(lat)
 
 
 def test_lll_matches_rational_reference():
@@ -252,13 +253,13 @@ def test_prepared_form_matches_rational_reference():
     # PreparedForm(rows, den) builds no Fraction but its least diagonal entry;
     # field by field it must be the rational LLL's transform, least reduced
     # diagonal entry and LDL factors. A lattice's integer Gram is its
-    # real_gram over the least common denominator.
+    # Fraction Gram matrix over the least common denominator.
     rng = random.Random(49)
-    forms = [(gram, linalg.integer_matrix(gram))
+    forms = [(gram, integer_matrix(gram))
              for gram in (random_rational_pd_gram(rng.randint(1, 6), rng) for _ in range(40))]
     for _, lat in twisted_lattices():
-        assert lat.gram == linalg.integer_matrix(lat.real_gram)
-        forms.append((lat.real_gram, lat.gram))
+        assert lat.gram == integer_matrix(real_gram(lat))
+        forms.append((real_gram(lat), lat.gram))
     for gram, (rows, den) in forms:
         u, r, d, nu = rational_lll_reduce(gram)
         form = svp.PreparedForm(rows, den)
