@@ -187,12 +187,14 @@ def fmt_rat(x) -> str:
 def parse_fmt_rat(s: str, name: str) -> Fraction:
     """The rational of a "p/q" string as fmt_rat writes it: ASCII decimal
     digits, one "/" and ASCII decimal digits, with an optional leading "-".
-    Anything else raises ValueError: Fraction would also read decimals and
-    exponents, and a short "1e-5000000" stands for a number of millions of
-    digits."""
+    Anything else raises ValueError, a zero q included: Fraction would also
+    read decimals and exponents, and a short "1e-5000000" stands for a number
+    of millions of digits."""
     p, slash, q = s.partition("/")
     if not (slash and s.isascii() and p.removeprefix("-").isdigit() and q.isdigit()):
         raise ValueError(f'{name} must be a "p/q" rational, got {s[:40]!r}')
+    if not int(q):
+        raise ValueError(f"{name} has a zero denominator, got {s[:40]!r}")
     return Fraction(int(p), int(q))
 
 

@@ -28,10 +28,14 @@ from .verify import run_suites
 def parse_rat(s: str) -> Fraction:
     """A command-line rational: an integer, "p/q" or a plain decimal such as
     0.5. An exponent raises ValueError, since from "1e999999999" Fraction
-    would build a billion-digit integer."""
+    would build a billion-digit integer, and a zero denominator raises
+    ValueError naming the value."""
     if "e" in s.lower():
         raise ValueError(f"a rational takes no exponent, got {s[:40]!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"a rational needs a nonzero denominator, got {s[:40]!r}") from None
 
 
 def dump_json(obj) -> str:

@@ -15,12 +15,13 @@ then [[I, 0], [X, I]] and D is the denominator of x in the codifferent. The
 Gram matrix and the symplectic form are integer products of N with the trace
 pairings of these bases over multiples of D^2, so the checks, the LLL and the
 LDL factors run on integers, and no form is ever held as a Fraction matrix:
-det_real_gram builds one Fraction, for its result. Membership, and with it
-the unit action and real multiplication checks, reduces integer rows against
-a lower-triangular basis of N built once per lattice (build_lattice's rows
-are one already), with a ring integer acting through the same integral
-multiplication matrix in both bases: no field multiplication, no
-elimination, and valid for any generators.
+det_real_gram builds one Fraction, for its result. N is lower triangular
+with a nonzero diagonal, as build_lattice's rows are by construction, and
+the constructor refuses generators whose rows are not. Membership, and with
+it the unit action and real multiplication checks, is then a
+back-substitution of integer rows against N itself, with a ring integer
+acting through the same integral multiplication matrix in both bases: no
+field multiplication and no elimination.
 """
 from __future__ import annotations
 
@@ -60,6 +61,9 @@ class PolarizedLattice:
         self._rows, self._den = linalg.lowest_terms(
             [[c * (den // du) for c in a] + [c * (den // dv) for c in b]
              for a, du, b, dv in parts], den)
+        if len(self._rows) != 2 * ctx.g or not all(
+                row[i] and not any(row[i + 1:]) for i, row in enumerate(self._rows)):
+            raise ValueError("generator rows must be lower triangular with a nonzero diagonal")
 
     # Tr(u conj(u')) = a G a'^T with G = codiff_gram_num / e, and
     # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
@@ -118,24 +122,14 @@ class PolarizedLattice:
         rows, den = self.gram
         return Fraction(linalg.determinant(rows), den ** len(rows))
 
-    @cached_property
-    def triangular_basis(self) -> list[list[int]] | None:
-        """Lower-triangular integer basis of the generator rows N, built on
-        first use; None if the generators are dependent. build_lattice's N is
-        D [[I, 0], [X, I]], already triangular, so this is a scan."""
-        return linalg.triangular_basis(self._rows)
-
     def _spans(self, rows) -> bool:
         """True iff the integer rows W (D times point coordinates) are W = C N
-        for an integer C: each row reduces to zero against the basis, from its
-        last coordinate down. False also when the generators are dependent."""
-        basis = self.triangular_basis
-        if basis is None:
-            return False
+        for an integer C: each row reduces to zero against the lower-triangular
+        N by back-substitution, from its last coordinate down."""
         for w in rows:
             w = list(w)
-            for h in reversed(basis):
-                q, rem = divmod(w.pop(), h[-1])
+            for h in reversed(self._rows):
+                q, rem = divmod(w.pop(), h[len(w)])
                 if rem:
                     return False
                 if q:

@@ -7,11 +7,7 @@ each pivot on integer rows, in which every division is exact (Bareiss, Math.
 Comp. 22, 1968), and an exact back-substitution; a determinant needs the
 elimination alone. determinant and solve wrap it and refuse an entry that is
 not an int, on which its floor divisions would go wrong without an error.
-triangular_basis reduces integer rows by Euclid to a lower-triangular basis
-of the lattice they span, against which lattice membership is a
-back-substitution (Cohen, A Course in Computational Algebraic Number Theory,
-2.4). The matrices are at most 2g x 2g with g = phi(m), and none is ever
-inverted.
+The matrices are at most 2g x 2g with g = phi(m), and none is ever inverted.
 """
 from __future__ import annotations
 
@@ -66,30 +62,6 @@ def gauss_jordan(rows: list[list[int]], n: int) -> int:
                   for c, b in enumerate(ri[n:], n)]
         ri[:n] = [0] * i + [prev] + [0] * (n - i - 1)
     return det * prev
-
-
-def triangular_basis(rows: list[list[int]]) -> list[list[int]] | None:
-    """A lower-triangular basis of the lattice spanned by n integer rows of
-    length n, as rows h[c] of length c + 1 with h[c][c] != 0; None if the
-    rows are dependent. Column by column from the last, Euclid on the rows
-    still free leaves one with a nonzero entry there, and every other one
-    ends with a zero there and is cut to the columns before it. Rows that
-    are already lower triangular take no arithmetic."""
-    free, basis = [list(r) for r in rows], []
-    for c in reversed(range(len(free))):
-        live = [r for r in free if r[c]]
-        if not live:
-            return None
-        while len(live) > 1:
-            p = min(live, key=lambda r: abs(r[c]))
-            for r in live:
-                if r is not p:
-                    q = r[c] // p[c]
-                    r[:] = [a - q * b for a, b in zip(r, p)]
-            live = [r for r in live if r[c]]
-        basis.append(live[0])
-        free = [r[:c] for r in free if r is not live[0]]
-    return basis[::-1]
 
 
 def _int_rows(rows) -> list[list[int]]:

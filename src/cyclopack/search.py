@@ -95,6 +95,9 @@ class SearchConfig(namedtuple("SearchConfig", "m epsilon denom budget seed preci
         validate_domain(self.m, self.epsilon, self.precision)
         if self.denom < 1 or self.budget < 1:
             raise ValueError("denom and budget must be >= 1")
+        # random.Random seeds with |seed|, so -s would draw the twists of s
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- J(r) ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ whatever a file holds, certificate_from_json_dict returns a Certificate or
 raises CertificateFormatError, never any other exception."""
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,10 @@ def test_parser_returns_certificate_or_format_error(doc):
     except CertificateFormatError:
         return
     assert isinstance(cert, Certificate)
+
+
+def test_zero_denominator_names_the_field():
+    doc = dict(DOCS[0], r_sq="1/0")
+    with pytest.raises(CertificateFormatError,
+                       match="^malformed certificate: r_sq has a zero denominator, got '1/0'$"):
+        certificate_from_json_dict(doc)

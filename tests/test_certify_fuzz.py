@@ -76,7 +76,7 @@ def test_parse_fmt_rat_reads_exactly_the_p_q_form(s):
         with pytest.raises(ValueError, match='r must be a "p/q" rational'):
             parse_fmt_rat(s, "r")
     elif int(s.partition("/")[2]) == 0:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="r has a zero denominator"):
             parse_fmt_rat(s, "r")
     else:
         got = parse_fmt_rat(s, "r")

@@ -12,9 +12,11 @@ import pytest
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
                                recompute_certificate)
 from cyclopack.cli import dump_json
-from cyclopack.cyclotomic import phi
+from cyclopack.cyclotomic import CyclotomicContext, phi
+from cyclopack.lattice import build_lattice
 from cyclopack.search import SearchConfig, search
 from cyclopack.tables import bound_table
+from oracles import rational_enumerate, rational_lll_reduce, real_gram
 
 ROOT = Path(__file__).resolve().parent.parent
 STORED = sorted([*ROOT.glob("certs/m*.json"), *ROOT.glob("perfbench/reference/m*.json")],
@@ -40,6 +42,20 @@ def test_stored_certificate_recertifies(path):
 def test_stored_certificate_researches(path):
     cert = search(SearchConfig(m=int(path.stem[1:])))
     assert dump_json(certificate_to_json_dict(cert)) == path.read_text()
+
+
+@pytest.mark.parametrize("path", STORED, ids=lambda p: p.stem)
+def test_stored_lambda1_sq_by_the_rational_pipeline(path):
+    # lambda_1^2 of the stored lattice again, sharing no code with svp: the
+    # Fraction LLL of its Gram matrix, then the Fraction walk to the least
+    # diagonal entry of the reduced form, a squared norm of a lattice vector
+    doc = json.loads(path.read_text())
+    ctx = CyclotomicContext(doc["m"])
+    lat = build_lattice(ctx, Fraction(doc["r_sq"]), ctx.element(map(Fraction, doc["x"])))
+    _, reduced, d, nu = rational_lll_reduce(real_gram(lat))
+    radius = min(reduced[i][i] for i in range(len(reduced)))
+    norms = [q for s, q in rational_enumerate(d, nu, radius) if any(s)]
+    assert min(norms) == Fraction(doc["lambda1_sq"])
 
 
 def test_readme_table_matches_stored_certificates():

@@ -133,6 +133,14 @@ def test_search_invalid_epsilon(capsys):
     assert run(capsys, "search", "--m", "5", "--epsilon", "6")[0] == 2
 
 
+def test_search_refuses_a_negative_seed(capsys):
+    # random.Random(-1) draws the twists of seed 1, and the certificate
+    # would record -1
+    code, out, err = run(capsys, "search", "--m", "8", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+
+
 def test_search_budget_exhaustion(capsys):
     code, _, err = run(capsys, "search", "--m", "6", "--budget", "1")
     assert code == 3
@@ -268,6 +276,12 @@ def test_rational_with_an_exponent_exits_2_at_once(argv):
     assert code == 2 and seconds < 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "exponent" in err
+
+
+def test_rational_with_a_zero_denominator_is_named(capsys):
+    code, out, err = run(capsys, "construct", "--m", "4", "--r2", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: a rational needs a nonzero denominator, got '1/0'\n"
 
 
 def test_command_line_rationals_read_integers_fractions_and_decimals(capsys):

@@ -264,25 +264,44 @@ def _mixed(pairs, rng):
     return pairs
 
 
+def test_rejects_generators_that_are_not_triangular():
+    # membership back-substitutes against the generator rows themselves, so
+    # rows that are not lower triangular with a nonzero diagonal are refused,
+    # never answered wrongly: shuffled and mixed generators of the same
+    # lattice, a repeated generator (zero diagonal) and a missing one
+    rng = random.Random(69)
+    for m in (3, 5, 12):
+        ctx = get_ctx(m)
+        x = random_element(ctx, rng)
+        gens = list(build_lattice(ctx, 1, x).generators)
+        shuffled = gens[::-1]
+        repeated = [gens[0], gens[0], *gens[2:]]
+        for pairs in (shuffled, _mixed(gens, rng), repeated, gens[:-1]):
+            with pytest.raises(ValueError, match="lower triangular"):
+                PolarizedLattice(ctx, 1, x, pairs)
+
+
 def test_membership_matches_elimination():
     # contains and both checks against the [N^T | W^T] elimination, on
-    # build_lattice's triangular generators, the same lattice from mixed
-    # generators (Euclid does real work), an index-2 sublattice of it, and
-    # dependent generators, where every answer is False; the points are
-    # integer combinations of build_lattice's generators, about half of them
-    # with a half-step along one
+    # build_lattice's generators, an index-2 sublattice of them (a doubled
+    # row) and the same generators with half a codifferent vector added to
+    # one twisted row (X perturbed), each triangular; the points are integer
+    # combinations of build_lattice's generators, about half of them with a
+    # half-step along one
     rng = random.Random(67)
     answers = []
     for m in (3, 4, 5, 8, 12, 30):
         ctx = get_ctx(m)
         x = random_element(ctx, rng)
         gens = build_lattice(ctx, 1, x).generators
-        mixed = _mixed(gens, rng)
-        sub = [(2 * mixed[0][0], 2 * mixed[0][1])] + mixed[1:]
-        repeated = mixed[:-1] + [mixed[0]]
+        k = rng.randrange(len(gens))
+        sub = [*gens[:k], (2 * gens[k][0], 2 * gens[k][1]), *gens[k + 1:]]
+        j = ctx.g + rng.randrange(ctx.g)
+        perturbed = list(gens)
+        perturbed[j] = (gens[j][0] + Fraction(1, 2) * ctx.codiff_basis[0], gens[j][1])
         z, zi = ctx.zeta(1), ctx.zeta(-1)
         t = z + zi
-        for pairs in (gens, mixed, sub, repeated):
+        for pairs in (gens, sub, perturbed):
             lat = PolarizedLattice(ctx, 1, x, pairs)
             got = [lat.is_g_stable(), lat.has_real_multiplication()]
             want = [elimination_spans(ctx, pairs, [(z * u, zi * v) for u, v in pairs]),
@@ -295,9 +314,7 @@ def test_membership_matches_elimination():
                 v = sum((c * b for c, (_, b) in zip(coeffs, gens)), ctx.zero())
                 got.append(contains(lat, u, v))
                 want.append(elimination_spans(ctx, pairs, [(u, v)]))
-            assert got == want, (m, pairs is sub)
-            if pairs is repeated:
-                assert not any(got)
+            assert got == want, (m, pairs is sub, pairs is perturbed)
             answers += got
     assert answers.count(True) > 50 and answers.count(False) > 50
 
@@ -305,8 +322,8 @@ def test_membership_matches_elimination():
 def test_checks_need_no_field_multiplication(monkeypatch):
     # the unit action and real multiplication act on the integer generator
     # rows through multiplication matrices, never through field products, and
-    # membership reduces against a triangular basis built once per lattice,
-    # never through an elimination
+    # membership back-substitutes against those rows, never through an
+    # elimination
     ctx = get_ctx(12)
     lat = build_lattice(ctx, Fraction(5, 2), Fraction(1, 8) * ctx.codiff_basis[1])
 
@@ -318,17 +335,9 @@ def test_checks_need_no_field_multiplication(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination in a structural check")
     monkeypatch.setattr(linalg, "gauss_jordan", no_elimination)
-    built = []
-    triangular_basis = linalg.triangular_basis
-
-    def counted(rows):
-        built.append(rows)
-        return triangular_basis(rows)
-    monkeypatch.setattr(linalg, "triangular_basis", counted)
     assert lat.is_g_stable() and lat.has_real_multiplication()
     assert contains(lat, *lat.generators[3])
     assert not contains(lat, Fraction(1, 2) * lat.generators[3][0], lat.generators[3][1])
-    assert len(built) == 1
 
 
 def test_serialization_schema(ctx4):

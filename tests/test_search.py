@@ -614,6 +614,8 @@ def test_search_validates_config():
         search(SearchConfig(m=2))
     with pytest.raises(ValueError):
         search(SearchConfig(m=4, budget=0))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        search(SearchConfig(m=4, seed=-1))
     with pytest.raises(TypeError):  # the r^2 scan is not configurable
         SearchConfig(m=4, r_grid=())
 
