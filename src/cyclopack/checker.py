@@ -157,6 +157,26 @@ def run_checks(lat) -> dict[str, bool]:
     }
 
 
+def known_vector_in_ball(ctx: CyclotomicContext, r_sq: Fraction, x, bound: Fraction,
+                         precision: int) -> str | None:
+    """Why the lattice build_lattice(ctx, r_sq, x) has a vector in the chi
+    ball that is known without a walk, or None. The vectors are (0, d), d
+    the denominator of x in the codifferent: d (x, 1) minus the codifferent
+    vector (d x, 0), of squared norm d^2 g / r^2, so N(x) >= 1; and the
+    shortest codifferent generator (c_j, 0), of squared norm
+    r^2 Tr(c_j conj(c_j)), so lambda1 < R. At x = 0, d = 1."""
+    g = ctx.g
+    num, den = ctx.coords_in_codiff(x)
+    d = den // gcd(den, *num)
+    if chi_norm_sq(2 * g, d * d * g / r_sq, bound, precision):
+        return (f"r^2 = {r_sq} puts the lattice vector (0, {d}) inside the chi ball, "
+                "so N(x) >= 1")
+    least = min(ctx.codiff_gram_num[j][j] for j in range(g))
+    if chi_norm_sq(2 * g, r_sq * least / ctx.codiff_gram_den, bound, precision):
+        return f"r^2 = {r_sq} puts a codifferent generator inside the chi ball, so lambda1 < R"
+    return None
+
+
 def _certificate_at(lat: PolarizedLattice, epsilon: Fraction, precision: int, seed: int,
                     sample_index: int) -> Certificate:
     """The certificate of a built lattice: the one step of search's winner
@@ -236,6 +256,10 @@ def certificate_from_json_dict(d: dict) -> Certificate:
             checks={k: _typed(d["checks"][k], bool, k) for k in CHECK_NAMES},
         )
         validate_domain(cert.m, cert.epsilon, cert.precision_bits)
+        # a search never writes them negative: it refuses seed < 0
+        for k in ("seed", "sample_index"):
+            if getattr(cert, k) < 0:
+                raise ValueError(f"{k} must be >= 0, got {getattr(cert, k)}")
         # phi(m) >= sqrt(m/2) rejects a huge m before phi or a context is computed
         k = len(cert.x_coords)
         if k > MAX_G:
@@ -253,23 +277,14 @@ def recompute_certificate(cert: Certificate) -> tuple[Certificate, list[str]]:
     """Recompute every derived field from (m, epsilon, r^2, x) at the stored
     precision and list all fields that disagree with the stored values.
     Raises CertificateFormatError before counting, which caps r^2 both ways,
-    if the chi ball holds the lattice vector (0, d), d x in the codifferent,
-    of squared norm d^2 g / r^2 (so N(x) >= 1), or a codifferent generator
-    (c_j, 0), of squared norm r^2 Tr(c_j conj(c_j)) (so lambda1 < R). The
+    if known_vector_in_ball names a lattice vector in the chi ball. The
     certificate is rebuilt by _certificate_at, the step of search's winner."""
     ctx = CyclotomicContext(cert.m)
     x = ctx.element(cert.x_coords)
-    g, bound, precision = ctx.g, cert.m - cert.epsilon, cert.precision_bits
-    num, den = ctx.coords_in_codiff(x)
-    d = den // gcd(den, *num)
-    if chi_norm_sq(2 * g, d * d * g / cert.r_sq, bound, precision):
-        raise CertificateFormatError(f"r^2 = {cert.r_sq} puts the lattice vector (0, {d}) "
-                                     "inside the chi ball, so N(x) >= 1")
-    least = min(ctx.codiff_gram_num[j][j] for j in range(g))
-    if chi_norm_sq(2 * g, cert.r_sq * least / ctx.codiff_gram_den, bound, precision):
-        raise CertificateFormatError(f"r^2 = {cert.r_sq} puts a codifferent generator "
-                                     "inside the chi ball, so lambda1 < R")
-    fresh = _certificate_at(build_lattice(ctx, cert.r_sq, x), cert.epsilon, precision,
+    known = known_vector_in_ball(ctx, cert.r_sq, x, cert.m - cert.epsilon, cert.precision_bits)
+    if known:
+        raise CertificateFormatError(known)
+    fresh = _certificate_at(build_lattice(ctx, cert.r_sq, x), cert.epsilon, cert.precision_bits,
                             cert.seed, cert.sample_index)
     return fresh, [k for k in ("g", "lambda1_sq", "n_value", "bound_lo", "checks")
                    if getattr(fresh, k) != getattr(cert, k)]

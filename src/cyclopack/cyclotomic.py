@@ -312,6 +312,13 @@ class CyclotomicContext:
         # row 0 of ok_gram holds Tr(zeta^k)
         return Fraction(sum(map(operator.mul, self.ok_gram[0], a.num)), a.den)
 
+    def pairing(self, a: CycloElement, b: CycloElement) -> Fraction:
+        """The euclidean pairing Tr(a conj(b)) = a^T T b on E, symmetric and
+        positive definite; |x + iy|^2 = pairing(x, x) + pairing(y, y)."""
+        a._check(b)
+        return Fraction(sum(map(operator.mul, a.num, linalg.mat_vec(self.ok_gram, b.num))),
+                        a.den * b.den)
+
     def inverse(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError("zero has no inverse in K")

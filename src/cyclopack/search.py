@@ -16,20 +16,22 @@ Pipeline for a given m and rational epsilon in (0, m):
   2. Twist points x are sampled from the fundamental parallelepiped of the
      codifferent; x = 0 is always tried first. The first x with N(x) = 0
      wins; since the count is divisible by m and has mean J(r0) < m, such x
-     exist in abundance. The lattice at x = 0 splits, and its shortest
-     vectors with nonzero ring part, (0, 1) among them, have squared norm
-     g/r^2: x = 0 is decided by chi at that one norm, with no lattice built
-     unless it wins. Each sampled twist's lattice is built and LLL-reduced
-     once. select_r puts every nonzero vector with b = 0 outside the chi
-     ball, so any nonzero lattice vector inside it is a point N(x) counts: if
-     the least reduced basis vector lies inside, the twist loses without a
-     walk.
+     exist in abundance. Every candidate, x = 0 included, takes the same
+     steps. First checker.known_vector_in_ball asks chi about the lattice
+     vector (0, d), d the denominator of x in the codifferent, of squared
+     norm d^2 g/r^2: if it lies inside the ball, the twist loses with no
+     lattice built. At x = 0, d = 1, and |b|^2 >= g for every nonzero ring
+     integer b (AM-GM on Tr(b conj(b))), so (0, 1) decides x = 0 both ways.
+     Otherwise the twist's lattice is built and LLL-reduced once. select_r
+     puts every nonzero vector with b = 0 outside the chi ball, so any
+     nonzero lattice vector inside it is a point N(x) counts: if the least
+     reduced basis vector lies inside, the twist loses without a walk.
   3. Otherwise lambda1 is taken, and a twist whose shortest vector lies
      inside the ball loses too. So N(x) = 0 exactly when lambda1^2 lies
-     outside it. A winner, x = 0 included, gets its certificate from
-     checker._certificate_at, the step certify re-runs. Losers are counted
-     exactly only if the budget runs out, by drawing the seed's twists
-     again.
+     outside it. A winner gets its certificate from checker._certificate_at,
+     the step certify re-runs, which reads the lambda1 already taken.
+     Losers are counted exactly only if the budget runs out, by drawing the
+     seed's twists again.
 
 The twists are drawn from random.Random(seed) by rejection sampling on its
 bit stream, so a search reproduces bit-for-bit from its configuration.
@@ -45,7 +47,7 @@ from itertools import count
 # certified_lower_bound is not called here: perfbench/tracer.py wraps it under
 # this module's name until the benchmark reads counters (ROADMAP item 4)
 from .checker import (Certificate, _certificate_at, certified_lower_bound, chi_norm_sq,
-                      chi_radius_sq, count_N, refine, validate_domain)
+                      chi_radius_sq, count_N, known_vector_in_ball, refine, validate_domain)
 from .cyclotomic import CycloElement, CyclotomicContext
 from .intervals import IntervalValue
 from .lattice import build_lattice
@@ -239,12 +241,12 @@ def search(config: SearchConfig) -> Certificate:
     within the configured resources.
 
     The candidates of _twists are decided one at a time; the first with
-    count zero wins, so no twist past it is drawn. x = 0 is decided by a
-    closed form and builds no lattice unless it wins. A sampled twist loses
-    uncounted when its least reduced basis vector, or else its shortest
-    vector, lies in the chi ball. A winner's certificate is built by
-    _certificate_at. When the budget runs out, the candidates are drawn
-    again and each is counted exactly."""
+    count zero wins, so no twist past it is drawn. A candidate loses with no
+    lattice built when known_vector_in_ball names a vector in the chi ball,
+    and uncounted when its least reduced basis vector, or else its shortest
+    vector, lies there. A winner's certificate is built by _certificate_at.
+    When the budget runs out, the candidates are drawn again and each is
+    counted exactly."""
     config.validate()
     ctx = CyclotomicContext(config.m)
     r_sq = select_r(ctx, config.epsilon, default_r_grid(), config.precision)
@@ -254,15 +256,12 @@ def search(config: SearchConfig) -> Certificate:
         return chi_norm_sq(2 * g, nsq, bound, precision)
 
     for i, x in enumerate(_twists(config, ctx)):
-        # x = 0 splits as r D^-1 + (1/r) Z[zeta_m], and |b|^2 >= g for every
-        # nonzero ring integer b (AM-GM on Tr(b conj(b))), attained at b = 1:
-        # N(0) = 0 exactly when (0, 1), of squared norm g / r^2, lies outside
-        if i == 0 and inside(g / r_sq):
+        if known_vector_in_ball(ctx, r_sq, x, bound, precision):
             continue
         lat = build_lattice(ctx, r_sq, x)
         # select_r put every nonzero vector with b = 0 outside the ball, so a
         # nonzero vector inside it is counted by N(x); lambda1^2 <= min_diagonal
-        if i > 0 and (inside(lat.form.min_diagonal) or inside(shortest_norm_sq(lat.form))):
+        if inside(lat.form.min_diagonal) or inside(shortest_norm_sq(lat.form)):
             continue
         return _certificate_at(lat, config.epsilon, precision, config.seed, i)
     raise SearchBudgetExceeded(config.m, Counter(

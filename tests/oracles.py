@@ -22,7 +22,6 @@ import mpmath
 from cyclopack import cli, linalg
 from cyclopack.checker import chi_norm_sq, chi_radius_sq, refine
 from cyclopack.cyclotomic import cyclotomic_polynomial
-from cyclopack.geometry import norm_sq
 from cyclopack.intervals import IntervalValue
 from cyclopack.search import SearchConfig
 from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
@@ -577,10 +576,21 @@ def fraction_arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Frac
 # No command asks these. Each but the sieve wraps the library function that
 # answers it.
 
-def chi(p, epsilon, precision: int = 128) -> bool:
-    """Indicator of the ball v_2g |z|^2g <= m - epsilon at a rational point."""
-    ctx = p.ctx
-    return chi_norm_sq(2 * ctx.g, norm_sq(p), ctx.m - Fraction(epsilon), precision)
+def point_norm_sq(x, y) -> Fraction:
+    """|x + iy|^2 = Tr(x conj(x)) + Tr(y conj(y)) for rational points x, y of E."""
+    return x.ctx.pairing(x, x) + y.ctx.pairing(y, y)
+
+
+def unit_act(k: int, x, y):
+    """The unit zeta^k on the point x + iy: the pair (zeta^k x, zeta^-k y)."""
+    return x.ctx.mul_zeta(k, x), y.ctx.mul_zeta(-k, y)
+
+
+def chi(x, y, epsilon, precision: int = 128) -> bool:
+    """Indicator of the ball v_2g |z|^2g <= m - epsilon at the rational
+    point z = x + iy."""
+    ctx = x.ctx
+    return chi_norm_sq(2 * ctx.g, point_norm_sq(x, y), ctx.m - Fraction(epsilon), precision)
 
 
 def ball_with_norms(form, radius_sq):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclopack.checker import Certificate, CertificateFormatError, certificate_from_json_dict
+from cyclopack.cli import main
 from test_certs import STORED
+from test_search import REFERENCE
 
 DOCS = [json.loads(p.read_text()) for p in STORED]
 RATIONALS = ("epsilon", "r_sq", "lambda1_sq", "bound_lo")
@@ -85,3 +87,18 @@ def test_zero_denominator_names_the_field():
     with pytest.raises(CertificateFormatError,
                        match="^malformed certificate: r_sq has a zero denominator, got '1/0'$"):
         certificate_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [("seed", -5), ("sample_index", -1)])
+def test_negative_seed_or_sample_index_names_the_field(field, value, tmp_path, capsys):
+    # a search refuses seed < 0 and numbers its candidates from 0, so such a
+    # file is malformed, not a certificate that verifies
+    doc = dict(json.loads((REFERENCE / "m3.json").read_text()), **{field: value})
+    with pytest.raises(CertificateFormatError,
+                       match=f"^malformed certificate: {field} must be >= 0, got {value}$"):
+        certificate_from_json_dict(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and f"{field} must be >= 0" in err

@@ -7,7 +7,6 @@ import pytest
 
 from cyclopack import cyclotomic, linalg
 from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial, phi, prime_factors
-from cyclopack.geometry import pairing
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from oracles import (codiff_coords, codiff_gram, fraction_determinant, identity, poly_conj,
@@ -102,7 +101,7 @@ def test_field_operations_match_polynomial_oracle(m):
         assert poly_mul_mod(codiff_coords(ctx, a), ctx.codiff_gen.coords, m) == list(a.coords)
         for b in elements:
             assert list((a * b).coords) == poly_mul_mod(a.coords, b.coords, m)
-            assert pairing(a, b) == poly_trace(poly_mul_mod(a.coords, poly_conj(b.coords, m), m), m)
+            assert ctx.pairing(a, b) == poly_trace(poly_mul_mod(a.coords, poly_conj(b.coords, m), m), m)
 
 
 def test_operations_reject_other_fields(ctx3, ctx4):

@@ -4,15 +4,19 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cyclopack import cyclotomic, geometry, linalg
-from cyclopack.geometry import ComplexPoint, g_act, norm_sq, pairing
+from cyclopack import cyclotomic, linalg
 from conftest import get_ctx
-from oracles import codiff_gram, embed, fraction_determinant, poly_mul_mod
+from oracles import (codiff_gram, embed, fraction_determinant, point_norm_sq, poly_mul_mod,
+                     unit_act)
 from test_cyclotomic import in_lowest_terms, random_element
 
 
 def random_point(ctx, rng):
-    return ComplexPoint(random_element(ctx, rng), random_element(ctx, rng))
+    return random_element(ctx, rng), random_element(ctx, rng)
+
+
+def pairing(a, b):
+    return a.ctx.pairing(a, b)
 
 
 def gram(basis):
@@ -88,24 +92,21 @@ def test_pairing_matches_trace_of_product():
 
 
 def test_norm_sq_values(ctx4, ctx3):
-    assert norm_sq(ComplexPoint(ctx4.one(), ctx4.zero())) == 2
-    assert norm_sq(ComplexPoint(ctx3.zeta(1), ctx3.zero())) == 2
+    assert point_norm_sq(ctx4.one(), ctx4.zero()) == 2
+    assert point_norm_sq(ctx3.zeta(1), ctx3.zero()) == 2
     rng = random.Random(4)
     for _ in range(10):
         b = random_element(ctx4, rng)
-        assert norm_sq(ComplexPoint(ctx4.zero(), b)) == pairing(b, b)
+        assert point_norm_sq(ctx4.zero(), b) == pairing(b, b)
 
 
 def test_g_act_identity_and_composition(ctx12):
     rng = random.Random(6)
     p = random_point(ctx12, rng)
-    q = g_act(0, p)
-    assert q.x == p.x and q.y == p.y
+    assert unit_act(0, *p) == p
     for _ in range(10):
         k1, k2 = rng.randrange(12), rng.randrange(12)
-        a = g_act(k2, g_act(k1, p))
-        b = g_act(k1 + k2, p)
-        assert a.x == b.x and a.y == b.y
+        assert unit_act(k2, *unit_act(k1, *p)) == unit_act(k1 + k2, *p)
 
 
 @pytest.mark.parametrize("m", range(3, 31))
@@ -116,13 +117,13 @@ def test_g_act_matches_polynomial_oracle(m):
     rng = random.Random(m)
     xs, ys = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ctx.g)]
               for _ in range(2))
-    p = ComplexPoint(ctx.element(xs), ctx.element(ys))
+    x, y = ctx.element(xs), ctx.element(ys)
     for k in range(-m, m + 1):
-        q = g_act(k, p)
-        assert list(q.x.coords) == poly_mul_mod([0] * (k % m) + [1], xs, m), k
-        assert list(q.y.coords) == poly_mul_mod([0] * (-k % m) + [1], ys, m), k
-        assert in_lowest_terms(q.x) and in_lowest_terms(q.y)
-        assert (q.x.den, q.y.den) == (p.x.den, p.y.den)
+        qx, qy = unit_act(k, x, y)
+        assert list(qx.coords) == poly_mul_mod([0] * (k % m) + [1], xs, m), k
+        assert list(qy.coords) == poly_mul_mod([0] * (-k % m) + [1], ys, m), k
+        assert in_lowest_terms(qx) and in_lowest_terms(qy)
+        assert (qx.den, qy.den) == (x.den, y.den)
 
 
 def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
@@ -131,7 +132,6 @@ def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
     # one Fraction each, for their result
     rng = random.Random(12)
     a, b = random_element(ctx12, rng), random_element(ctx12, rng)
-    p = ComplexPoint(a, b)
     made = []
 
     class Counted(Fraction):
@@ -142,14 +142,13 @@ def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
     def no_elimination(rows, n):
         raise AssertionError("gauss_jordan called on element operands")
 
-    for module in (cyclotomic, geometry):
-        monkeypatch.setattr(module, "Fraction", Counted)
+    monkeypatch.setattr(cyclotomic, "Fraction", Counted)
     monkeypatch.setattr(linalg, "gauss_jordan", no_elimination)
     for k in range(-12, 13):
         ctx12.mul(a, b), ctx12.mul(ctx12.zeta(k), b), ctx12.conj(a)
-        ctx12.mul_zeta(k, a), g_act(k, p)
+        ctx12.mul_zeta(k, a), unit_act(k, a, b)
     assert made == []
-    ctx12.trace(a), pairing(a, b)
+    ctx12.trace(a), ctx12.pairing(a, b)
     assert len(made) == 2
 
 
@@ -160,7 +159,7 @@ def test_g_act_preserves_norm_exactly():
         for _ in range(100):
             p = random_point(ctx, rng)
             k = rng.randrange(m)
-            assert norm_sq(g_act(k, p)) == norm_sq(p)
+            assert point_norm_sq(*unit_act(k, *p)) == point_norm_sq(*p)
 
 
 def test_g_act_free_orbits():
@@ -169,9 +168,9 @@ def test_g_act_free_orbits():
         ctx = get_ctx(m)
         for _ in range(10):
             p = random_point(ctx, rng)
-            if not p.x and not p.y:
+            if not any(p):
                 continue
-            orbit = {(g_act(k, p).x.coords, g_act(k, p).y.coords) for k in range(m)}
+            orbit = {unit_act(k, *p) for k in range(m)}
             assert len(orbit) == m
 
 

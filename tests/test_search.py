@@ -8,11 +8,11 @@ import mpmath
 import pytest
 
 from cyclopack import checker, search as search_module, svp
-from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
-                               chi_norm_sq, chi_radius_sq, count_N, recompute_certificate)
+from cyclopack.checker import (CertificateFormatError, certificate_from_json_dict,
+                               certificate_to_json_dict, chi_norm_sq, chi_radius_sq, count_N,
+                               recompute_certificate)
 from cyclopack.cli import dump_json
 from cyclopack.cyclotomic import phi
-from cyclopack.geometry import ComplexPoint
 from cyclopack.lattice import build_lattice
 from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchConfig,
                               default_r_grid, j_value, _randbelow, ring_norms, sample_x,
@@ -33,12 +33,12 @@ SMALL_FIELDS = [m for m in range(3, 31) if phi(m) <= 10]
 # -- chi -------------------------------------------------------------------------
 
 def test_chi_examples(ctx4):
-    assert chi(ComplexPoint(ctx4.zero(), ctx4.zero()), EPS)
+    assert chi(ctx4.zero(), ctx4.zero(), EPS)
     # norm_sq = 2: v4 * 4 > 3.5, outside
-    assert not chi(ComplexPoint(ctx4.one(), ctx4.zero()), EPS)
+    assert not chi(ctx4.one(), ctx4.zero(), EPS)
     # norm_sq = 1/2: v4 * 1/4 <= 3.5, inside
     half = Fraction(1, 2) * ctx4.one()
-    assert chi(ComplexPoint(half, ctx4.zero()), EPS)
+    assert chi(half, ctx4.zero(), EPS)
     assert chi_norm_sq(4, Fraction(1, 2), Fraction(7, 2))
     assert not chi_norm_sq(4, Fraction(2), Fraction(7, 2))
 
@@ -518,6 +518,22 @@ def test_certify_counts_a_losing_twist_exactly():
     assert fresh.n_value == brute_count_N(ctx, stored.r_sq, x) > 0
 
 
+
+def test_certify_refuses_a_known_vector_in_the_chi_ball():
+    # known_vector_in_ball names (0, d), d the denominator of x in the
+    # codifferent (1 at m = 3, where x = 0, and 8 at m = 8), and the
+    # shortest codifferent generator, before any lattice is built
+    refusals = [
+        (3, 1000, "r^2 = 1000 puts the lattice vector (0, 1) inside the chi ball, so N(x) >= 1"),
+        (8, 1000, "r^2 = 1000 puts the lattice vector (0, 8) inside the chi ball, so N(x) >= 1"),
+        (8, Fraction(1, 10 ** 6), "r^2 = 1/1000000 puts a codifferent generator inside the "
+                                   "chi ball, so lambda1 < R"),
+    ]
+    for m, r_sq, message in refusals:
+        with pytest.raises(CertificateFormatError) as exc:
+            recompute_certificate(reference_certificate(m)._replace(r_sq=Fraction(r_sq)))
+        assert str(exc.value) == message
+
 # -- sampling ----------------------------------------------------------------------
 
 def test_sample_x_denom_one_is_zero(ctx4):
@@ -592,6 +608,28 @@ def test_search_budget_exhaustion_reports_best():
     assert exc.value.best_n == 8
     assert str(exc.value).endswith("twists by N/m: 1: 2, 2: 1)")
 
+
+
+def test_zero_twists_build_no_losing_lattice(monkeypatch):
+    # denom = 1 draws only x = 0, which loses at m = 6 on the lattice vector
+    # (0, 1) alone: no candidate builds a lattice, and each of the five is
+    # built once when the budget runs out, to be counted for exit 3
+    events = []
+
+    def building(ctx, r_sq, x):
+        events.append("build")
+        return build_lattice(ctx, r_sq, x)
+
+    def recording(lattice, *args):
+        events.append("count")
+        return count_N(lattice, *args)
+
+    monkeypatch.setattr(search_module, "build_lattice", building)
+    monkeypatch.setattr(search_module, "count_N", recording)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        search(SearchConfig(m=6, denom=1, budget=5))
+    assert exc.value.histogram == {1: 5}
+    assert events == ["build", "count"] * 5
 
 def test_search_deterministic_bytes():
     a = dump_json(certificate_to_json_dict(search(SearchConfig(m=6, seed=5))))
