@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = bound_table([int(p) for p in args.g.split(",")])
+    rows = bound_table([_value("g", int, p) for p in args.g.split(",")])
     if args.format == "csv":
         _emit(bound_table_csv(rows), args.out)
     else:

@@ -76,7 +76,7 @@ def _element(ctx: "CyclotomicContext", num: tuple[int, ...], den: int) -> "Cyclo
     """The element num / den, for numerators and a denominator den > 0 that
     are already in lowest terms."""
     a = object.__new__(CycloElement)
-    a.ctx, a.num, a.den, a._coords = ctx, num, den, None
+    a.ctx, a.num, a.den, a._coords, a._rows = ctx, num, den, None, None
     return a
 
 
@@ -91,10 +91,13 @@ def _reduced(ctx: "CyclotomicContext", num, den: int) -> "CycloElement":
 class CycloElement:
     """An element of K: the integer numerators num of its power-basis
     coordinates over one denominator den > 0 with gcd(den, *num) = 1, so equal
-    elements have equal (num, den). coords, the coordinates as Fractions, is
-    built on first read."""
+    elements have equal (num, den). Two views are built on first use and kept,
+    which is safe because an element never changes: coords, the coordinates
+    as Fractions, on first read, and _rows, the rows of the integer matrix of
+    multiplication by num, the first time the element is the left operand of
+    a product (or is inverted, or gives its mul_matrix)."""
 
-    __slots__ = ("ctx", "num", "den", "_coords")
+    __slots__ = ("ctx", "num", "den", "_coords", "_rows")
 
     def __init__(self, ctx: "CyclotomicContext", coords) -> None:
         coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
@@ -106,7 +109,7 @@ class CycloElement:
         self.ctx = ctx
         self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
         self.den = den
-        self._coords = None
+        self._coords = self._rows = None
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -189,10 +192,12 @@ class CyclotomicContext:
     The data rest on two primitives: the integral trace form ok_gram = T,
     Toeplitz in the Ramanujan sums Tr(zeta^j), which gives every pairing
     Tr(a conj(b)) = a^T T b, Gram matrix and trace (its determinant, the
-    discriminant, is taken from the closed form), and the zeta-shift (multiply by zeta), which gives
-    the matrix of every multiplication: products, the codifferent basis,
-    coordinates in it (multiplication by Phi_m'(zeta)), and the system that
-    inverse() solves.
+    discriminant, is taken from the closed form), and the zeta-shift (multiply
+    by zeta), which gives the matrix of every multiplication: products, the
+    codifferent basis, coordinates in it (multiplication by Phi_m'(zeta)), and
+    the system that inverse() solves. The powers of zeta are one table of
+    zeta-shifts of 1, which zeta, conj_matrix and the unit action mul_zeta
+    read.
 
     Immutable after construction; every operation is pure.
     """
@@ -205,14 +210,13 @@ class CyclotomicContext:
         self.g = len(self.phi_coeffs) - 1
         g = self.g
 
-        # coordinates of zeta^e for 0 <= e < m (integer vectors)
-        zp = [[0] * g for _ in range(m)]
-        zp[0][0] = 1
-        cur = zp[0]
-        for e in range(1, m):
-            cur = self._shift(cur)
-            zp[e] = cur
-        self._zeta_coords: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in zp)
+        # the zeta-power table: row i holds coordinate i of zeta^e for
+        # 0 <= e <= m + g - 2, so the matrix of zeta^e, whose columns are
+        # zeta^(e+j) for j < g, has the rows row[e % m : e % m + g]
+        cols = [[1] + [0] * (g - 1)]
+        for _ in range(1, m):
+            cols.append(self._shift(cols[-1]))
+        self._zeta_table: tuple[tuple[int, ...], ...] = tuple(zip(*cols, *cols[:g - 1]))
 
         # Tr(zeta^j) for 0 <= j <= 2g-2 is the Ramanujan sum c_m(j): the sum
         # of mu(m/d) d over the divisors d of gcd(j, m)
@@ -221,9 +225,8 @@ class CyclotomicContext:
             sum(mu * d for d, mu in pairs if j % d == 0) for j in range(2 * g - 1))
 
         # complex conjugation zeta -> zeta^(m-1): column j is zeta^(-j)
-        cols = [self._zeta_coords[-j % m] for j in range(g)]
         self.conj_matrix: tuple[tuple[int, ...], ...] = tuple(
-            tuple(cols[j][i] for j in range(g)) for i in range(g))
+            tuple(row[-j % m] for j in range(g)) for row in self._zeta_table)
 
         self.ok_basis: tuple[CycloElement, ...] = tuple(self.zeta(j) for j in range(g))
 
@@ -286,22 +289,32 @@ class CyclotomicContext:
         return _element(self, (1,) + (0,) * (self.g - 1), 1)
 
     def zeta(self, e: int = 1) -> CycloElement:
-        return _element(self, self._zeta_coords[e % self.m], 1)
+        e %= self.m
+        return _element(self, tuple(row[e] for row in self._zeta_table), 1)
 
     # -- field operations -----------------------------------------------------
 
+    def _mul_rows(self, a: CycloElement) -> tuple[tuple[int, ...], ...]:
+        """The rows of the integer matrix of multiplication by a's numerators
+        (column j: their zeta-shift by j), built once and kept on a."""
+        if a._rows is None:
+            a._rows = tuple(zip(*self._shifts(a.num)))
+        return a._rows
+
     def mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        """a * b: the zeta-shift matrix of a's numerators applied to b's, over
-        the product of the denominators."""
-        return _reduced(self, linalg.mat_vec(zip(*self._shifts(a.num)), b.num), a.den * b.den)
+        """a * b: the multiplication rows of a's numerators applied to b's,
+        over the product of the denominators."""
+        return _reduced(self, linalg.mat_vec(self._mul_rows(a), b.num), a.den * b.den)
 
     def mul_zeta(self, e: int, a: CycloElement) -> CycloElement:
-        """zeta^e * a, the action of the unit zeta^e. Its matrix has the
-        columns zeta^(e+j), and it maps Z^g onto itself, so a's denominator
-        stays and the numerators need no reduction."""
-        z, m = self._zeta_coords, self.m
-        cols = [z[(e + j) % m] for j in range(self.g)]
-        return _element(self, tuple(linalg.mat_vec(zip(*cols), a.num)), a.den)
+        """zeta^e * a, the action of the unit zeta^e: g dot products of a's
+        numerators with slices of the zeta-power table. The matrix maps Z^g
+        onto itself, so a's denominator stays and the numerators need no
+        reduction."""
+        e %= self.m
+        end, num = e + self.g, a.num
+        return _element(self, tuple(sum(map(operator.mul, row[e:end], num))
+                                    for row in self._zeta_table), a.den)
 
     def conj(self, a: CycloElement) -> CycloElement:
         """Complex conjugation zeta -> zeta^(m-1), an integer involution of
@@ -323,17 +336,17 @@ class CyclotomicContext:
         if not a:
             raise ZeroDivisionError("zero has no inverse in K")
         # a = A / d for the shift matrix A of a's numerators: solve A x = d * 1
-        sol = linalg.solve(linalg.transpose(self._shifts(a.num)), [a.den] + [0] * (self.g - 1))
+        sol = linalg.solve(self._mul_rows(a), [a.den] + [0] * (self.g - 1))
         assert sol is not None  # multiplication by a nonzero field element is invertible
         return _reduced(self, *sol)
 
-    def mul_matrix(self, a: CycloElement) -> list[list[int]]:
+    def mul_matrix(self, a: CycloElement) -> tuple[tuple[int, ...], ...]:
         """Integer matrix of multiplication by the ring integer a on
         power-basis coordinates: column j holds a * zeta^j, so it maps integer
         coordinate rows to integer rows."""
         if a.den != 1:
             raise ValueError("mul_matrix takes a ring integer")
-        return linalg.transpose(self._shifts(a.num))
+        return self._mul_rows(a)
 
     def different_generator(self) -> CycloElement:
         """Phi_m'(zeta); its inverse generates the codifferent over Z[zeta]."""

@@ -17,11 +17,13 @@ pairings of these bases over multiples of D^2, so the checks, the LLL and the
 LDL factors run on integers, and no form is ever held as a Fraction matrix:
 det_real_gram builds one Fraction, for its result. N is lower triangular
 with a nonzero diagonal, as build_lattice's rows are by construction, and
-the constructor refuses generators whose rows are not. Membership, and with
-it the unit action and real multiplication checks, is then a
-back-substitution of integer rows against N itself, with a ring integer
-acting through the same integral multiplication matrix in both bases: no
-field multiplication and no elimination.
+the constructor refuses generators whose rows are not. So the v part of the
+first g rows is zero: the forms multiply only the blocks that rows with a
+nonzero v part reach, and the unit action leaves that part of those rows at
+zero. Membership, and with it the unit action and real multiplication
+checks, is then a back-substitution of integer rows against N itself, with
+a ring integer acting through the same integral multiplication matrix in
+both bases: no field multiplication and no elimination.
 """
 from __future__ import annotations
 
@@ -68,20 +70,31 @@ class PolarizedLattice:
     # Tr(u conj(u')) = a G a'^T with G = codiff_gram_num / e, and
     # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
     # the Gram matrix is (p^2 A + q^2 e B) / (p q e D^2) and the symplectic
-    # form is (C - C^T) / D^2, entry by entry, for integer matrices A, B, C.
+    # form is (C - C^T) / D^2, entry by entry, for the integer matrices
+    # A = U G U^T, B = V T V^T and C = V P U^T of the u parts U and v parts V
+    # of the rows. N is lower triangular, so the first g rows of V are zero:
+    # B is zero outside its bottom-right g x g block and C outside its bottom
+    # g rows, and neither is multiplied there. G and T are symmetric, so a
+    # row of U G is G applied to a row of U, and A and B are filled on and
+    # below the diagonal and mirrored.
 
     @cached_property
     def gram(self) -> tuple[list[list[int]], int]:
         ctx, g = self.ctx, self.ctx.g
         us = [r[:g] for r in self._rows]
-        vs = [r[g:] for r in self._rows]
+        vs = [r[g:] for r in self._rows[g:]]
         e = ctx.codiff_gram_den
-        ug, vt = linalg.mat_mul(us, ctx.codiff_gram_num), linalg.mat_mul(vs, ctx.ok_gram)
         p, q = self.r_sq.numerator, self.r_sq.denominator
         pp, qq = p * p, q * q * e
+        low = [[pp * a for a in linalg.mat_vec(us[:i + 1], linalg.mat_vec(ctx.codiff_gram_num, u))]
+               for i, u in enumerate(us)]
+        for k, v in enumerate(vs):
+            row = low[g + k]
+            row[g:] = [a + qq * b for a, b in
+                       zip(row[g:], linalg.mat_vec(vs[:k + 1], linalg.mat_vec(ctx.ok_gram, v)))]
         return linalg.lowest_terms(
-            [[pp * a + qq * b for a, b in zip(linalg.mat_vec(us, uj), linalg.mat_vec(vs, vj))]
-             for uj, vj in zip(ug, vt)], p * q * e * self._den ** 2)
+            [row + [low[j][i] for j in range(i + 1, 2 * g)] for i, row in enumerate(low)],
+            p * q * e * self._den ** 2)
 
     @cached_property
     def form(self) -> PreparedForm:
@@ -92,12 +105,16 @@ class PolarizedLattice:
 
     @cached_property
     def skew(self) -> tuple[list[list[int]], int]:
-        """(rows, den) of the symplectic form: C - C^T over D^2."""
+        """(rows, den) of the symplectic form: C - C^T over D^2, with C the
+        bottom g rows c of V P U^T, as the rows above them are zero."""
         g, pairing = self.ctx.g, self.ctx.codiff_pairing
         us = [r[:g] for r in self._rows]
-        vu = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows]
-        return linalg.lowest_terms([[a - b for a, b in zip(row, col)]
-                                    for row, col in zip(vu, zip(*vu))], self._den ** 2)
+        c = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows[g:]]
+        ct = list(zip(*c))
+        return linalg.lowest_terms(
+            [[0] * g + [-a for a in col] for col in ct[:g]]
+            + [row[:g] + [a - b for a, b in zip(row[g:], col)] for row, col in zip(c, ct[g:])],
+            self._den ** 2)
 
     # -- checks ----------------------------------------------------------------
 
@@ -113,10 +130,12 @@ class PolarizedLattice:
 
     def is_unimodular(self) -> bool:
         """True iff the symplectic form has |det| 1, i.e. the polarization is
-        principal: |det(rows)| = den^(2g) for its (rows, den), which needs no
-        integrality."""
+        principal, which needs no integrality. Its top-left g x g block is
+        zero, so for its (rows, den) the determinant is det(B)^2 with B the
+        top-right block, and |det| = 1 iff |det B| = den^g."""
         rows, den = self.skew
-        return abs(linalg.determinant(rows)) == den ** len(rows)
+        g = self.ctx.g
+        return abs(linalg.determinant([r[g:] for r in rows[:g]])) == den ** g
 
     def det_real_gram(self) -> Fraction:
         rows, den = self.gram
@@ -138,10 +157,12 @@ class PolarizedLattice:
 
     def _maps_into_itself(self, mu, mv) -> bool:
         """True iff (u, v) -> (a u, b v) maps the lattice into itself, for
-        the integral multiplication matrices mu of a and mv of b."""
-        g = self.ctx.g
-        return self._spans([linalg.mat_vec(mu, r[:g]) + linalg.mat_vec(mv, r[g:])
-                            for r in self._rows])
+        the integral multiplication matrices mu of a and mv of b; the first g
+        rows have v = 0, which mv maps to 0."""
+        g, rows = self.ctx.g, self._rows
+        return self._spans([linalg.mat_vec(mu, r[:g]) + [0] * g for r in rows[:g]]
+                           + [linalg.mat_vec(mu, r[:g]) + linalg.mat_vec(mv, r[g:])
+                              for r in rows[g:]])
 
     def is_g_stable(self) -> bool:
         """Stability under the order-m unit group: it is enough to check the

@@ -479,6 +479,12 @@ def poly_trace(a, m: int) -> Fraction:
     return sum((c * t for c, t in zip(a, power_traces(m))), Fraction(0))
 
 
+def mat_mul(a, b) -> list[list]:
+    """The matrix product a b, row by row."""
+    bt = linalg.transpose(b)
+    return [linalg.mat_vec(bt, row) for row in a]
+
+
 def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 

@@ -89,9 +89,13 @@ def test_unwritable_out_names_the_given_path(tmp_path, capsys, target):
 
 @pytest.mark.parametrize("argv, name", [
     (["--m", "5", "--r2", "7/2", "--x", "1/3,-2/7,0,5/11"], "construct_m5.json"),
-    (["--m", "12", "--r2", "3", "--x", "0"], "construct_m12.json")])
+    (["--m", "12", "--r2", "3", "--x", "0"], "construct_m12.json"),
+    (["--m", "22", "--r2", "21/2", "--x", "1/3,-2/7,0,5/11,1/2,-3/4,2/9,0,7/13,-1/5"],
+     "construct_m22.json")])
 def test_construct_output_is_pinned_byte_for_byte(capsys, argv, name):
-    # tests/data holds these commands' stdout as the Fraction Gram view wrote it
+    # tests/data holds these commands' stdout: m = 5 and 12 as the Fraction
+    # Gram view wrote it, m = 22 (g = 10) as the integer forms wrote it before
+    # they skipped the zero blocks
     code, out, _ = run(capsys, "construct", *argv)
     assert code == 0
     assert out == (ROOT / "tests" / "data" / name).read_text()
@@ -415,6 +419,12 @@ def test_table_no_witness_row(capsys):
 
 def test_table_bad_flag(capsys):
     assert run(capsys, "table", "--g", "2,x")[0] == 2
+
+
+@pytest.mark.parametrize("entry", ["abc", "", "2.5"])
+def test_table_names_the_flag_of_a_dimension_that_is_not_an_int(capsys, entry):
+    assert run(capsys, "table", "--g", f"4,{entry}") == (
+        2, "", f"error: argument --g: {entry!r} is not an int\n")
 
 
 def test_primorial(capsys):

@@ -10,7 +10,7 @@ from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial, phi, 
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from oracles import (codiff_coords, codiff_gram, fraction_determinant, identity, poly_conj,
-                     poly_mul, poly_mul_mod, poly_trace, power_traces, prepared_form,
+                     mat_mul, poly_mul, poly_mul_mod, poly_trace, power_traces, prepared_form,
                      trace_by_embeddings)
 
 
@@ -102,6 +102,39 @@ def test_field_operations_match_polynomial_oracle(m):
         for b in elements:
             assert list((a * b).coords) == poly_mul_mod(a.coords, b.coords, m)
             assert ctx.pairing(a, b) == poly_trace(poly_mul_mod(a.coords, poly_conj(b.coords, m), m), m)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 9, 12, 15, 16, 20, 30, 11, 22])
+def test_unit_action_matches_products_for_every_power(m):
+    # mul_zeta reads slices of the zeta-power table; zeta^e * a is checked
+    # against the product with zeta(e) and against the schoolbook product by
+    # x^(e mod m) reduced by Phi_m, which reads no table
+    ctx = get_ctx(m)
+    rng = random.Random(m + 7)
+    for a in (random_element(ctx, rng) for _ in range(3)):
+        for e in range(-2 * m, 2 * m + 1):
+            act = ctx.mul_zeta(e, a)
+            assert act == a * ctx.zeta(e)
+            assert list(act.coords) == poly_mul_mod([0] * (e % m) + [1], a.coords, m)
+
+
+def test_kept_multiplication_rows_give_the_products_of_a_fresh_element():
+    # an element keeps its multiplication rows after its first product as a
+    # left operand; every later product, its square included, equals the
+    # product of a fresh element with the same coordinates
+    rng = random.Random(33)
+    for m in (3, 5, 12, 11, 22):
+        ctx = get_ctx(m)
+        a = random_element(ctx, rng)
+        for _ in range(6):
+            b = random_element(ctx, rng)
+            assert a * b == ctx.element(a.coords) * b
+            assert list((a * b).coords) == poly_mul_mod(a.coords, b.coords, m)
+        assert a * a == ctx.element(a.coords) * ctx.element(a.coords)
+        assert a * a.inverse() == ctx.one() and a / a == ctx.one()
+        n = ctx.element([rng.randint(-5, 5) for _ in range(ctx.g)])
+        assert n * a == ctx.element(n.coords) * a
+        assert ctx.mul_matrix(n) == ctx.mul_matrix(ctx.element(n.coords))
 
 
 def test_operations_reject_other_fields(ctx3, ctx4):
@@ -230,7 +263,7 @@ def test_conjugation_matrix_is_involution():
     for m in (3, 4, 5, 8, 12, 15):
         ctx = get_ctx(m)
         p = ctx.conj_matrix
-        assert linalg.mat_mul([list(r) for r in p], [list(r) for r in p]) == identity(ctx.g)
+        assert mat_mul([list(r) for r in p], [list(r) for r in p]) == identity(ctx.g)
 
 
 def test_trace(ctx3):

@@ -50,9 +50,9 @@ def _perturbed_pairs(ctx):
 
 def test_gram_formulas_match_oracle():
     rng = random.Random(51)
-    for m in (3, 5, 8, 12, 30):
+    for m in (3, 5, 8, 12, 30, 11, 22):
         ctx = get_ctx(m)
-        for _ in range(5):
+        for _ in range(5 if ctx.g < 10 else 2):
             r_sq = Fraction(rng.randint(4, 32), 8)
             x = random_element(ctx, rng)
             lat = build_lattice(ctx, r_sq, x)
@@ -78,6 +78,49 @@ def test_gram_formulas_match_oracle():
         re, im = gram_oracle(ctx, Fraction(3, 2), ctx.zero(), pairs)
         assert real_gram(lat) == re
         assert symplectic(lat) == im
+    # the forms skip the blocks that lower-triangular generators leave zero;
+    # other triangular generators, an index-2 sublattice (one row doubled in
+    # each half) and the unconjugated twist x * b, must agree there too
+    for m in (3, 12, 11, 22):
+        ctx = get_ctx(m)
+        for pairs, r_sq, x in _triangular_variants(ctx, rng):
+            lat = PolarizedLattice(ctx, r_sq, x, pairs)
+            re, im = gram_oracle(ctx, r_sq, x, pairs)
+            assert real_gram(lat) == re
+            assert symplectic(lat) == im
+
+
+def _triangular_variants(ctx, rng):
+    """(pairs, r_sq, x) of two lower-triangular generator sets outside
+    build_lattice's family: its rows with one u row and one (u, v) row
+    doubled, and the twist map b -> (x * b, b) without the conjugate."""
+    r_sq, x = Fraction(rng.randint(4, 32), 8), random_element(ctx, rng)
+    doubled = list(build_lattice(ctx, r_sq, x).generators)
+    for k in (rng.randrange(ctx.g), ctx.g + rng.randrange(ctx.g)):
+        doubled[k] = (2 * doubled[k][0], 2 * doubled[k][1])
+    unconjugated = ([(a, ctx.zero()) for a in ctx.codiff_basis]
+                    + [(x * b, b) for b in ctx.ok_basis])
+    return [(doubled, r_sq, x), (unconjugated, r_sq, x)]
+
+
+def test_structural_checks_match_elimination_on_triangular_generators():
+    # the unit action and real multiplication skip the v part of the first g
+    # rows, and unimodularity takes the determinant of one g x g block; on
+    # generators outside the family they must still agree with an
+    # elimination of the acted generators against the generators and with
+    # the determinant of the whole form
+    rng = random.Random(52)
+    for m in (4, 12, 11):
+        ctx = get_ctx(m)
+        z, zi = ctx.zeta(1), ctx.zeta(-1)
+        b = z + zi
+        for pairs, r_sq, x in _triangular_variants(ctx, rng):
+            lat = PolarizedLattice(ctx, r_sq, x, pairs)
+            assert lat.is_g_stable() == elimination_spans(
+                ctx, pairs, [(z * u, zi * v) for u, v in pairs])
+            assert lat.has_real_multiplication() == elimination_spans(
+                ctx, pairs, [(b * u, b * v) for u, v in pairs])
+            assert lat.is_unimodular() == (abs(fraction_determinant(symplectic(lat))) == 1)
 
 
 def test_symplectic_block_structure_at_zero_twist():
@@ -123,8 +166,9 @@ def test_integrality_breaks_under_half_codifferent_perturbation(ctx3):
 
 
 def test_unimodularity_agrees_with_the_fraction_determinant(ctx4, ctx3):
-    # is_unimodular compares |det(C - C^T)| with D^(4g) on integers, with no
-    # integrality check first; the determinant of the Fraction form agrees
+    # is_unimodular compares |det B| for the top-right block B of C - C^T
+    # with D^(2g) on integers, with no integrality check first; the
+    # determinant of the whole Fraction form agrees
     # on the index-2 sublattice, on non-integral forms of determinant 1 and
     # not 1, and on the perturbed generators of another family
     lat = build_lattice(ctx4, 2, ctx4.zero())
@@ -334,7 +378,7 @@ def test_checks_need_no_field_multiplication(monkeypatch):
 
     def no_elimination(*args):
         raise AssertionError("elimination in a structural check")
-    monkeypatch.setattr(linalg, "gauss_jordan", no_elimination)
+    monkeypatch.setattr(linalg, "eliminate", no_elimination)
     assert lat.is_g_stable() and lat.has_real_multiplication()
     assert contains(lat, *lat.generators[3])
     assert not contains(lat, Fraction(1, 2) * lat.generators[3][0], lat.generators[3][1])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclopack import linalg
-from oracles import fraction_determinant, fraction_solve, fractions, integer_matrix
+from oracles import fraction_determinant, fraction_solve, fractions, integer_matrix, mat_mul
 from test_svp import twisted_lattices
 
 
@@ -97,7 +97,7 @@ def check_end_state(ai, b):
     assert d in (det, -det)
     assert [r[:n] for r in rows] == [[d * (i == j) for j in range(n)] for i in range(n)]
     x = [[Fraction(c, d) for c in r[n:]] for r in rows]
-    assert linalg.mat_mul(ai, x) == b
+    assert mat_mul(ai, x) == b
 
 
 def test_gauss_jordan_end_state():
@@ -106,6 +106,18 @@ def test_gauss_jordan_end_state():
         a, _ = random_system(rng)
         b = [[rng.randint(-5, 5) for _ in range(3)] for _ in a]
         check_end_state(integer_matrix(a)[0], b)
+
+
+def test_determinant_runs_the_elimination_alone(monkeypatch):
+    # only solve back-substitutes; a determinant stops after the elimination
+    def no_back_substitution(rows, n):
+        raise AssertionError("back-substitution in a determinant")
+    monkeypatch.setattr(linalg, "gauss_jordan", no_back_substitution)
+    rng = random.Random(64)
+    for _ in range(50):
+        a, _ = random_system(rng)
+        ai = integer_matrix(a)[0]
+        assert linalg.determinant(ai) == fraction_determinant(ai)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), True])
