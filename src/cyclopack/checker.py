@@ -12,10 +12,12 @@ too: lambda1 first, then the exact count_N on the same form, the lattice
 checks and the certified lower bound.
 
 The bound is not inferred from the counting argument: lambda1 is
-enumerated exactly and v_2g * lambda1^2g is bounded below by interval
-arithmetic. Every comparison is exact: chi refines an interval enclosure of
-the ball's squared radius R^2 until the rational in question leaves it
-(refine). Refinement is deterministic, so a certificate reproduces
+enumerated exactly and v_2g * lambda1^2g is bounded below by the lower end
+of a certified enclosure of v_2g. Every comparison is exact: chi compares
+the rational in question with an enclosure of the ball's squared radius R^2
+and refines it while the rational lies inside (refine); every enclosure's
+ends are integer floors and ceilings on a dyadic grid (cyclopack.intervals).
+Refinement is deterministic, so a certificate reproduces
 bit-for-bit from (m, epsilon, r^2, x, precision). The module imports no
 part of the search and no random numbers; its import closure is the field,
 lattice, interval, enumeration and linear-algebra modules, and it owns the
@@ -29,7 +31,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from .cyclotomic import CyclotomicContext, phi
-from .intervals import IntervalValue, pi_interval
+from .intervals import IntervalValue, int_nth_root, outward, pi_interval
 from .lattice import PolarizedLattice, build_lattice
 from .svp import ball_volume, enumerate_in_ball_with_norms, shortest_norm_sq
 
@@ -91,20 +93,30 @@ def refine(enclose, decided, precision: int):
 @lru_cache(maxsize=None)
 def _radius_sq(g: int, bound: Fraction, precision: int) -> IntervalValue:
     """Enclosure of R^2 = (bound / v_2g)^(1/g) = (bound g!)^(1/g) / pi, since
-    v_2g = pi^g / g!; every chi-ball question reads it. Nothing small is
-    divided by, so every precision encloses it, even where the enclosure of
-    v_2g reaches 0."""
-    root = IntervalValue.point(bound * factorial(g)).nth_root(g, precision)
-    return (root / pi_interval(precision)).outward(precision)
+    v_2g = pi^g / g!; every chi-ball question reads it. The g-th root of
+    bound g! lies between r and r' + 1 over 2^p, for r and r' the integer
+    roots of the floor and the ceiling of bound g! 2^(g p), and each end of
+    the quotient by pi is one rational. Nothing small is divided by, so
+    every precision encloses it, even where the enclosure of v_2g reaches
+    0."""
+    f, d = bound.numerator * factorial(g) << g * precision, bound.denominator
+    root_lo = int_nth_root(f // d, g)
+    root_hi = int_nth_root(-(-f // d), g) + 1
+    pi = pi_interval(precision)
+    return outward(root_lo * pi.hi.denominator, pi.hi.numerator << precision,
+                   root_hi * pi.lo.denominator, pi.lo.numerator << precision, precision)
 
 
 def chi_norm_sq(two_g: int, nsq: Fraction, bound: Fraction, precision: int = 128) -> bool:
     """chi on a point of known squared norm: true iff nsq <= R^2, i.e.
-    v_2g * nsq^g <= bound. The R^2 enclosure is refined until nsq leaves it;
-    a tie at the precision cap counts as inside, which can only inflate the
-    obstruction count, never weaken a certificate."""
-    r = refine(lambda p: _radius_sq(two_g // 2, bound, p),
-               lambda r: nsq not in r, precision)
+    v_2g * nsq^g <= bound. nsq is compared with the R^2 enclosure at the
+    starting precision, and only if it lies inside is the enclosure refined
+    until nsq leaves it; a tie at the precision cap counts as inside, which
+    can only inflate the obstruction count, never weaken a certificate."""
+    g = two_g // 2
+    r = _radius_sq(g, bound, precision)
+    if r.lo <= nsq <= r.hi:
+        r = refine(lambda p: _radius_sq(g, bound, p), lambda r: nsq not in r, precision)
     return nsq <= r.hi
 
 
@@ -140,11 +152,11 @@ def count_N(lattice: PolarizedLattice, epsilon, precision: int = 128) -> int:
 
 def certified_lower_bound(two_g: int, lambda1_sq: Fraction, target: Fraction,
                           precision: int) -> Fraction:
-    """Rational lower bound of v_2g * lambda1^2g, refined until it exceeds
-    target or the precision cap is reached."""
+    """Rational lower bound of v_2g * lambda1^2g: the lower end of v_2g
+    times lambda1^2g, refined until it exceeds target or the precision cap
+    is reached."""
     q_pow = Fraction(lambda1_sq) ** (two_g // 2)
-    return refine(lambda p: ball_volume(two_g, p) * q_pow,
-                  lambda v: v.lo > target, precision).lo
+    return refine(lambda p: ball_volume(two_g, p).lo * q_pow, lambda lo: lo > target, precision)
 
 
 def run_checks(lat) -> dict[str, bool]:

@@ -76,7 +76,7 @@ def _element(ctx: "CyclotomicContext", num: tuple[int, ...], den: int) -> "Cyclo
     """The element num / den, for numerators and a denominator den > 0 that
     are already in lowest terms."""
     a = object.__new__(CycloElement)
-    a.ctx, a.num, a.den, a._coords, a._rows = ctx, num, den, None, None
+    a.ctx, a.num, a.den, a._coords, a._rows, a._codiff = ctx, num, den, None, None, None
     return a
 
 
@@ -91,13 +91,15 @@ def _reduced(ctx: "CyclotomicContext", num, den: int) -> "CycloElement":
 class CycloElement:
     """An element of K: the integer numerators num of its power-basis
     coordinates over one denominator den > 0 with gcd(den, *num) = 1, so equal
-    elements have equal (num, den). Two views are built on first use and kept,
-    which is safe because an element never changes: coords, the coordinates
-    as Fractions, on first read, and _rows, the rows of the integer matrix of
-    multiplication by num, the first time the element is the left operand of
-    a product (or is inverted, or gives its mul_matrix)."""
+    elements have equal (num, den). Three views are built on first use and
+    kept, which is safe because an element never changes: coords, the
+    coordinates as Fractions, on first read; _rows, the rows of the integer
+    matrix of multiplication by num, the first time the element is the left
+    operand of a product (or is inverted, or gives its mul_matrix); and
+    _codiff, its coordinates in the codifferent basis, on the first
+    coords_in_codiff."""
 
-    __slots__ = ("ctx", "num", "den", "_coords", "_rows")
+    __slots__ = ("ctx", "num", "den", "_coords", "_rows", "_codiff")
 
     def __init__(self, ctx: "CyclotomicContext", coords) -> None:
         coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
@@ -109,7 +111,7 @@ class CycloElement:
         self.ctx = ctx
         self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
         self.den = den
-        self._coords = self._rows = None
+        self._coords = self._rows = self._codiff = None
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -355,8 +357,12 @@ class CyclotomicContext:
 
     # -- lattice coordinates --------------------------------------------------
 
-    def coords_in_codiff(self, a: CycloElement) -> tuple[list[int], int]:
+    def coords_in_codiff(self, a: CycloElement) -> tuple[tuple[int, ...], int]:
         """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
         which are the power-basis coordinates of a * Phi_m'(zeta): integer
-        numerators over a's denominator, not necessarily in lowest terms."""
-        return linalg.mat_vec(self._diff_matrix, a.num), a.den
+        numerators over a's denominator, not necessarily in lowest terms.
+        Computed once and kept on a, so the shared codiff_basis elements of
+        every lattice of a field are converted once."""
+        if a._codiff is None:
+            a._codiff = (tuple(linalg.mat_vec(self._diff_matrix, a.num)), a.den)
+        return a._codiff

@@ -1,16 +1,23 @@
-"""Certified enclosures of nonnegative real constants with exact rational
-endpoints.
+"""Certified enclosures of nonnegative real constants, computed on integers.
 
 Every real the pipeline encloses is nonnegative: pi, the ball volumes, the
 chi radius R^2, the mean count J(r) and the bound v_2g lambda1^2g. An
 IntervalValue is a pair of Fractions 0 <= lo <= hi known to contain such a
-real. Sums, products, quotients and powers are monotone on [0, inf), so each
-is one formula on the endpoints and containment-preserving (outward): a
-strict comparison of an endpoint against a rational is a proof. Pi is
-enclosed by bracketing partial sums of the Machin arctangent series; the
-brackets tighten monotonically as the precision parameter grows, and outward
-dyadic rounding pads each endpoint by one ulp (lo no lower than 0) so
-enclosures at higher precision are nested inside coarser ones.
+real, so a strict comparison of an endpoint against a rational is a proof.
+
+An enclosure at precision p is built on integers: each endpoint is one exact
+rational, written as an integer over an integer, and outward floors lo and
+ceils hi once onto the grid 2^-p and pads each by one grid step (lo no lower
+than 0), so an enclosure at a higher precision nests inside a coarser one.
+Sums, products, quotients and powers are monotone on [0, inf), so the lower
+end of a formula in enclosures is the formula in their lower ends (upper
+ends in a divisor), and that rational is exact; the only other rounding is
+the integer floor of a root (int_nth_root) of a scaled radicand. Pi is
+enclosed by bracketing partial sums of the Machin arctangent series, which
+tighten monotonically as the precision grows. The Fraction interval
+arithmetic these endpoints fold together, one rounded operation at a time,
+is kept in tests/oracles.py as the reference they are tested against bit for
+bit.
 """
 from __future__ import annotations
 
@@ -20,14 +27,21 @@ from math import isqrt, lcm
 
 
 def int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for integers n >= 0, k >= 1."""
+    """floor(n ** (1/k)) for integers n >= 0, k >= 1.
+
+    Newton's step from any x >= floor(n^(1/k)) stays at or above it and
+    falls while x is above, so the first step that does not fall stops at
+    the floor. The seed is one more than the root of n's top bits, shifted
+    back: if (r + 1)^k > n >> ks, then ((r + 1) 2^s)^k > n. It is right to
+    about half the root's bits, so two or three steps finish."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if k == 1 or n < 2:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # upper seed, then Newton downwards
+    s = n.bit_length() // k // 2
+    x = (int_nth_root(n >> k * s, k) + 1) << s if s else 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -36,8 +50,8 @@ def int_nth_root(n: int, k: int) -> int:
 
 
 class IntervalValue:
-    """Enclosure [lo, hi] of a nonnegative real. A rational operand is taken
-    as its point enclosure; a quotient's divisor must have lo > 0."""
+    """Enclosure [lo, hi] of a nonnegative real, a rational taken as its
+    point enclosure."""
 
     __slots__ = ("lo", "hi")
 
@@ -59,81 +73,57 @@ class IntervalValue:
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
-        o = _enclosure(other)
-        return IntervalValue(self.lo + o.lo, self.hi + o.hi)
-
-    def __mul__(self, other):
-        o = _enclosure(other)
-        return IntervalValue(self.lo * o.lo, self.hi * o.hi)
-
-    def __truediv__(self, other):
-        o = _enclosure(other)
-        if o.lo == 0:
-            raise ZeroDivisionError("interval divisor contains zero")
-        return IntervalValue(self.lo / o.hi, self.hi / o.lo)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        return IntervalValue(self.lo ** k, self.hi ** k)
-
-    def nth_root(self, n: int, precision: int) -> "IntervalValue":
-        """Enclosure of the n-th root at precision bits."""
-        scale = 1 << (n * precision)
-        lo_int = int_nth_root(int(self.lo * scale), n)
-        hi_scaled = self.hi * scale
-        hi_ceil = -int(-hi_scaled.numerator // hi_scaled.denominator)
-        hi_int = int_nth_root(hi_ceil, n) + 1
-        unit = Fraction(1, 1 << precision)
-        return IntervalValue(lo_int * unit, hi_int * unit)
-
-    def sqrt(self, precision: int) -> "IntervalValue":
-        return self.nth_root(2, precision)
-
-    def outward(self, precision: int) -> "IntervalValue":
-        """Round endpoints outward to the dyadic grid 2^-precision and pad by
-        one ulp, lo no lower than 0; the pad nests refined enclosures inside
-        coarser ones."""
-        scale = 1 << precision
-        lo = max(self.lo.numerator * scale // self.lo.denominator - 1, 0)
-        hi = -(-self.hi.numerator * scale // self.hi.denominator) + 1
-        return IntervalValue(Fraction(lo, scale), Fraction(hi, scale))
+def outward(lo_num: int, lo_den: int, hi_num: int, hi_den: int, precision: int) -> IntervalValue:
+    """The enclosure of [lo_num / lo_den, hi_num / hi_den], 0 <= lo <= hi
+    with positive denominators, on the grid 2^-precision: lo floored and hi
+    ceiled once, then padded by one step, lo no lower than 0."""
+    scale = 1 << precision
+    iv = object.__new__(IntervalValue)
+    iv.lo = Fraction(max((lo_num << precision) // lo_den - 1, 0), scale)
+    iv.hi = Fraction(-(-(hi_num << precision) // hi_den) + 1, scale)
+    return iv
 
 
-def _enclosure(x) -> IntervalValue:
-    """x if it is an enclosure, else the point enclosure of the rational x."""
-    return x if isinstance(x, IntervalValue) else IntervalValue.point(x)
-
-
-def _arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
-    """Bracketing partial sums of arctan(1/q) for integer q >= 2.
+def _arctan_inv_sums(q: int, tail_bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den): the consecutive partial sums lo / den < hi / den of
+    arctan(1/q), for integer q >= 2, that enclose it.
 
     The series sum_j (-1)^j / ((2j+1) q^(2j+1)) is alternating with strictly
     decreasing terms, so consecutive partial sums enclose the limit. The sums
     up to the first term n >= 1 below 2^-tail_bits, and the one before, are
-    integers over lcm(1, 3, ..., 2n+1) q^(2n+1), reduced once each.
+    integers over den = lcm(1, 3, ..., 2n+1) q^(2n+1). Horner's rule in -q^2
+    gives (-1)^n times the first; the other differs by the last term.
     """
     n, qn, q2 = 1, q ** 3, q * q  # qn = q^(2n+1)
     while (2 * n + 1) * qn <= 1 << tail_bits:
         n, qn = n + 1, qn * q2
     odd_lcm = lcm(*range(1, 2 * n + 2, 2))
     num = 0
-    for j in range(n + 1):
-        num = num * q2 + (-1) ** j * (odd_lcm // (2 * j + 1))
-    den, term = odd_lcm * qn, (-1) ** n * (odd_lcm // (2 * n + 1))
-    return tuple(sorted((Fraction(num, den), Fraction(num - term, den))))
+    for k in range(1, 2 * n + 2, 2):
+        num = num * -q2 + odd_lcm // k
+    term = odd_lcm // (2 * n + 1)
+    lo, hi = (-num, term - num) if n % 2 else (num - term, num)
+    return lo, hi, odd_lcm * qn
+
+
+def _arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
+    """The partial sums of _arctan_inv_sums as reduced Fractions, lower first."""
+    lo, hi, den = _arctan_inv_sums(q, tail_bits)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 @lru_cache(maxsize=None)
 def pi_interval(precision: int = 128) -> IntervalValue:
-    """Enclosure of pi via Machin's formula 16 arctan(1/5) - 4 arctan(1/239)."""
+    """Enclosure of pi via Machin's formula 16 arctan(1/5) - 4 arctan(1/239):
+    16 times the lower bracket of arctan(1/5) less 4 times the upper one of
+    arctan(1/239) over the product of their denominators, and the other way
+    round."""
     if precision < 8:
         raise ValueError("precision must be at least 8 bits")
     tail = precision + 16
-    a5 = _arctan_inv_brackets(5, tail)
-    a239 = _arctan_inv_brackets(239, tail)
-    raw = IntervalValue(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0])
-    return raw.outward(precision)
+    lo5, hi5, d5 = _arctan_inv_sums(5, tail)
+    lo239, hi239, d239 = _arctan_inv_sums(239, tail)
+    den = d5 * d239
+    return outward(16 * lo5 * d239 - 4 * hi239 * d5, den,
+                   16 * hi5 * d239 - 4 * lo239 * d5, den, precision)

@@ -43,13 +43,14 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count
+from math import isqrt, lcm
 
 # certified_lower_bound is not called here: perfbench/tracer.py wraps it under
 # this module's name until the benchmark reads counters (ROADMAP item 4)
 from .checker import (Certificate, _certificate_at, certified_lower_bound, chi_norm_sq,
                       chi_radius_sq, count_N, known_vector_in_ball, refine, validate_domain)
 from .cyclotomic import CycloElement, CyclotomicContext
-from .intervals import IntervalValue
+from .intervals import IntervalValue, outward
 from .lattice import build_lattice
 from .svp import PreparedForm, ball_volume, norm_counts, shortest_norm_sq
 
@@ -143,28 +144,42 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
 
     over nonzero ring integers b with |b|^2 < r^2 R^2, with nu(F') the
     covolume sqrt(|disc|) of the ring of integers. The sum runs over the
-    distinct norms t = |b|^2, each term times its multiplicity; interval sums
-    and integer multiples are exact, so the endpoints are those of the sum
-    taken vector by vector. Validated against a Monte-Carlo estimate of the
-    defining integral in the test suite.
+    distinct norms t = |b|^2, each term times its multiplicity. R^2, v_g and
+    sqrt(|disc|) are enclosed at precision + 32 guard bits, and each end of
+    J is one exact rational in their ends, a sum of integer powers over one
+    denominator, rounded outward once at precision: the ends of the sum
+    taken vector by vector in interval arithmetic. An empty sum is the exact
+    zero. Validated against a Monte-Carlo estimate of the defining integral
+    in the test suite.
     """
     r_sq = Fraction(r_sq)
-    g = ctx.g
+    g, h = ctx.g, ctx.g // 2
     guard = precision + 32
     r2 = chi_radius_sq(ctx, epsilon, guard)
-    total = IntervalValue.point(0)
-    nonempty = False
-    for t, k in ring_norms(ctx, r_sq * r2.hi):
-        s = t / r_sq
-        if r2.hi <= s:
-            continue
-        nonempty = True
-        total = total + IntervalValue(max(r2.lo - s, 0), r2.hi - s) ** (g // 2) * k
-    if not nonempty:
+    lo, hi = r2.lo, r2.hi
+    norms = ring_norms(ctx, r_sq * hi)
+    # over one denominator c, s = t / r^2 = u / c, and a term's ends are
+    # max(R^2.lo - s, 0)^h = max(lo.num c - u lo.den, 0)^h / (lo.den c)^h
+    # and likewise at hi; d = 1 on the ring's integral trace form
+    d = lcm(*(t.denominator for t, _ in norms))
+    c = d * r_sq.numerator
+    sum_lo = sum_hi = 0
+    for t, k in norms:
+        u = t.numerator * (d // t.denominator) * r_sq.denominator
+        top = hi.numerator * c - u * hi.denominator
+        if top > 0:
+            sum_lo += k * max(lo.numerator * c - u * lo.denominator, 0) ** h
+            sum_hi += k * top ** h
+    if not sum_hi:
         return IntervalValue.point(0)
-    nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
+    nu = isqrt(ctx.disc_abs << 2 * guard)  # nu(F') lies in [nu, nu + 1] / 2^guard
     vg = ball_volume(g, guard)
-    return (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
+    # J = (nu / 2^guard) v_g (sum / (den c)^h) (b / a)^h for r^2 = a / b
+    b_pow, a_pow = r_sq.denominator ** h, r_sq.numerator ** h << guard
+    return outward(nu * vg.lo.numerator * sum_lo * b_pow,
+                   vg.lo.denominator * (lo.denominator * c) ** h * a_pow,
+                   (nu + 1) * vg.hi.numerator * sum_hi * b_pow,
+                   vg.hi.denominator * (hi.denominator * c) ** h * a_pow, precision)
 
 
 def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> Fraction:

@@ -39,7 +39,7 @@ from math import factorial, isqrt, lcm
 from operator import mul
 
 from . import linalg
-from .intervals import IntervalValue, pi_interval
+from .intervals import IntervalValue, outward, pi_interval
 
 LLL_DELTA = Fraction(99, 100)
 
@@ -47,14 +47,17 @@ LLL_DELTA = Fraction(99, 100)
 def ball_volume(n: int, precision: int = 128) -> IntervalValue:
     """Enclosure of the volume pi^(n/2) / (n/2)! of the unit n-ball.
 
-    Only even n occurs in this pipeline (phi(m) is even for m >= 3), so the
-    half-integer factorial is never needed.
+    Its ends are those of pi^k / k!, k = n/2, at 4k + 16 guard bits, one
+    rational each. Only even n occurs in this pipeline (phi(m) is even for
+    m >= 3), so the half-integer factorial is never needed.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     k = n // 2
     pi = pi_interval(precision + 16 + 4 * k)
-    return (pi ** k / factorial(k)).outward(precision)
+    f = factorial(k)
+    return outward(pi.lo.numerator ** k, pi.lo.denominator ** k * f,
+                   pi.hi.numerator ** k, pi.hi.denominator ** k * f, precision)
 
 
 def lll_reduce(rows, den: int):

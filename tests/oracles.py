@@ -3,6 +3,7 @@
 These deliberately avoid the library's own algorithms: traces come from
 floating embedding sums, point counts from naive coefficient-box scans,
 integrals from Monte-Carlo estimates, J(r) from one term per ring vector,
+enclosures from Fraction interval arithmetic rounded one operation at a time,
 and field products from polynomial long division by Phi_m (itself pinned by
 the product identity prod_{d | m} Phi_d = x^m - 1). Expected values in the
 test files were produced by these oracles. The last section holds what
@@ -15,14 +16,14 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 import mpmath
 
 from cyclopack import cli, linalg
-from cyclopack.checker import chi_norm_sq, chi_radius_sq, refine
+from cyclopack.checker import chi_norm_sq, refine
 from cyclopack.cyclotomic import cyclotomic_polynomial
-from cyclopack.intervals import IntervalValue
+from cyclopack.intervals import IntervalValue, int_nth_root
 from cyclopack.search import SearchConfig
 from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
                           shortest_norm_sq)
@@ -369,7 +370,72 @@ def block_contains(ctx, x, u, v) -> bool:
     return all(Fraction(c).denominator == 1 for c in coords)
 
 
-# -- interval measures ----------------------------------------------------------
+# -- Fraction interval arithmetic ------------------------------------------------
+#
+# Enclosures as the library computed them before each endpoint became one
+# integer floor or ceiling: every operation builds and checks an interval of
+# Fractions, and roots and outward rounding each round once. Sums, products,
+# quotients and powers are exact on the endpoints, so the library's integer
+# endpoints must equal these bit for bit.
+
+class Interval(IntervalValue):
+    """An IntervalValue with monotone arithmetic on [0, inf): a rational or
+    an IntervalValue operand is taken as its enclosure; a quotient's divisor
+    must have lo > 0."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        o = _enclosure(other)
+        return Interval(self.lo + o.lo, self.hi + o.hi)
+
+    def __mul__(self, other):
+        o = _enclosure(other)
+        return Interval(self.lo * o.lo, self.hi * o.hi)
+
+    def __truediv__(self, other):
+        o = _enclosure(other)
+        if o.lo == 0:
+            raise ZeroDivisionError("interval divisor contains zero")
+        return Interval(self.lo / o.hi, self.hi / o.lo)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers")
+        return Interval(self.lo ** k, self.hi ** k)
+
+    def nth_root(self, n: int, precision: int) -> "Interval":
+        """Enclosure of the n-th root at precision bits."""
+        scale = 1 << (n * precision)
+        lo_int = int_nth_root(int(self.lo * scale), n)
+        hi_scaled = self.hi * scale
+        hi_ceil = -int(-hi_scaled.numerator // hi_scaled.denominator)
+        hi_int = int_nth_root(hi_ceil, n) + 1
+        unit = Fraction(1, 1 << precision)
+        return Interval(lo_int * unit, hi_int * unit)
+
+    def sqrt(self, precision: int) -> "Interval":
+        return self.nth_root(2, precision)
+
+    def outward(self, precision: int) -> "Interval":
+        """Round endpoints outward to the dyadic grid 2^-precision and pad by
+        one ulp, lo no lower than 0; the pad nests refined enclosures inside
+        coarser ones."""
+        scale = 1 << precision
+        lo = max(self.lo.numerator * scale // self.lo.denominator - 1, 0)
+        hi = -(-self.hi.numerator * scale // self.hi.denominator) + 1
+        return Interval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _enclosure(x) -> Interval:
+    """x as an Interval: its endpoints if it is an enclosure, else the point
+    enclosure of the rational x."""
+    if isinstance(x, Interval):
+        return x
+    if isinstance(x, IntervalValue):
+        return Interval(x.lo, x.hi)
+    return Interval.point(x)
+
 
 def width(iv: IntervalValue) -> Fraction:
     return iv.hi - iv.lo
@@ -381,6 +447,46 @@ def midpoint(iv: IntervalValue) -> Fraction:
 
 def contains_interval(outer: IntervalValue, inner: IntervalValue) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+@lru_cache(maxsize=None)
+def fraction_pi_interval(precision: int = 128) -> Interval:
+    """Pi by Machin's formula on the term-by-term arctangent brackets."""
+    tail = precision + 16
+    a5 = fraction_arctan_inv_brackets(5, tail)
+    a239 = fraction_arctan_inv_brackets(239, tail)
+    return Interval(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]).outward(precision)
+
+
+def fraction_ball_volume(n: int, precision: int = 128) -> Interval:
+    """v_n = pi^(n/2) / (n/2)! for even n, pi at 16 + 2n guard bits."""
+    k = n // 2
+    pi = fraction_pi_interval(precision + 16 + 4 * k)
+    return (pi ** k / factorial(k)).outward(precision)
+
+
+def fraction_radius_sq(g: int, bound, precision: int) -> Interval:
+    """R^2 = (bound g!)^(1/g) / pi."""
+    root = Interval.point(Fraction(bound) * factorial(g)).nth_root(g, precision)
+    return (root / fraction_pi_interval(precision)).outward(precision)
+
+
+def fraction_lower_bound(two_g: int, lambda1_sq, target, precision: int) -> Fraction:
+    """Lower end of v_2g * lambda1^2g, refined until it exceeds target."""
+    q_pow = Fraction(lambda1_sq) ** (two_g // 2)
+    return refine(lambda p: fraction_ball_volume(two_g, p) * q_pow,
+                  lambda v: v.lo > target, precision).lo
+
+
+# -- chi by refinement alone ------------------------------------------------------
+
+def refine_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
+    """chi as refinement decides it from the start: the R^2 enclosure is
+    refined from precision until nsq leaves it, and a tie at the cap counts
+    as inside."""
+    r = refine(lambda p: fraction_radius_sq(two_g // 2, bound, p),
+               lambda r: nsq not in r, precision)
+    return nsq <= r.hi
 
 
 # -- the volume form of chi -----------------------------------------------------
@@ -396,7 +502,7 @@ def volume_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
     if nsq == 0:
         return True
     q_pow = Fraction(nsq) ** (two_g // 2)
-    v = refine(lambda p: ball_volume(two_g, p) * q_pow,
+    v = refine(lambda p: fraction_ball_volume(two_g, p) * q_pow,
                lambda v: v.hi <= bound or v.lo > bound, precision)
     return not v.lo > bound
 
@@ -404,18 +510,19 @@ def volume_chi_norm_sq(two_g: int, nsq, bound, precision: int = 128) -> bool:
 # -- J(r) vector by vector ----------------------------------------------------------
 #
 # The mean obstruction count as the library summed it before it read J(r) off
-# the distinct ring norms: enumerate every ring vector in the ball and add one
-# interval power per nonzero vector.
+# the distinct ring norms and folded its interval arithmetic into one rational
+# per end: enumerate every ring vector in the ball and add one interval power
+# per nonzero vector.
 
-def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> IntervalValue:
+def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> Interval:
     """Enclosure of J(r) = nu(F') r^-g v_g sum_b (R^2 - |b|^2 / r^2)^(g/2),
     one term per nonzero ring vector b."""
     r_sq = Fraction(r_sq)
     g = ctx.g
     guard = precision + 32
-    r2 = chi_radius_sq(ctx, epsilon, guard)
+    r2 = fraction_radius_sq(g, ctx.m - Fraction(epsilon), guard)
     vecs = ball_with_norms(PreparedForm(ctx.ok_gram, 1), r_sq * r2.hi)
-    total = IntervalValue.point(0)
+    total = Interval.point(0)
     nonempty = False
     for v, t in vecs:
         if not any(v):
@@ -424,11 +531,11 @@ def vector_j_value(ctx, r_sq, epsilon, precision: int = 128) -> IntervalValue:
         if r2.hi <= s:
             continue
         nonempty = True
-        total = total + IntervalValue(max(r2.lo - s, 0), r2.hi - s) ** (g // 2)
+        total = total + Interval(max(r2.lo - s, 0), r2.hi - s) ** (g // 2)
     if not nonempty:
-        return IntervalValue.point(0)
-    nu_f_prime = IntervalValue.point(ctx.disc_abs).sqrt(guard)
-    vg = ball_volume(g, guard)
+        return Interval.point(0)
+    nu_f_prime = Interval.point(ctx.disc_abs).sqrt(guard)
+    vg = fraction_ball_volume(g, guard)
     return (nu_f_prime * vg * total / (r_sq ** (g // 2))).outward(precision)
 
 
@@ -620,7 +727,7 @@ def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
     if fraction_determinant(gram) != 1:
         raise ValueError("packing density is normalized to covolume-1 lattices")
     lam = shortest_norm_sq(prepared_form(gram))
-    vn = ball_volume(n, precision + 8)
+    vn = _enclosure(ball_volume(n, precision + 8))
     return (vn * Fraction(lam ** (n // 2), 1 << n)).outward(precision)
 
 

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
-                               recompute_certificate)
+                               certified_lower_bound, recompute_certificate)
 from cyclopack.cli import dump_json
 from cyclopack.cyclotomic import CyclotomicContext, phi
 from cyclopack.lattice import build_lattice
 from cyclopack.search import SearchConfig, search
 from cyclopack.tables import bound_table
-from oracles import rational_enumerate, rational_lll_reduce, real_gram
+from oracles import fraction_lower_bound, rational_enumerate, rational_lll_reduce, real_gram
 
 ROOT = Path(__file__).resolve().parent.parent
 STORED = sorted([*ROOT.glob("certs/m*.json"), *ROOT.glob("perfbench/reference/m*.json")],
@@ -67,3 +67,12 @@ def test_readme_table_matches_stored_certificates():
     expect = sorted((d["g"], m_best[d["g"]], d["m"],
                      floor(Fraction(d["bound_lo"]) * 100)) for d in docs)
     assert [(int(g), int(b), int(m), int(v.replace(".", ""))) for g, b, m, v in rows] == expect
+
+
+@pytest.mark.parametrize("path", STORED, ids=lambda p: p.stem)
+def test_stored_bound_lo_matches_the_fraction_reference(path):
+    # certified_lower_bound multiplies the lower end of v_2g by lambda1^2g;
+    # the reference refines the Fraction interval product
+    cert = certificate_from_json_dict(json.loads(path.read_text()))
+    args = (2 * cert.g, cert.lambda1_sq, cert.m - cert.epsilon, cert.precision_bits)
+    assert certified_lower_bound(*args) == fraction_lower_bound(*args) == cert.bound_lo

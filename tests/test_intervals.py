@@ -1,10 +1,29 @@
+"""Enclosures on integers against the Fraction interval reference.
+
+pi_interval, checker._radius_sq and svp.ball_volume compute each endpoint as
+one integer floor or ceiling; tests/oracles.py keeps the Fraction interval
+arithmetic they replaced (oracles.Interval), and the two must agree bit for
+bit.
+"""
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from cyclopack import checker, svp
 from cyclopack.intervals import IntervalValue, _arctan_inv_brackets, int_nth_root, pi_interval
-from oracles import contains_interval, fraction_arctan_inv_brackets, midpoint, width
+from oracles import (Interval, contains_interval, fraction_arctan_inv_brackets,
+                     fraction_ball_volume, fraction_pi_interval, fraction_radius_sq, midpoint,
+                     width)
+
+ROOT = Path(__file__).resolve().parent.parent
+STORED = sorted([*ROOT.glob("certs/m*.json"), *ROOT.glob("perfbench/reference/m*.json")])
+# precisions an enclosure is asked for: the 16-bit floor of the domain, the
+# default, J's guard on it, a doubling and the cap
+PRECISIONS = (16, 128, 160, 256, 4096)
 
 
 def as_mpf(x: Fraction, prec=400):
@@ -21,6 +40,30 @@ def test_int_nth_root():
         for v in (1, 5, 10 ** 12, 10 ** 12 + 7):
             r = int_nth_root(v, n)
             assert r ** n <= v < (r + 1) ** n
+
+
+def _is_floor_root(n: int, k: int) -> bool:
+    r = int_nth_root(n, k)
+    return r ** k <= n < (r + 1) ** k
+
+
+def test_int_nth_root_seeded_from_top_bits():
+    # exact powers and their neighbours, where a seed below the root or a
+    # Newton step that stops early would show
+    rng = random.Random(35)
+    xs = [2, 3, 5, 7, 255, 256, 257, 2 ** 64 - 1, 2 ** 64, 2 ** 2000 - 1, 2 ** 2000]
+    xs += [rng.getrandbits(b) | 1 << (b - 1) for b in (9, 33, 100, 333, 1000, 1999, 2000)]
+    for k in range(2, 34):
+        for x in xs:
+            p = x ** k
+            for n in (p - 1, p, p + 1):
+                assert _is_floor_root(n, k), (x, k, n)
+    # every small n, where the seed falls back to a power of two
+    for k in range(2, 34):
+        for n in range(1 << min(k, 14)):
+            assert _is_floor_root(n, k), (n, k)
+        for n in range(max((1 << k) - 64, 0), (1 << k) + 64):
+            assert _is_floor_root(n, k), (n, k)
 
 
 def test_pi_enclosure_and_nesting():
@@ -52,9 +95,9 @@ def test_midpoints_refine_within_coarser_enclosures():
 
 
 def test_interval_arithmetic_contains():
-    a = IntervalValue(Fraction(1, 3), Fraction(1, 2))
-    b = IntervalValue(Fraction(0), Fraction(3))
-    c = IntervalValue(Fraction(1, 4), Fraction(1, 2))
+    a = Interval(Fraction(1, 3), Fraction(1, 2))
+    b = Interval(Fraction(0), Fraction(3))
+    c = Interval(Fraction(1, 4), Fraction(1, 2))
     for x in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
         for y in (Fraction(0), Fraction(1, 7), Fraction(2), Fraction(3)):
             assert x + y in a + b
@@ -79,24 +122,24 @@ def test_negative_lo_rejected():
     with pytest.raises(ValueError):
         IntervalValue.point(Fraction(-1, 3))
     # rounding outward keeps the enclosure of a nonnegative real nonnegative
-    out = IntervalValue(Fraction(1, 2 ** 20), Fraction(1, 3)).outward(16)
+    out = Interval(Fraction(1, 2 ** 20), Fraction(1, 3)).outward(16)
     assert out.lo == 0 and out.hi > Fraction(1, 3)
 
 
 def test_nth_root_enclosure():
     with mpmath.workprec(400):
         for val, n in ((Fraction(2), 2), (Fraction(10), 3), (Fraction(7, 5), 4)):
-            iv = IntervalValue.point(val).nth_root(n, 128)
+            iv = Interval.point(val).nth_root(n, 128)
             true = mpmath.root(as_mpf(val), n)
             assert as_mpf(iv.lo) <= true <= as_mpf(iv.hi)
             assert width(iv) <= Fraction(3, 2 ** 128)
     # roots of interval endpoints stay ordered
-    iv = IntervalValue(Fraction(4), Fraction(9)).sqrt(64)
+    iv = Interval(Fraction(4), Fraction(9)).sqrt(64)
     assert iv.lo <= 2 and 3 <= iv.hi
 
 
 def test_outward_pads_and_preserves():
-    x = IntervalValue(Fraction(1, 3), Fraction(2, 3))
+    x = Interval(Fraction(1, 3), Fraction(2, 3))
     out = x.outward(32)
     assert out.lo < Fraction(1, 3) and out.hi > Fraction(2, 3)
     assert width(out) - width(x) <= Fraction(4, 2 ** 32)
@@ -105,3 +148,45 @@ def test_outward_pads_and_preserves():
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         IntervalValue(Fraction(1), Fraction(0))
+
+
+# -- integer endpoints against the Fraction reference --------------------------------
+
+def _ends(iv):
+    return iv.lo, iv.hi
+
+
+def test_pi_matches_the_fraction_reference():
+    # every precision up to 600, then the doublings to the cap and 4240 =
+    # 4096 + 16 + 4 * 32, the largest pi that ball_volume asks for
+    for p in (*range(8, 601), 1024, 2048, 4096, 4240):
+        assert _ends(pi_interval(p)) == _ends(fraction_pi_interval(p)), p
+
+
+def _bounds() -> list[Fraction]:
+    """m - epsilon of every stored certificate, and random rationals."""
+    stored = set()
+    for path in STORED:
+        d = json.loads(path.read_text())
+        stored.add(d["m"] - Fraction(d["epsilon"]))
+    rng = random.Random(4096)
+    extra = {Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(6)}
+    return sorted(stored) + sorted(extra | {Fraction(1, 3), Fraction(10 ** 9 + 7, 3)})
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_radius_sq_matches_the_fraction_reference(precision):
+    # at the cap, where one root of a 131,072-bit radicand takes about 10 ms
+    # on each side, every fourth bound
+    bounds = _bounds()
+    for g in range(1, 33):
+        for bound in bounds if precision < 4096 else bounds[::4]:
+            got = checker._radius_sq(g, bound, precision)
+            assert _ends(got) == _ends(fraction_radius_sq(g, bound, precision)), (g, bound)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_ball_volume_matches_the_fraction_reference(precision):
+    for n in range(2, 65, 2):
+        got = svp.ball_volume(n, precision)
+        assert _ends(got) == _ends(fraction_ball_volume(n, precision)), n

@@ -21,8 +21,8 @@ from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
 from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
-                     contains_interval, fractions, midpoint, prepared_form, vector_j_value,
-                     real_gram, volume_chi_norm_sq, width)
+                     contains_interval, fractions, midpoint, prepared_form, refine_chi_norm_sq,
+                     vector_j_value, real_gram, volume_chi_norm_sq, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 EPS = Fraction(1, 2)
@@ -70,6 +70,24 @@ def test_chi_norm_sq_matches_volume_form(two_g):
             for q, inside in ((r2 - Fraction(1, 2 ** k), True), (r2 + Fraction(1, 2 ** k), False)):
                 assert chi_norm_sq(two_g, q, bound) is inside
                 assert volume_chi_norm_sq(two_g, q, bound) is inside
+
+
+@pytest.mark.parametrize("g", [2, 10, 32])
+def test_chi_shortcut_matches_the_refine_only_rule(g):
+    # chi_norm_sq refines only when q lies inside the enclosure at its
+    # starting precision; at the ends, one 2^-128 step either side of them,
+    # and at R^2(4096).lo, which stays inside every enclosure up to the cap
+    # (a tie there counts as inside), it must decide as refinement does
+    step = Fraction(1, 2 ** 128)
+    for bound in (Fraction(7, 2), Fraction(59, 2)):
+        r2 = checker._radius_sq(g, bound, 128)
+        cases = {r2.lo - step: True, r2.hi + step: False, r2.lo: None, r2.hi: None,
+                 r2.lo + step: None, r2.hi - step: None,
+                 checker._radius_sq(g, bound, 4096).lo: True}
+        for q, inside in cases.items():
+            got = chi_norm_sq(2 * g, q, bound)
+            assert got is refine_chi_norm_sq(2 * g, q, bound), (g, bound, q)
+            assert inside is None or got is inside, (g, bound, q)
 
 
 @pytest.mark.parametrize("m, precision", [(17, 16), (35, 16), (35, 32), (51, 16), (51, 32),
