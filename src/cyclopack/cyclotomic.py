@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import linalg
+from .svp import PreparedForm
 
 
 def prime_factors(m: int) -> list[int]:
@@ -201,7 +203,10 @@ class CyclotomicContext:
     zeta-shifts of 1, which zeta, conj_matrix and the unit action mul_zeta
     read.
 
-    Immutable after construction; every operation is pure.
+    The field's data never change and every operation is pure. The two forms
+    the search enumerates, ring_form (ok_gram over 1) and codiff_form (the
+    codifferent Gram), are LLL-reduced on first read and each keeps its
+    deepest walk (svp.norm_counts).
     """
 
     def __init__(self, m: int) -> None:
@@ -258,6 +263,14 @@ class CyclotomicContext:
         # denominator in lowest common terms
         self.codiff_gram_num, self.codiff_gram_den = linalg.lowest_terms(
             [linalg.mat_vec(cd, p) for p in self.codiff_pairing], e)
+
+    @cached_property
+    def ring_form(self) -> PreparedForm:
+        return PreparedForm(self.ok_gram, 1)
+
+    @cached_property
+    def codiff_form(self) -> PreparedForm:
+        return PreparedForm(self.codiff_gram_num, self.codiff_gram_den)
 
     # -- construction helpers -------------------------------------------------
 

@@ -107,12 +107,6 @@ def _arctan_inv_sums(q: int, tail_bits: int) -> tuple[int, int, int]:
     return lo, hi, odd_lcm * qn
 
 
-def _arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
-    """The partial sums of _arctan_inv_sums as reduced Fractions, lower first."""
-    lo, hi, den = _arctan_inv_sums(q, tail_bits)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
 @lru_cache(maxsize=None)
 def pi_interval(precision: int = 128) -> IntervalValue:
     """Enclosure of pi via Machin's formula 16 arctan(1/5) - 4 arctan(1/239):

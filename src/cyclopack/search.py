@@ -11,8 +11,8 @@ Pipeline for a given m and rational epsilon in (0, m):
      Like chi and N(x), it asks |z|^2 <= R^2 of one memoized R^2 enclosure.
      The scan has no upper end; it stops because J(r) tends to m - epsilon < m.
      J(r) depends on the ring only through the norms |b|^2 of its nonzero
-     integers, so one streamed enumeration of the ring per field serves it
-     (ring_norms).
+     integers, so the ring's form, which the context owns, is walked only
+     past the deepest radius already counted (svp.norm_counts).
   2. Twist points x are sampled from the fundamental parallelepiped of the
      codifferent; x = 0 is always tried first. The first x with N(x) = 0
      wins; since the count is divisible by m and has mean J(r0) < m, such x
@@ -43,7 +43,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt
 
 # certified_lower_bound is not called here: perfbench/tracer.py wraps it under
 # this module's name until the benchmark reads counters (ROADMAP item 4)
@@ -52,7 +52,7 @@ from .checker import (Certificate, _certificate_at, certified_lower_bound, chi_n
 from .cyclotomic import CycloElement, CyclotomicContext
 from .intervals import IntervalValue, outward
 from .lattice import build_lattice
-from .svp import PreparedForm, ball_volume, norm_counts, shortest_norm_sq
+from .svp import ball_volume, norm_counts, shortest_norm_sq
 
 
 class SearchError(Exception):
@@ -105,35 +105,6 @@ class SearchConfig(namedtuple("SearchConfig", "m epsilon denom budget seed preci
 
 # -- J(r) ----------------------------------------------------------------------
 
-# m -> (ring's prepared form, radius, norms up to it); norms depend on neither r nor epsilon
-_RING_NORMS: dict[int, tuple[PreparedForm, Fraction, list[tuple[Fraction, int]]]] = {}
-# a walk to radius_sq costs about radius_sq^(g/2), so a walk past the cached
-# radius goes at least this factor beyond it: the last walk costs at most
-# 1.1^(g/2) times one at the request. select_r walks once on every field
-# with g <= 10, and five times at m = 13 and 26
-RING_HEADROOM = Fraction(11, 10)
-
-
-def ring_norms(ctx: CyclotomicContext, radius_sq) -> list[tuple[Fraction, int]]:
-    """Sorted pairs (t, k): the k nonzero ring integers b with |b|^2 = t, for
-    every t <= radius_sq; the start of the theta series of Z[zeta_m] under
-    the trace form. Each k is a multiple of m (the units zeta^j act freely).
-
-    One enumeration per field serves every request inside its radius. The
-    first walks to exactly the request; a larger request walks again, to
-    max(request, RING_HEADROOM * cached radius), on the same prepared form,
-    so the ring is LLL-reduced once per field. The walk only tallies norms,
-    so memory is set by the distinct norms, not the vectors.
-    """
-    radius_sq = Fraction(radius_sq)
-    cached = _RING_NORMS.get(ctx.m)
-    if cached is None or cached[1] < radius_sq:
-        form, walk_sq = ((PreparedForm(ctx.ok_gram, 1), radius_sq) if cached is None
-                         else (cached[0], max(radius_sq, RING_HEADROOM * cached[1])))
-        cached = _RING_NORMS[ctx.m] = (form, walk_sq, norm_counts(form, walk_sq))
-    return [(t, k) for t, k in cached[2] if t <= radius_sq]
-
-
 def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> IntervalValue:
     """Enclosure of the mean obstruction count at scale r.
 
@@ -157,15 +128,14 @@ def j_value(ctx: CyclotomicContext, r_sq, epsilon, precision: int = 128) -> Inte
     guard = precision + 32
     r2 = chi_radius_sq(ctx, epsilon, guard)
     lo, hi = r2.lo, r2.hi
-    norms = ring_norms(ctx, r_sq * hi)
-    # over one denominator c, s = t / r^2 = u / c, and a term's ends are
+    # the ring's trace form is integral, so every norm t is an integer; over
+    # c = r^2's numerator, s = t / r^2 = u / c, and a term's ends are
     # max(R^2.lo - s, 0)^h = max(lo.num c - u lo.den, 0)^h / (lo.den c)^h
-    # and likewise at hi; d = 1 on the ring's integral trace form
-    d = lcm(*(t.denominator for t, _ in norms))
-    c = d * r_sq.numerator
+    # and likewise at hi
+    c = r_sq.numerator
     sum_lo = sum_hi = 0
-    for t, k in norms:
-        u = t.numerator * (d // t.denominator) * r_sq.denominator
+    for t, k in norm_counts(ctx.ring_form, r_sq * hi):
+        u = t.numerator * r_sq.denominator
         top = hi.numerator * c - u * hi.denominator
         if top > 0:
             sum_lo += k * max(lo.numerator * c - u * lo.denominator, 0) ** h
@@ -196,7 +166,7 @@ def select_r(ctx: CyclotomicContext, epsilon, r_grid, precision: int = 128) -> F
     epsilon = Fraction(epsilon)
     m, g = ctx.m, ctx.g
     bound = m - epsilon
-    lam_codiff = shortest_norm_sq(PreparedForm(ctx.codiff_gram_num, ctx.codiff_gram_den))
+    lam_codiff = shortest_norm_sq(ctx.codiff_form)
     failed = []
     for r_sq in r_grid:
         r_sq = Fraction(r_sq)

@@ -21,15 +21,20 @@ enumerations are complete by construction and the returned minima are exact.
 Each question of a form has one function: enumerate_in_ball_with_norms,
 norm_counts and shortest_norm_sq. Each takes a PreparedForm owned by a caller
 that may ask several questions of one form: a lattice owns its form
-(PolarizedLattice.form) and ring_norms keeps the ring's. A PreparedForm holds
-data and the walk, nothing else: the LLL transform, the least diagonal entry
-of the reduced form (the squared norm of a lattice vector, known with no
-walk), the LDL factors and, once walked, lambda_1^2. The module keeps no
-state. shortest_norm_sq is the only writer of a form's lambda1_sq and
-enumerate_in_ball_with_norms its only reader: a ball below a known minimum
-holds the origin alone and is answered without a walk. A certificate asks
-lambda_1 before the count; that order is stated once, in
-checker._certificate_at.
+(PolarizedLattice.form) and a field context owns the ring's and the
+codifferent's (CyclotomicContext.ring_form and codiff_form). A PreparedForm
+holds data and the walk, nothing else: the LLL transform, the least diagonal
+entry of the reduced form (the squared norm of a lattice vector, known with
+no walk), the LDL factors and its deepest norm_counts walk, one (radius,
+norm counts) pair. The module keeps no state. norm_counts is the only writer
+of that pair: it answers any radius up to the one walked by filtering the
+kept counts, and walks a larger one to at least 11/10 of the radius walked,
+since a walk costs about radius^(n/2) and this headroom bounds the cost of
+the last of a growing sequence of requests. The least kept norm, once there
+is one, is lambda_1: shortest_norm_sq reads it at the least diagonal entry,
+and enumerate_in_ball_with_norms answers a ball below it with the origin
+alone, without a walk. A certificate asks lambda_1 before the count; that
+order is stated once, in checker._certificate_at.
 """
 from __future__ import annotations
 
@@ -159,16 +164,16 @@ class PreparedForm:
     no walk) and the LDL factors (d, nu) of R,
     Q(y) = sum_i d_i (y_i + sum_{j>i} nu_ij y_j)^2, stored as integer
     numerators over the common denominators d_den and nu_den (row i of nu
-    holds the entries right of the diagonal). lambda1_sq is None until
-    shortest_norm_sq has walked once, then the exact minimum, which depends on
-    the Gram matrix alone."""
+    holds the entries right of the diagonal). _walked is None until
+    norm_counts has walked once, then its deepest (radius, norm counts)
+    pair, which depends on the Gram matrix alone."""
 
-    __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den", "lambda1_sq")
+    __slots__ = ("transform", "min_diagonal", "d", "d_den", "nu", "nu_den", "_walked")
 
     def __init__(self, rows, den: int) -> None:
         self.transform, R, (self.d, self.d_den), (self.nu, self.nu_den) = lll_reduce(rows, den)
         self.min_diagonal = Fraction(min(R[i][i] for i in range(len(R))), den)
-        self.lambda1_sq: Fraction | None = None
+        self._walked: tuple[Fraction, list[tuple[Fraction, int]]] | None = None
 
     def _walk(self, radius_sq: Fraction, emit) -> int:
         """Fincke-Pohst on integers about the origin: emit(s, k) for each
@@ -216,11 +221,13 @@ def enumerate_in_ball_with_norms(form: PreparedForm, radius_sq):
     with Q(v) <= radius_sq, mapped back to the input basis, in walk order:
     ascending in the reduced coordinates (s_n-1, ..., s_0) from the origin
     on. A ball strictly inside a known lambda_1 holds the origin alone, so it
-    is answered without a walk."""
+    is answered without a walk; lambda_1 is known once a norm_counts walk
+    has met a nonzero vector: it is the least kept norm."""
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return []
-    if form.lambda1_sq is not None and radius_sq < form.lambda1_sq:
+    walked = form._walked
+    if walked is not None and walked[1] and radius_sq < walked[1][0][0]:
         return [((0,) * len(form.d), Fraction(0))]
     cols = linalg.transpose(form.transform)
     pairs = []
@@ -232,25 +239,32 @@ def enumerate_in_ball_with_norms(form: PreparedForm, radius_sq):
 def norm_counts(form: PreparedForm, radius_sq) -> list[tuple[Fraction, int]]:
     """Sorted (value, multiplicity) pairs of the form over the nonzero integer
     vectors v with Q(v) <= radius_sq: the start of the lattice's theta series.
-    The half walk visits one of each pair +-v, so every multiplicity is
-    doubled. The walk feeds a counter of integer numerators, so no point is
-    kept, mapped back through U or turned into a Fraction; the zero vector is
-    the only point of value 0."""
-    counts = Counter()
 
-    def tally(s, k: int) -> None:
-        counts[k] += 1
+    The form keeps its deepest walk, so a radius up to it filters the kept
+    counts. The first walk goes to exactly the request, and one past it to
+    max(request, 11/10 * radius walked). The half walk visits one of each
+    pair +-v, so every multiplicity is doubled. The walk feeds a counter of
+    integer numerators, so no point is kept, mapped back through U or turned
+    into a Fraction; the zero vector is the only point of value 0."""
+    radius_sq = Fraction(radius_sq)
+    walked = form._walked
+    if walked is None or walked[0] < radius_sq:
+        walk_sq = radius_sq if walked is None else max(radius_sq, walked[0] * 11 / 10)
+        counts = Counter()
 
-    scale = form._walk(Fraction(radius_sq), tally)
-    counts.pop(0, None)
-    return [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())]
+        def tally(s, k: int) -> None:
+            counts[k] += 1
+
+        scale = form._walk(walk_sq, tally)
+        counts.pop(0, None)
+        walked = form._walked = (
+            walk_sq, [(Fraction(k, scale), 2 * c) for k, c in sorted(counts.items())])
+    return [(t, k) for t, k in walked[1] if t <= radius_sq]
 
 
 def shortest_norm_sq(form: PreparedForm) -> Fraction:
     """Exact lambda_1^2: the minimal nonzero value of the form over Z^n, by
     exhaustive enumeration below the least diagonal entry of the reduced
     form, which some basis vector attains (so the ball holds a nonzero
-    point). The form walks once and keeps the result in lambda1_sq."""
-    if form.lambda1_sq is None:
-        form.lambda1_sq = norm_counts(form, form.min_diagonal)[0][0]
-    return form.lambda1_sq
+    point). A form that has walked that deep answers with no walk."""
+    return norm_counts(form, form.min_diagonal)[0][0]

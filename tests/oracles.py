@@ -23,7 +23,7 @@ import mpmath
 from cyclopack import cli, linalg
 from cyclopack.checker import chi_norm_sq, refine
 from cyclopack.cyclotomic import cyclotomic_polynomial
-from cyclopack.intervals import IntervalValue, int_nth_root
+from cyclopack.intervals import IntervalValue, _arctan_inv_sums, int_nth_root
 from cyclopack.search import SearchConfig
 from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
                           shortest_norm_sq)
@@ -665,10 +665,17 @@ def argparse_parser() -> argparse.ArgumentParser:
 
 # -- arctan(1/q) term by term ---------------------------------------------------
 
+def arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
+    """The partial sums of intervals._arctan_inv_sums as reduced Fractions,
+    lower first."""
+    lo, hi, den = _arctan_inv_sums(q, tail_bits)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
 def fraction_arctan_inv_brackets(q: int, tail_bits: int) -> tuple[Fraction, Fraction]:
     """The partial sums of arctan(1/q) that enclose it, as reduced Fractions
     added one term at a time, stopping after the first term below
-    2^-tail_bits: the loop intervals._arctan_inv_brackets replaced."""
+    2^-tail_bits: the loop intervals._arctan_inv_sums replaced."""
     term = Fraction(1, q)
     total = term
     j = 1

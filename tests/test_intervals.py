@@ -14,10 +14,10 @@ import mpmath
 import pytest
 
 from cyclopack import checker, svp
-from cyclopack.intervals import IntervalValue, _arctan_inv_brackets, int_nth_root, pi_interval
-from oracles import (Interval, contains_interval, fraction_arctan_inv_brackets,
-                     fraction_ball_volume, fraction_pi_interval, fraction_radius_sq, midpoint,
-                     width)
+from cyclopack.intervals import IntervalValue, int_nth_root, pi_interval
+from oracles import (Interval, arctan_inv_brackets, contains_interval,
+                     fraction_arctan_inv_brackets, fraction_ball_volume, fraction_pi_interval,
+                     fraction_radius_sq, midpoint, width)
 
 ROOT = Path(__file__).resolve().parent.parent
 STORED = sorted([*ROOT.glob("certs/m*.json"), *ROOT.glob("perfbench/reference/m*.json")])
@@ -85,7 +85,7 @@ def test_arctan_brackets_match_the_term_by_term_sums():
     # spread up to 4400; the sums, not just the enclosure, must be the same
     for q in (5, 239):
         for tail in (*range(24, 600), *range(600, 4401, 149)):
-            assert _arctan_inv_brackets(q, tail) == fraction_arctan_inv_brackets(q, tail)
+            assert arctan_inv_brackets(q, tail) == fraction_arctan_inv_brackets(q, tail)
 
 
 def test_midpoints_refine_within_coarser_enclosures():

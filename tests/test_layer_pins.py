@@ -31,3 +31,11 @@ def test_traced_operation_reaches_every_expected_layer(workload, argv, tmp_path)
     stats = report["trace"]["stats"]
     missing = sorted(name for name in run.EXPECTED[workload] if not stats.get(name, [0])[0])
     assert not missing, f"{workload}: no span for {missing}"
+
+
+def test_select_r_probe_finds_a_radius(tmp_path):
+    # perfbench's probe calls select_r with SearchConfig's r_grid and catches
+    # NoQualifyingRadius; on the unbounded default grid m = 13 finds a radius
+    proc, report, _ = run.run_child("select_r", ["13"], tmp_path, float("inf"))
+    assert proc is not None and proc.returncode == 0, proc and proc.stderr
+    assert report["no_radius"] is False

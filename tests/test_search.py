@@ -12,12 +12,11 @@ from cyclopack.checker import (CertificateFormatError, certificate_from_json_dic
                                certificate_to_json_dict, chi_norm_sq, chi_radius_sq, count_N,
                                recompute_certificate)
 from cyclopack.cli import dump_json
-from cyclopack.cyclotomic import phi
+from cyclopack.cyclotomic import CyclotomicContext, phi
 from cyclopack.lattice import build_lattice
 from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchConfig,
-                              default_r_grid, j_value, _randbelow, ring_norms, sample_x,
-                              search, select_r)
-from cyclopack.svp import shortest_norm_sq
+                              default_r_grid, j_value, _randbelow, sample_x, search, select_r)
+from cyclopack.svp import norm_counts, shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
 from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
@@ -143,59 +142,61 @@ def test_ring_norms_count_the_nonzero_ring_vectors():
     for m in SMALL_FIELDS:
         ctx = get_ctx(m)
         radius = select_r(ctx, EPS, default_r_grid()) * chi_radius_sq(ctx, EPS, 160).hi
-        norms = ring_norms(ctx, radius)
+        norms = norm_counts(ctx.ring_form, radius)
         vecs = [t for v, t in ball_with_norms(prepared_form(ctx.ok_gram), radius) if any(v)]
         assert all(k % m == 0 for _, k in norms), m
         assert sum(k for _, k in norms) == len(vecs)
         assert [t for t, _ in norms] == sorted(set(vecs))
 
 
+def ring_walks(monkeypatch, ctx):
+    """A function listing the radii to which the context's ring form has
+    walked since this call."""
+    walks, walk = [], svp.PreparedForm._walk
+
+    def recording(form, radius_sq, emit):
+        walks.append((form, radius_sq))
+        return walk(form, radius_sq, emit)
+
+    monkeypatch.setattr(svp.PreparedForm, "_walk", recording)
+    return lambda: [r for form, r in walks if form is ctx.ring_form]
+
+
 def test_ring_norms_enumerate_again_only_past_the_cached_radius(monkeypatch):
-    ctx = get_ctx(5)
-    radii = []
-    norm_counts = search_module.norm_counts
-
-    def recording(gram, radius_sq):
-        radii.append(radius_sq)
-        return norm_counts(gram, radius_sq)
-
-    monkeypatch.setattr(search_module, "_RING_NORMS", {})
-    monkeypatch.setattr(search_module, "norm_counts", recording)
-    full = ring_norms(ctx, 30)
-    inner = ring_norms(ctx, Fraction(25, 2))
+    ctx = CyclotomicContext(5)
+    radii = ring_walks(monkeypatch, ctx)
+    full = norm_counts(ctx.ring_form, 30)
+    inner = norm_counts(ctx.ring_form, Fraction(25, 2))
     assert inner == [(t, k) for t, k in full if t <= Fraction(25, 2)]
-    assert radii == [30]
-    # past the cached radius the walk goes to max(request, 11/10 * cached)
-    ring = prepared_form(ctx.ok_gram)
-    assert ring_norms(ctx, 31) == norm_counts(ring, 31)
-    assert radii == [30, 33]
-    assert ring_norms(ctx, 30) == full and radii == [30, 33]
-    assert ring_norms(ctx, 33) == norm_counts(ring, 33) and radii == [30, 33]
-    assert ring_norms(ctx, 40) == norm_counts(ring, 40)
-    assert radii == [30, 33, 40]
+    assert radii() == [30]
+
+    def fresh(radius_sq):
+        return norm_counts(prepared_form(ctx.ok_gram), radius_sq)
+
+    # past the kept radius the walk goes to max(request, 11/10 * walked)
+    assert norm_counts(ctx.ring_form, 31) == fresh(31)
+    assert radii() == [30, 33]
+    assert norm_counts(ctx.ring_form, 30) == full and radii() == [30, 33]
+    assert norm_counts(ctx.ring_form, 33) == fresh(33) and radii() == [30, 33]
+    assert norm_counts(ctx.ring_form, 40) == fresh(40)
+    assert radii() == [30, 33, 40]
 
 
 def test_select_r_walks_the_ring_a_few_times(monkeypatch):
     # the scan at m = 36 asks for 12 growing radii; the headroom rule walks
-    # the ring at most 4 times for them, all on one prepared form, so the
-    # ring is LLL-reduced once
-    walks, reduced = [], []
-    norm_counts, lll_reduce = search_module.norm_counts, svp.lll_reduce
-
-    def recording(gram, radius_sq):
-        walks.append(radius_sq)
-        return norm_counts(gram, radius_sq)
+    # the ring at most 4 times for them, all on the context's one ring form,
+    # so the ring is LLL-reduced once
+    reduced, lll_reduce = [], svp.lll_reduce
 
     def reducing(rows, den):
         reduced.append(fractions(rows, den))
         return lll_reduce(rows, den)
 
-    monkeypatch.setattr(search_module, "_RING_NORMS", {})
-    monkeypatch.setattr(search_module, "norm_counts", recording)
     monkeypatch.setattr(svp, "lll_reduce", reducing)
-    ctx = get_ctx(36)
+    ctx = CyclotomicContext(36)
+    walks = ring_walks(monkeypatch, ctx)
     assert select_r(ctx, EPS, default_r_grid()) > 0
-    assert 1 <= len(walks) <= 4, walks
+    assert 1 <= len(walks()) <= 4, walks()
     assert reduced.count(tuple(map(tuple, ctx.ok_gram))) == 1
 
 
@@ -318,7 +319,9 @@ def test_search_counts_only_sampled_twists(monkeypatch):
         grams = [tuple(map(tuple, real_gram(build_lattice(get_ctx(m), cert.r_sq, x))))
                  for x in drawn]
         assert reduced[-index:] == grams
-        assert walked[-1].lambda1_sq == cert.lambda1_sq
+        # the winner's form keeps its walk, so lambda1 is read without another
+        walks = len(walked)
+        assert shortest_norm_sq(walked[-1]) == cert.lambda1_sq and len(walked) == walks
 
 
 def test_count_divisible_by_m():

@@ -341,9 +341,60 @@ def test_ball_at_lambda1_matches_box_scan_before_and_after_svp():
 
         form = prepared_form(g)
         check(form)
-        assert form.lambda1_sq is None
-        assert shortest_norm_sq(form) == lam == form.lambda1_sq
+        assert form._walked is None
+        assert shortest_norm_sq(form) == lam == form._walked[1][0][0]
         check(form)
+
+
+def test_prepared_form_keeps_its_deepest_walk(monkeypatch):
+    # norm_counts walks a fresh form once, to the request; a radius inside
+    # the deepest walk filters its counts, and one past it walks to
+    # max(request, 11/10 * walked). Once a walk has met a nonzero vector,
+    # shortest_norm_sq and a ball below lambda_1 take no walk
+    walks, walk = [], svp.PreparedForm._walk
+
+    def counting(form, radius_sq, emit):
+        walks.append((form, radius_sq))
+        return walk(form, radius_sq, emit)
+
+    monkeypatch.setattr(svp.PreparedForm, "_walk", counting)
+
+    def radii(form):
+        return [r for f, r in walks if f is form]
+
+    def fresh(gram, radius_sq):
+        return norm_counts(prepared_form(gram), radius_sq)
+
+    rng = random.Random(57)
+    for trial in range(30):
+        g = random_rational_pd_gram(rng.randint(1, 5), rng)
+        lam = box_shortest_norm_sq(g)
+        origin = [((0,) * len(g), 0)]
+        form = prepared_form(g)
+        least = form.min_diagonal
+        deep = norm_counts(form, 2 * least)
+        assert deep == fresh(g, 2 * least) and radii(form) == [2 * least], trial
+        assert norm_counts(form, least) == [(t, k) for t, k in deep if t <= least]
+        assert shortest_norm_sq(form) == lam
+        assert enumerate_in_ball_with_norms(form, lam / 2) == origin
+        assert radii(form) == [2 * least]
+        near, far = 2 * least * Fraction(21, 20), 3 * least
+        assert norm_counts(form, near) == fresh(g, near)
+        assert radii(form) == [2 * least, 2 * least * Fraction(11, 10)]
+        assert norm_counts(form, far) == fresh(g, far)
+        assert radii(form) == [2 * least, 2 * least * Fraction(11, 10), far]
+
+        # shortest_norm_sq walks a fresh form once, to its least diagonal entry
+        form = prepared_form(g)
+        assert shortest_norm_sq(form) == lam and radii(form) == [least]
+        assert enumerate_in_ball_with_norms(form, lam / 2) == origin
+        assert shortest_norm_sq(form) == lam and radii(form) == [least]
+
+        # a walk that meets no nonzero vector leaves lambda_1 unknown
+        form = prepared_form(g)
+        assert norm_counts(form, lam / 2) == []
+        assert enumerate_in_ball_with_norms(form, lam / 3) == origin
+        assert radii(form) == [lam / 2, lam / 3]
 
 
 def test_shortest_norm_homogeneous_and_unimodular_invariant():
