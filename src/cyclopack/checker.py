@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 from .cyclotomic import CyclotomicContext, phi
 from .intervals import IntervalValue, int_nth_root, outward, pi_interval
@@ -178,8 +178,7 @@ def known_vector_in_ball(ctx: CyclotomicContext, r_sq: Fraction, x, bound: Fract
     shortest codifferent generator (c_j, 0), of squared norm
     r^2 Tr(c_j conj(c_j)), so lambda1 < R. At x = 0, d = 1."""
     g = ctx.g
-    num, den = ctx.coords_in_codiff(x)
-    d = den // gcd(den, *num)
+    d = ctx.coords_in_codiff(x).den
     if chi_norm_sq(2 * g, d * d * g / r_sq, bound, precision):
         return (f"r^2 = {r_sq} puts the lattice vector (0, {d}) inside the chi ball, "
                 "so N(x) >= 1")

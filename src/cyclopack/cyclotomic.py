@@ -5,7 +5,7 @@ terms, in the power basis {1, zeta, ..., zeta^(g-1)}, g = phi(m). The
 arithmetic of m lives here too: prime_factors and mobius_pairs factor m, and
 the totient, Phi_m as a Mobius product, the traces Tr(zeta^j) as Ramanujan
 sums and |disc| = m^g / prod_p p^(g/(p-1)) are sums and products over its
-primes. Every product, conjugate, trace and codifferent coordinate is an
+primes. Every product, unit action, trace and codifferent coordinate is an
 integer matrix applied to the numerators, over the product of the
 denominators: element arithmetic builds no Fraction. The trace-dual of the ring of integers (the codifferent)
 is the fractional ideal generated by 1/Phi_m'(zeta); since Z[zeta_m] is the
@@ -78,7 +78,7 @@ def _element(ctx: "CyclotomicContext", num: tuple[int, ...], den: int) -> "Cyclo
     """The element num / den, for numerators and a denominator den > 0 that
     are already in lowest terms."""
     a = object.__new__(CycloElement)
-    a.ctx, a.num, a.den, a._coords, a._rows, a._codiff = ctx, num, den, None, None, None
+    a.ctx, a.num, a.den, a._coords, a._rows = ctx, num, den, None, None
     return a
 
 
@@ -93,15 +93,13 @@ def _reduced(ctx: "CyclotomicContext", num, den: int) -> "CycloElement":
 class CycloElement:
     """An element of K: the integer numerators num of its power-basis
     coordinates over one denominator den > 0 with gcd(den, *num) = 1, so equal
-    elements have equal (num, den). Three views are built on first use and
+    elements have equal (num, den). Two views are built on first use and
     kept, which is safe because an element never changes: coords, the
-    coordinates as Fractions, on first read; _rows, the rows of the integer
-    matrix of multiplication by num, the first time the element is the left
-    operand of a product (or is inverted, or gives its mul_matrix); and
-    _codiff, its coordinates in the codifferent basis, on the first
-    coords_in_codiff."""
+    coordinates as Fractions, on first read; and _rows, the rows of the
+    integer matrix of multiplication by num, the first time the element is
+    the left operand of a product (or is inverted, or gives its mul_matrix)."""
 
-    __slots__ = ("ctx", "num", "den", "_coords", "_rows", "_codiff")
+    __slots__ = ("ctx", "num", "den", "_coords", "_rows")
 
     def __init__(self, ctx: "CyclotomicContext", coords) -> None:
         coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
@@ -113,7 +111,7 @@ class CycloElement:
         self.ctx = ctx
         self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
         self.den = den
-        self._coords = self._rows = self._codiff = None
+        self._coords = self._rows = None
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -178,9 +176,6 @@ class CycloElement:
             return _reduced(self.ctx, [a * q for a in self.num], self.den * other.numerator)
         return NotImplemented
 
-    def conj(self) -> "CycloElement":
-        return self.ctx.conj(self)
-
     def trace(self) -> Fraction:
         return self.ctx.trace(self)
 
@@ -189,19 +184,20 @@ class CycloElement:
 
 
 class CyclotomicContext:
-    """All precomputed data of Q(zeta_m): traces of powers, the complex
-    conjugation matrix, and bases of the ring of integers and of its
-    trace-dual (codifferent) lattice.
+    """All precomputed data of Q(zeta_m): traces of powers, the powers of
+    zeta, and the Gram matrices and pairing of the ring of integers and of
+    its trace-dual (codifferent) lattice, whose basis is codiff_gen * zeta^j.
 
     The data rest on two primitives: the integral trace form ok_gram = T,
     Toeplitz in the Ramanujan sums Tr(zeta^j), which gives every pairing
     Tr(a conj(b)) = a^T T b, Gram matrix and trace (its determinant, the
     discriminant, is taken from the closed form), and the zeta-shift (multiply
     by zeta), which gives the matrix of every multiplication: products, the
-    codifferent basis, coordinates in it (multiplication by Phi_m'(zeta)), and
-    the system that inverse() solves. The powers of zeta are one table of
-    zeta-shifts of 1, which zeta, conj_matrix and the unit action mul_zeta
-    read.
+    codifferent basis, coordinates in it (one product by the stored
+    different, Phi_m'(zeta)), and the system that inverse() solves. The
+    powers of zeta are one table of zeta-shifts of 1, which zeta and the unit
+    action mul_zeta read; on the power basis, complex conjugation is the unit
+    action conj(zeta^j) = zeta^-j.
 
     The field's data never change and every operation is pure. The two forms
     the search enumerates, ring_form (ok_gram over 1) and codiff_form (the
@@ -231,12 +227,6 @@ class CyclotomicContext:
         self.trace_vec: tuple[int, ...] = tuple(
             sum(mu * d for d, mu in pairs if j % d == 0) for j in range(2 * g - 1))
 
-        # complex conjugation zeta -> zeta^(m-1): column j is zeta^(-j)
-        self.conj_matrix: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row[-j % m] for j in range(g)) for row in self._zeta_table)
-
-        self.ok_basis: tuple[CycloElement, ...] = tuple(self.zeta(j) for j in range(g))
-
         # the euclidean pairing Tr(a conj(b)) is a^T T b on coordinates, with
         # T integral and Toeplitz: Tr(zeta^j conj(zeta^k)) = Tr(zeta^|j-k|)
         self.ok_gram: tuple[tuple[int, ...], ...] = tuple(
@@ -245,17 +235,17 @@ class CyclotomicContext:
         # |disc| = |det T| = m^g / prod_{p | m} p^(g/(p-1))
         self.disc_abs: int = m ** g // prod(p ** (g // (p - 1)) for p in prime_factors(m))
 
-        # multiplication by Phi_m'(zeta) maps the codifferent basis
-        # codiff_gen * zeta^j to zeta^j, so its integer matrix (columns: the
-        # zeta-shifts of Phi_m'(zeta)) gives coordinates in the codifferent
-        diff = self.different_generator()
-        self._diff_matrix = self.mul_matrix(diff)
-        self.codiff_gen: CycloElement = self.inverse(diff)
+        # the different Phi_m'(zeta); its inverse codiff_gen generates the
+        # codifferent over Z[zeta], and multiplication by it maps the
+        # codifferent basis codiff_gen * zeta^j to zeta^j, so it gives
+        # coordinates in the codifferent; its multiplication rows are built
+        # here, once
+        self.different: CycloElement = _element(
+            self, tuple(i * c for i, c in enumerate(self.phi_coeffs))[1:], 1)
+        self.codiff_gen: CycloElement = self.inverse(self.different)
         # unit multiples of codiff_gen: its numerators' shifts over its denominator e
         e = self.codiff_gen.den
         cd = self._shifts(self.codiff_gen.num)
-        self.codiff_basis: tuple[CycloElement, ...] = tuple(
-            _element(self, tuple(c), e) for c in cd)
         # codiff_pairing[j][k] = Tr(zeta^k conj(c_j)), integral on the codifferent
         self.codiff_pairing: tuple[tuple[int, ...], ...] = tuple(
             tuple(v // e for v in linalg.mat_vec(self.ok_gram, c)) for c in cd)
@@ -331,11 +321,6 @@ class CyclotomicContext:
         return _element(self, tuple(sum(map(operator.mul, row[e:end], num))
                                     for row in self._zeta_table), a.den)
 
-    def conj(self, a: CycloElement) -> CycloElement:
-        """Complex conjugation zeta -> zeta^(m-1), an integer involution of
-        Z^g: a's denominator stays and the numerators need no reduction."""
-        return _element(self, tuple(linalg.mat_vec(self.conj_matrix, a.num)), a.den)
-
     def trace(self, a: CycloElement) -> Fraction:
         # row 0 of ok_gram holds Tr(zeta^k)
         return Fraction(sum(map(operator.mul, self.ok_gram[0], a.num)), a.den)
@@ -363,19 +348,10 @@ class CyclotomicContext:
             raise ValueError("mul_matrix takes a ring integer")
         return self._mul_rows(a)
 
-    def different_generator(self) -> CycloElement:
-        """Phi_m'(zeta); its inverse generates the codifferent over Z[zeta]."""
-        c = self.phi_coeffs
-        return CycloElement(self, [i * c[i] for i in range(1, self.g + 1)])
-
     # -- lattice coordinates --------------------------------------------------
 
-    def coords_in_codiff(self, a: CycloElement) -> tuple[tuple[int, ...], int]:
-        """Coordinates of a in the codifferent basis codiff_gen * zeta^j,
-        which are the power-basis coordinates of a * Phi_m'(zeta): integer
-        numerators over a's denominator, not necessarily in lowest terms.
-        Computed once and kept on a, so the shared codiff_basis elements of
-        every lattice of a field are converted once."""
-        if a._codiff is None:
-            a._codiff = (tuple(linalg.mat_vec(self._diff_matrix, a.num)), a.den)
-        return a._codiff
+    def coords_in_codiff(self, a: CycloElement) -> CycloElement:
+        """Phi_m'(zeta) * a, in lowest terms like every element: its
+        power-basis coordinates are a's coordinates in the codifferent basis
+        codiff_gen * zeta^j. One field product."""
+        return self.mul(self.different, a)

@@ -1,35 +1,38 @@
 """The rank-2g lattice of a principally polarized abelian variety with
 multiplication structure from the cyclotomic field.
 
-For a scale r > 0 and a rational point t of E, the lattice is spanned by
-r * (codifferent basis) together with the vectors r * t * conj(b) + (i/r) * b
+For a scale r > 0 and a rational point x of E, the lattice is spanned by
+r * (codifferent basis) together with the vectors r * x * conj(b) + (i/r) * b
 for b running over the power basis of the ring of integers. A lattice point
-r*u + (i/r)*v is stored as the pair (u, v) of field elements, which keeps
-every Gram entry a rational in r^2 and 1/r^2 only; r itself never needs to
-be extracted as a real number.
+r*u + (i/r)*v is the pair (u, v) of field elements, which keeps every Gram
+entry a rational in r^2 and 1/r^2 only; r itself never needs to be
+extracted as a real number.
 
-A lattice keeps every form as integer rows over one positive denominator in
-lowest common terms. The generators are rows N over D, in codifferent
-coordinates for u and power-basis coordinates for v: build_lattice's rows are
-then [[I, 0], [X, I]] and D is the denominator of x in the codifferent. The
-Gram matrix and the symplectic form are integer products of N with the trace
-pairings of these bases over multiples of D^2, so the checks, the LLL and the
-LDL factors run on integers, and no form is ever held as a Fraction matrix:
-det_real_gram builds one Fraction, for its result. N is lower triangular
-with a nonzero diagonal, as build_lattice's rows are by construction, and
-the constructor refuses generators whose rows are not. So the v part of the
-first g rows is zero: the forms multiply only the blocks that rows with a
-nonzero v part reach, and the unit action leaves that part of those rows at
-zero. Membership, and with it the unit action and real multiplication
-checks, is then a back-substitution of integer rows against N itself, with
-a ring integer acting through the same integral multiplication matrix in
-both bases: no field multiplication and no elimination.
+A lattice keeps its generators as integer rows N over one positive
+denominator D in lowest common terms, in codifferent coordinates for u and
+power-basis coordinates for v. build_lattice writes them in closed form from
+the unit action: the codifferent coordinates of x are the power-basis
+coordinates of y = Phi_m'(zeta) x (one field product), and conj(zeta^j) =
+zeta^-j, so those of x conj(zeta^j) are the numerators of zeta^-j y. With D
+the denominator of y, the rows are [[D I, 0], [Y, D I]] over D, row j of Y
+those numerators. The Gram matrix and the symplectic form are integer
+products of N with the trace pairings of these bases over multiples of D^2,
+so the checks, the LLL and the LDL factors run on integers, and no form is
+ever held as a Fraction matrix: det_real_gram builds one Fraction, for its
+result. N is lower triangular with a nonzero diagonal, as build_lattice's
+rows are by construction, and the constructor refuses rows that are not.
+So the v part of the first g rows is zero: the forms multiply only the
+blocks that rows with a nonzero v part reach, and the unit action leaves
+that part of those rows at zero. Membership, and with it the unit action and
+real multiplication checks, is then a back-substitution of integer rows
+against N itself, with a ring integer acting through the same integral
+multiplication matrix in both bases: no field multiplication and no
+elimination.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import linalg
 from .cyclotomic import CycloElement, CyclotomicContext
@@ -39,30 +42,23 @@ from .svp import PreparedForm
 class PolarizedLattice:
     """Lattice with exact real Gram matrix and integer symplectic form.
 
-    generators holds the (u, v) pairs. gram and skew are (rows, den) of the
-    real and the imaginary part of the hermitian product of the generators,
-    and form is the PreparedForm of gram. Each is built on first read: the
-    stability and divisibility checks and a search's losing twists never read
-    skew, and the stability check reads none of them.
+    The generators are the integer rows over den (codifferent coordinates of
+    u, then power-basis coordinates of v), kept in lowest terms as _rows over
+    _den. gram and skew are (rows, den) of the real and the imaginary part of
+    the hermitian product of the generators, and form is the PreparedForm of
+    gram. Each is built on first read: the stability and divisibility checks
+    and a search's losing twists never read skew, and the stability check
+    reads none of them.
     """
 
-    def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement,
-                 generators) -> None:
+    def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement, rows, den: int) -> None:
         r_sq = Fraction(r_sq)
         if r_sq <= 0:
             raise ValueError(f"r^2 must be positive, got {r_sq}")
         self.ctx = ctx
         self.r_sq = r_sq
         self.x = x
-        self.generators: tuple[tuple[CycloElement, CycloElement], ...] = tuple(generators)
-
-        # rows: codifferent coordinates a of u, power-basis coordinates b of v,
-        # each over its own denominator, brought over their lcm D
-        parts = [(*ctx.coords_in_codiff(u), v.num, v.den) for u, v in self.generators]
-        den = lcm(*(d for _, du, _, dv in parts for d in (du, dv)))
-        self._rows, self._den = linalg.lowest_terms(
-            [[c * (den // du) for c in a] + [c * (den // dv) for c in b]
-             for a, du, b, dv in parts], den)
+        self._rows, self._den = linalg.lowest_terms(rows, den)
         if len(self._rows) != 2 * ctx.g or not all(
                 row[i] and not any(row[i + 1:]) for i, row in enumerate(self._rows)):
             raise ValueError("generator rows must be lower triangular with a nonzero diagonal")
@@ -179,7 +175,12 @@ class PolarizedLattice:
 
 
 def build_lattice(ctx: CyclotomicContext, r_sq, x: CycloElement) -> PolarizedLattice:
-    """Construct the lattice for scale r^2 > 0 and twist point x."""
-    gens = [(a, ctx.zero()) for a in ctx.codiff_basis]
-    gens += [(x * b.conj(), b) for b in ctx.ok_basis]
-    return PolarizedLattice(ctx, r_sq, x, gens)
+    """Construct the lattice for scale r^2 > 0 and twist point x: rows
+    [d e_j, 0] and [zeta^-j y, d e_j] over d, for y = Phi_m'(zeta) x over
+    its denominator d."""
+    y = ctx.coords_in_codiff(x)
+    g, d = ctx.g, y.den
+    diag = [[d if i == j else 0 for i in range(g)] for j in range(g)]
+    rows = [e + [0] * g for e in diag] + [[*ctx.mul_zeta(-j, y).num, *e]
+                                          for j, e in enumerate(diag)]
+    return PolarizedLattice(ctx, r_sq, x, rows, d)

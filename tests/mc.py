@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import box_points_in_ball, codiff_coords, codiff_gram, enumerate_in_ball
+from oracles import (box_points_in_ball, codiff_basis, codiff_coords, codiff_gram, conj,
+                     enumerate_in_ball)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -75,11 +76,11 @@ def mc_fold_lhs(ctx, b_el, z_x, z_y, epsilon, n_samples: int, seed: int):
     """(estimate, stderr) of the integral over the fundamental parallelepiped
     of sum_a chi(a + x*b + z) at unit scale, by uniform sampling of x."""
     g = ctx.g
-    s = chi_radius_sq_float(ctx, epsilon) - float((z_y * z_y.conj()).trace())
+    s = chi_radius_sq_float(ctx, epsilon) - float((z_y * conj(z_y)).trace())
     if s <= 0:
         return 0.0, 0.0
     # affine map u -> codifferent coordinates of x*b + z_x for x = sum u_j a_j
-    cols = [codiff_coords(ctx, a * b_el) for a in ctx.codiff_basis]
+    cols = [codiff_coords(ctx, a * b_el) for a in codiff_basis(ctx)]
     m_map = np.array([[float(cols[j][i]) for j in range(g)] for i in range(g)])
     c0 = np.array([float(c) for c in codiff_coords(ctx, z_x)])
     gram_cd = np.array([[float(e) for e in row] for row in codiff_gram(ctx)])

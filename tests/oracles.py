@@ -24,6 +24,7 @@ from cyclopack import cli, linalg
 from cyclopack.checker import chi_norm_sq, refine
 from cyclopack.cyclotomic import cyclotomic_polynomial
 from cyclopack.intervals import IntervalValue, _arctan_inv_sums, int_nth_root
+from cyclopack.lattice import PolarizedLattice
 from cyclopack.search import SearchConfig
 from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
                           shortest_norm_sq)
@@ -270,9 +271,11 @@ def symplectic(lat) -> list[list[Fraction]]:
 
 
 def codiff_coords(ctx, a) -> list[Fraction]:
-    """Coordinates of the field element a in the codifferent basis."""
-    num, den = ctx.coords_in_codiff(a)
-    return [Fraction(c, den) for c in num]
+    """Coordinates of the field element a in the codifferent basis
+    zeta^j / Phi_m'(zeta): the power-basis coordinates of Phi_m'(zeta) a,
+    multiplied as polynomials modulo Phi_m."""
+    phi = cyclotomic_polynomial(ctx.m)
+    return poly_mul_mod(a.coords, [i * c for i, c in enumerate(phi)][1:], ctx.m)
 
 
 def codiff_gram(ctx) -> tuple[tuple[Fraction, ...], ...]:
@@ -366,8 +369,52 @@ def block_contains(ctx, x, u, v) -> bool:
     the block shape of its generators: the coordinates on the ring part are
     those of v in the power basis, and on the codifferent part those of
     u - x conj(v) in the codifferent basis; both must be integers."""
-    coords = list(v.coords) + codiff_coords(ctx, u - x * v.conj())
+    coords = list(v.coords) + codiff_coords(ctx, u - x * conj(v))
     return all(Fraction(c).denominator == 1 for c in coords)
+
+
+# -- the twisted lattice from its definition -------------------------------------
+#
+# build_lattice writes its rows in closed form from the unit action. These
+# build them as the paper defines the lattice, and as PolarizedLattice once
+# took them: (u, v) pairs of field elements, the twisted ones by field
+# products with conjugates, then the codifferent and power-basis coordinates
+# of each pair over one denominator.
+
+def conj(a):
+    """Complex conjugation, sum_k a_k zeta^(-k), summed from the powers of
+    zeta: no conjugation matrix."""
+    ctx = a.ctx
+    return sum((c * ctx.zeta(-k) for k, c in enumerate(a.coords)), ctx.zero())
+
+
+def ok_basis(ctx) -> list:
+    """The power basis zeta^j, j < g, of the ring of integers."""
+    return [ctx.zeta(j) for j in range(ctx.g)]
+
+
+def codiff_basis(ctx) -> list:
+    """The codifferent basis c_j = codiff_gen * zeta^j, j < g."""
+    return [ctx.codiff_gen * b for b in ok_basis(ctx)]
+
+
+def generator_pairs(ctx, x) -> list:
+    """The (u, v) pairs of the generators r u + (i/r) v of the lattice of
+    twist x: (c_j, 0) and (x conj(zeta^j), zeta^j) for j < g."""
+    return ([(c, ctx.zero()) for c in codiff_basis(ctx)]
+            + [(x * conj(b), b) for b in ok_basis(ctx)])
+
+
+def rows_of_pairs(ctx, pairs) -> tuple[list[list[int]], int]:
+    """(rows, den) of (u, v) pairs in lowest terms: the codifferent
+    coordinates of u and the power-basis coordinates of v of each pair, over
+    their least common denominator."""
+    return integer_matrix([codiff_coords(ctx, u) + list(v.coords) for u, v in pairs])
+
+
+def lattice_of_pairs(ctx, r_sq, x, pairs) -> PolarizedLattice:
+    """The PolarizedLattice whose generators are the (u, v) pairs."""
+    return PolarizedLattice(ctx, r_sq, x, *rows_of_pairs(ctx, pairs))
 
 
 # -- Fraction interval arithmetic ------------------------------------------------

@@ -4,13 +4,14 @@ references in perfbench/reference/, the 24 fields with phi(m) <= 12."""
 import json
 import re
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 from pathlib import Path
 
 import pytest
 
+from cyclopack import checker, linalg
 from cyclopack.checker import (certificate_from_json_dict, certificate_to_json_dict,
-                               certified_lower_bound, recompute_certificate)
+                               certified_lower_bound, known_vector_in_ball, recompute_certificate)
 from cyclopack.cli import dump_json
 from cyclopack.cyclotomic import CyclotomicContext, phi
 from cyclopack.lattice import build_lattice
@@ -56,6 +57,25 @@ def test_stored_lambda1_sq_by_the_rational_pipeline(path):
     radius = min(reduced[i][i] for i in range(len(reduced)))
     norms = [q for s, q in rational_enumerate(d, nu, radius) if any(s)]
     assert min(norms) == Fraction(doc["lambda1_sq"])
+
+
+@pytest.mark.parametrize("path", STORED, ids=lambda p: p.stem)
+def test_known_vector_denominator_on_the_stored_twists(path, monkeypatch):
+    # known_vector_in_ball's vector (0, d) has d the denominator of
+    # Phi_m'(zeta) x in lowest terms: the gcd reduction of x's codifferent
+    # numerators over x's denominator, as the integer matrix of Phi_m'(zeta)
+    # gives them
+    doc = json.loads(path.read_text())
+    ctx = CyclotomicContext(doc["m"])
+    r_sq, x = Fraction(doc["r_sq"]), ctx.element(map(Fraction, doc["x"]))
+    num = linalg.mat_vec(ctx.mul_matrix(ctx.different), x.num)
+    d = x.den // gcd(x.den, *num)
+    assert ctx.coords_in_codiff(x).den == d
+    asked = []
+    monkeypatch.setattr(checker, "chi_norm_sq", lambda two_g, nsq, bound, bits: asked.append(nsq))
+    assert known_vector_in_ball(ctx, r_sq, x, ctx.m - Fraction(doc["epsilon"]),
+                                doc["precision_bits"]) is None
+    assert asked[0] == Fraction(d * d * ctx.g) / r_sq
 
 
 def test_readme_table_matches_stored_certificates():

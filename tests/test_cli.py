@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from cyclopack import linalg
+from cyclopack import linalg, verify
 from cyclopack.checker import CHECK_NAMES, MAX_G, certificate_from_json_dict
 from cyclopack.cli import COMMANDS, main, parse_args
 from cyclopack.cyclotomic import CyclotomicContext
 from cyclopack.search import SearchConfig
 from cyclopack.tables import bound_table, primorial_row
 from cyclopack.verify import SuiteResult
-from oracles import argparse_parser
+from oracles import argparse_parser, codiff_basis, lattice_of_pairs, ok_basis
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -372,11 +372,14 @@ def test_verify_rejects_nonpositive_trials(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    # simulate a broken conjugation: build_lattice twists by conj(b), so the
-    # lattice loses its principal polarization and its unit action, while
-    # norm invariance holds (the trace form and the zeta^-k of the unit
-    # action need no conj); the CLI must dump the first failing instance
-    monkeypatch.setattr(CyclotomicContext, "conj", lambda self, a: a)
+    # simulate a broken conjugation: build_lattice twists by conj(b), so a
+    # lattice twisted by b itself loses its principal polarization and its
+    # unit action, while norm invariance holds (the trace form and the
+    # zeta^-k of the unit action need no lattice); the CLI must dump the
+    # first failing instance
+    monkeypatch.setattr(verify, "build_lattice", lambda ctx, r_sq, x: lattice_of_pairs(
+        ctx, r_sq, x, [(a, ctx.zero()) for a in codiff_basis(ctx)]
+        + [(x * b, b) for b in ok_basis(ctx)]))
     code, out, err = run(capsys, "verify", "--m", "4", "--trials", "10")
     assert code == 1
     lines = out.splitlines()

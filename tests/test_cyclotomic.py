@@ -9,9 +9,9 @@ from cyclopack import cyclotomic, linalg
 from cyclopack.cyclotomic import CyclotomicContext, cyclotomic_polynomial, phi, prime_factors
 from cyclopack.svp import shortest_norm_sq
 from conftest import get_ctx
-from oracles import (codiff_coords, codiff_gram, fraction_determinant, identity, poly_conj,
-                     mat_mul, poly_mul, poly_mul_mod, poly_trace, power_traces, prepared_form,
-                     trace_by_embeddings)
+from oracles import (codiff_basis, codiff_coords, codiff_gram, conj, fraction_determinant,
+                     identity, mat_mul, ok_basis, poly_conj, poly_mul, poly_mul_mod, poly_trace,
+                     power_traces, prepared_form, trace_by_embeddings)
 
 
 def random_element(ctx, rng):
@@ -95,7 +95,7 @@ def test_field_operations_match_polynomial_oracle(m):
                 *(ctx.element([Fraction(rng.randint(-big, big), rng.randint(1, big))
                                for _ in range(g)]) for _ in range(2))]
     for a in elements:
-        assert list(a.conj().coords) == poly_conj(a.coords, m)
+        assert list(conj(a).coords) == poly_conj(a.coords, m)
         assert a.trace() == poly_trace(a.coords, m)
         # the codifferent basis is codiff_gen * zeta^j
         assert poly_mul_mod(codiff_coords(ctx, a), ctx.codiff_gen.coords, m) == list(a.coords)
@@ -173,7 +173,8 @@ def test_elements_are_numerators_over_one_denominator(m):
             a / 0
         with pytest.raises(ZeroDivisionError):
             a / Fraction(0)
-        results = [(-a, [-x for x in xs]), (a * 0, [zero] * ctx.g), (a.conj(), poly_conj(xs, m))]
+        results = [(-a, [-x for x in xs]), (a * 0, [zero] * ctx.g),
+                   (ctx.mul_zeta(-1, a), poly_mul_mod(poly_conj([0, 1], m), xs, m))]
         results += [(op(a, s), [op(x, s) for x in xs])
                     for s in scalars for op in (operator.mul, operator.truediv)]
         results += [(s * a, poly_mul_mod([s], xs, m)) for s in scalars]
@@ -195,7 +196,7 @@ def test_equal_values_compare_and_hash_equal(ctx4, ctx12):
         same = [ctx.element([half, *zeros]), ctx.element([Fraction(3, 6), *zeros]),
                 ctx.element(["1/2", *zeros]), ctx.element([0.5, *zeros]),
                 ctx.one() / 2, ctx.one() * half, half * ctx.one(), (ctx.one() + ctx.one()) / 4,
-                z * z.conj() / 2, ctx.one() - ctx.element([half, *zeros]),
+                z * conj(z) / 2, ctx.one() - ctx.element([half, *zeros]),
                 -(ctx.element([Fraction(-3, 4), *zeros]) * Fraction(2, 3)),
                 ctx.mul_zeta(-1, z) / Fraction(2)]
         assert all(e.num == (1, *zeros) and e.den == 2 for e in same)
@@ -233,7 +234,7 @@ def test_context_and_inverse_build_no_fraction(monkeypatch):
     monkeypatch.setattr(cyclotomic, "Fraction", Counted)
     for m in (5, 12, 30):
         ctx = CyclotomicContext(m)
-        ctx.inverse(ctx.different_generator() + ctx.one())
+        ctx.inverse(ctx.different + ctx.one())
     assert made == []
 
 
@@ -248,22 +249,28 @@ def test_ring_axioms_random():
 
 
 def test_conj(ctx4, ctx3):
-    assert ctx4.conj(ctx4.zeta(1)).coords == (Fraction(0), Fraction(-1))
-    assert ctx3.conj(ctx3.zeta(1)).coords == (Fraction(-1), Fraction(-1))
+    # the tests' conjugation, sum_k a_k zeta^-k, is a field automorphism
+    assert conj(ctx4.zeta(1)).coords == (Fraction(0), Fraction(-1))
+    assert conj(ctx3.zeta(1)).coords == (Fraction(-1), Fraction(-1))
     rng = random.Random(3)
     for m in (5, 8, 12):
         ctx = get_ctx(m)
         for _ in range(20):
             a, b = random_element(ctx, rng), random_element(ctx, rng)
-            assert (a * b).conj() == a.conj() * b.conj()
-            assert a.conj().conj() == a
+            assert conj(a * b) == conj(a) * conj(b)
+            assert conj(conj(a)) == a
 
 
 def test_conjugation_matrix_is_involution():
+    # build_lattice conjugates the power basis by the unit action,
+    # conj(zeta^j) = zeta^-j: the matrix whose columns are those images is
+    # an involution and agrees with the tests' conjugation on every column
     for m in (3, 4, 5, 8, 12, 15):
         ctx = get_ctx(m)
-        p = ctx.conj_matrix
-        assert mat_mul([list(r) for r in p], [list(r) for r in p]) == identity(ctx.g)
+        cols = [ctx.mul_zeta(-j, ctx.one()) for j in range(ctx.g)]
+        assert cols == [conj(b) for b in ok_basis(ctx)]
+        p = [list(r) for r in zip(*(b.num for b in cols))]
+        assert mat_mul(p, p) == identity(ctx.g)
 
 
 def test_trace(ctx3):
@@ -297,11 +304,11 @@ def test_inverse(ctx4, ctx3):
 
 
 def test_different_generator(ctx4, ctx3):
-    assert ctx4.different_generator().coords == (Fraction(0), Fraction(2))
-    assert ctx3.different_generator().coords == (Fraction(1), Fraction(2))
+    assert ctx4.different.coords == (Fraction(0), Fraction(2))
+    assert ctx3.different.coords == (Fraction(1), Fraction(2))
     for m in (3, 4, 5, 8, 12):
         ctx = get_ctx(m)
-        assert ctx.codiff_gen * ctx.different_generator() == ctx.one()
+        assert ctx.codiff_gen * ctx.different == ctx.one()
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 18, 20])
@@ -317,26 +324,26 @@ def test_codifferent_duality(m):
     assert abs(fraction_determinant(mat)) == 1
     # both flavors of the pairing against the ring of integers are integral,
     # and codiff_pairing holds the conjugated one as ints
-    for a, row in zip(ctx.codiff_basis, ctx.codiff_pairing):
-        assert list(row) == [(b * a.conj()).trace() for b in ctx.ok_basis]
+    for a, row in zip(codiff_basis(ctx), ctx.codiff_pairing):
+        assert list(row) == [(b * conj(a)).trace() for b in ok_basis(ctx)]
         assert all(type(e) is int for e in row)
-        for b in ctx.ok_basis:
+        for b in ok_basis(ctx):
             assert (a * b).trace().denominator == 1
-            assert (a * b.conj()).trace().denominator == 1
+            assert (a * conj(b)).trace().denominator == 1
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 18, 20, 30])
 def test_codifferent_coordinates_roundtrip(m):
     ctx = get_ctx(m)
     g = ctx.g
-    for j, b in enumerate(ctx.codiff_basis):
-        assert b == ctx.codiff_gen * ctx.zeta(j)
+    for j, b in enumerate(codiff_basis(ctx)):
+        assert b == ctx.mul_zeta(j, ctx.codiff_gen)
         assert codiff_coords(ctx, b) == [int(i == j) for i in range(g)]
     rng = random.Random(m)
     for _ in range(10):
         a = random_element(ctx, rng)
         c = codiff_coords(ctx, a)
-        assert sum((cj * b for cj, b in zip(c, ctx.codiff_basis)), ctx.zero()) == a
+        assert sum((cj * b for cj, b in zip(c, codiff_basis(ctx))), ctx.zero()) == a
 
 
 @pytest.mark.parametrize("m", range(3, 31))
@@ -359,7 +366,7 @@ def test_trace_form_positive_definite():
         for _ in range(20):
             a = random_element(ctx, rng)
             if a:
-                assert (a * a.conj()).trace() > 0
+                assert (a * conj(a)).trace() > 0
 
 
 # the 24 values of m >= 3 with phi(m) <= 12
@@ -376,3 +383,19 @@ def test_field_minima(m):
     codiff = prepared_form(codiff_gram(ctx))
     assert shortest_norm_sq(codiff) == Fraction(2 ** len(prime_factors(f)), f)
     assert shortest_norm_sq(prepared_form(ctx.ok_gram)) == ctx.g
+
+
+@pytest.mark.parametrize("m", FIELDS_G_LE_12)
+def test_coords_in_codiff_is_one_product_in_lowest_terms(m):
+    # the codifferent coordinates of a are the power-basis coordinates of
+    # Phi_m'(zeta) a, returned as that element, reduced like any other
+    ctx = get_ctx(m)
+    rng = random.Random(m)
+    elements = [ctx.zero(), ctx.one(), ctx.codiff_gen, ctx.mul_zeta(m - 1, ctx.codiff_gen) / 7,
+                *(random_element(ctx, rng) for _ in range(5))]
+    for a in elements:
+        y = ctx.coords_in_codiff(a)
+        assert y == ctx.different * a
+        assert y.den > 0 and gcd(y.den, *y.num) == 1
+        assert list(y.coords) == codiff_coords(ctx, a)
+    assert ctx.coords_in_codiff(ctx.codiff_gen) == ctx.one()

@@ -6,8 +6,8 @@ import pytest
 
 from cyclopack import cyclotomic, linalg
 from conftest import get_ctx
-from oracles import (codiff_gram, embed, fraction_determinant, point_norm_sq, poly_mul_mod,
-                     unit_act)
+from oracles import (codiff_basis, codiff_gram, conj, embed, fraction_determinant, ok_basis,
+                     point_norm_sq, poly_mul_mod, unit_act)
 from test_cyclotomic import in_lowest_terms, random_element
 
 
@@ -54,28 +54,28 @@ def test_pairing_unit_invariance():
 
 
 def test_gram_matrices(ctx3, ctx4, ctx12):
-    g3 = gram(ctx3.ok_basis)
+    g3 = gram(ok_basis(ctx3))
     assert g3 == [[2, -1], [-1, 2]]
     assert fraction_determinant(g3) == 3
-    assert gram(ctx4.ok_basis) == [[2, 0], [0, 2]]
-    assert gram(ctx4.codiff_basis) == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    g12 = gram(ctx12.ok_basis)
+    assert gram(ok_basis(ctx4)) == [[2, 0], [0, 2]]
+    assert gram(codiff_basis(ctx4)) == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    g12 = gram(ok_basis(ctx12))
     assert g12 == [[4, 0, 2, 0], [0, 4, 0, 2], [2, 0, 4, 0], [0, 2, 0, 4]]
     assert fraction_determinant(g12) == 144
 
 
 def trace_form(basis):
     # Tr(a conj(b)) by field multiplication: the reference for the pairing
-    return [[(a * b.conj()).trace() for b in basis] for a in basis]
+    return [[(a * conj(b)).trace() for b in basis] for a in basis]
 
 
 def test_gram_matches_precomputed():
     for m in (3, 4, 5, 8, 12, 18):
         ctx = get_ctx(m)
-        ok, cd = trace_form(ctx.ok_basis), trace_form(ctx.codiff_basis)
-        assert gram(ctx.ok_basis) == ok
+        ok, cd = trace_form(ok_basis(ctx)), trace_form(codiff_basis(ctx))
+        assert gram(ok_basis(ctx)) == ok
         assert [list(r) for r in ctx.ok_gram] == ok
-        assert gram(ctx.codiff_basis) == cd
+        assert gram(codiff_basis(ctx)) == cd
         assert [list(r) for r in codiff_gram(ctx)] == cd
 
 
@@ -88,7 +88,7 @@ def test_pairing_matches_trace_of_product():
         for a, b in pairs:
             p = pairing(a, b)
             assert type(p) is Fraction
-            assert p == (a * b.conj()).trace()
+            assert p == (a * conj(b)).trace()
 
 
 def test_norm_sq_values(ctx4, ctx3):
@@ -127,9 +127,9 @@ def test_g_act_matches_polynomial_oracle(m):
 
 
 def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
-    # products, unit multiples, conjugates and powers of zeta work on the
-    # numerators: no Fraction and no elimination; a trace and a pairing build
-    # one Fraction each, for their result
+    # products, unit multiples, codifferent coordinates and powers of zeta
+    # work on the numerators: no Fraction and no elimination; a trace and a
+    # pairing build one Fraction each, for their result
     rng = random.Random(12)
     a, b = random_element(ctx12, rng), random_element(ctx12, rng)
     made = []
@@ -145,7 +145,7 @@ def test_ring_operations_build_no_fraction(ctx12, monkeypatch):
     monkeypatch.setattr(cyclotomic, "Fraction", Counted)
     monkeypatch.setattr(linalg, "eliminate", no_elimination)
     for k in range(-12, 13):
-        ctx12.mul(a, b), ctx12.mul(ctx12.zeta(k), b), ctx12.conj(a)
+        ctx12.mul(a, b), ctx12.mul(ctx12.zeta(k), b), ctx12.coords_in_codiff(a)
         ctx12.mul_zeta(k, a), unit_act(k, a, b)
     assert made == []
     ctx12.trace(a), ctx12.pairing(a, b)

@@ -8,11 +8,13 @@ import pytest
 from cyclopack import linalg
 from cyclopack.checker import run_checks
 from cyclopack.cli import lattice_json_dict
-from cyclopack.cyclotomic import CyclotomicContext
-from cyclopack.lattice import PolarizedLattice, build_lattice
+from cyclopack.cyclotomic import CyclotomicContext, phi
+from cyclopack.lattice import build_lattice
+from cyclopack.search import SearchConfig, sample_x
 from conftest import get_ctx
-from oracles import (block_contains, contains, elimination_spans, fraction_determinant, identity,
-                     real_gram, symplectic)
+from oracles import (block_contains, codiff_basis, conj, contains, elimination_spans,
+                     fraction_determinant, generator_pairs, identity, lattice_of_pairs, ok_basis,
+                     real_gram, rows_of_pairs, symplectic)
 from test_cyclotomic import random_element
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -25,9 +27,9 @@ def gram_oracle(ctx, r_sq, x, pairs):
     Im<g, g'> = Tr(v conj(u')) - Tr(u conj(v'))."""
     re, im = [], []
     for u, v in pairs:
-        re.append([r_sq * (u * uu.conj()).trace() + (v * vv.conj()).trace() / r_sq
+        re.append([r_sq * (u * conj(uu)).trace() + (v * conj(vv)).trace() / r_sq
                    for uu, vv in pairs])
-        im.append([(v * uu.conj()).trace() - (u * vv.conj()).trace()
+        im.append([(v * conj(uu)).trace() - (u * conj(vv)).trace()
                    for uu, vv in pairs])
     return re, im
 
@@ -42,9 +44,9 @@ def test_m4_unit_gram(ctx4):
 def _perturbed_pairs(ctx):
     """The generators of build_lattice(ctx, 1, 0) with the first u part moved
     by half a codifferent basis vector: no longer a lattice of this family."""
-    pairs = list(build_lattice(ctx, 1, ctx.zero()).generators)
+    pairs = generator_pairs(ctx, ctx.zero())
     u0, v0 = pairs[0]
-    pairs[0] = (u0 + Fraction(1, 2) * ctx.codiff_basis[0], v0)
+    pairs[0] = (u0 + Fraction(1, 2) * codiff_basis(ctx)[0], v0)
     return pairs
 
 
@@ -56,25 +58,25 @@ def test_gram_formulas_match_oracle():
             r_sq = Fraction(rng.randint(4, 32), 8)
             x = random_element(ctx, rng)
             lat = build_lattice(ctx, r_sq, x)
-            re, im = gram_oracle(ctx, r_sq, x, lat.generators)
+            re, im = gram_oracle(ctx, r_sq, x, generator_pairs(ctx, x))
             assert real_gram(lat) == re
             assert symplectic(lat) == im
     # non-integral r^2 = p/q with a 53-bit twist, where the common
     # denominator p q D^2 of the integer assembly is largest
     for m in (5, 12, 30):
         ctx = get_ctx(m)
-        x = sum((Fraction(rng.getrandbits(53), 1 << 53) * a for a in ctx.codiff_basis),
+        x = sum((Fraction(rng.getrandbits(53), 1 << 53) * a for a in codiff_basis(ctx)),
                 ctx.zero())
         for r_sq in (Fraction(21, 2), Fraction(7, 3)):
             lat = build_lattice(ctx, r_sq, x)
-            re, im = gram_oracle(ctx, r_sq, x, lat.generators)
+            re, im = gram_oracle(ctx, r_sq, x, generator_pairs(ctx, x))
             assert real_gram(lat) == re
             assert symplectic(lat) == im
     # the forms are bilinear in arbitrary generators, not only in this family
     for m in (3, 12):
         ctx = get_ctx(m)
         pairs = _perturbed_pairs(ctx)
-        lat = PolarizedLattice(ctx, Fraction(3, 2), ctx.zero(), pairs)
+        lat = lattice_of_pairs(ctx, Fraction(3, 2), ctx.zero(), pairs)
         re, im = gram_oracle(ctx, Fraction(3, 2), ctx.zero(), pairs)
         assert real_gram(lat) == re
         assert symplectic(lat) == im
@@ -84,7 +86,7 @@ def test_gram_formulas_match_oracle():
     for m in (3, 12, 11, 22):
         ctx = get_ctx(m)
         for pairs, r_sq, x in _triangular_variants(ctx, rng):
-            lat = PolarizedLattice(ctx, r_sq, x, pairs)
+            lat = lattice_of_pairs(ctx, r_sq, x, pairs)
             re, im = gram_oracle(ctx, r_sq, x, pairs)
             assert real_gram(lat) == re
             assert symplectic(lat) == im
@@ -95,11 +97,11 @@ def _triangular_variants(ctx, rng):
     build_lattice's family: its rows with one u row and one (u, v) row
     doubled, and the twist map b -> (x * b, b) without the conjugate."""
     r_sq, x = Fraction(rng.randint(4, 32), 8), random_element(ctx, rng)
-    doubled = list(build_lattice(ctx, r_sq, x).generators)
+    doubled = generator_pairs(ctx, x)
     for k in (rng.randrange(ctx.g), ctx.g + rng.randrange(ctx.g)):
         doubled[k] = (2 * doubled[k][0], 2 * doubled[k][1])
-    unconjugated = ([(a, ctx.zero()) for a in ctx.codiff_basis]
-                    + [(x * b, b) for b in ctx.ok_basis])
+    unconjugated = ([(a, ctx.zero()) for a in codiff_basis(ctx)]
+                    + [(x * b, b) for b in ok_basis(ctx)])
     return [(doubled, r_sq, x), (unconjugated, r_sq, x)]
 
 
@@ -115,7 +117,7 @@ def test_structural_checks_match_elimination_on_triangular_generators():
         z, zi = ctx.zeta(1), ctx.zeta(-1)
         b = z + zi
         for pairs, r_sq, x in _triangular_variants(ctx, rng):
-            lat = PolarizedLattice(ctx, r_sq, x, pairs)
+            lat = lattice_of_pairs(ctx, r_sq, x, pairs)
             assert lat.is_g_stable() == elimination_spans(
                 ctx, pairs, [(z * u, zi * v) for u, v in pairs])
             assert lat.has_real_multiplication() == elimination_spans(
@@ -129,7 +131,7 @@ def test_symplectic_block_structure_at_zero_twist():
         g = ctx.g
         lat = build_lattice(ctx, 1, ctx.zero())
         s = lat.symplectic_int()
-        p = [[-(a * b.conj()).trace() for b in ctx.ok_basis] for a in ctx.codiff_basis]
+        p = [[-(a * conj(b)).trace() for b in ok_basis(ctx)] for a in codiff_basis(ctx)]
         for j in range(g):
             for k in range(g):
                 assert s[j][k] == 0 and s[g + j][g + k] == 0
@@ -161,7 +163,7 @@ def test_riemann_integrality_random():
 def test_integrality_breaks_under_half_codifferent_perturbation(ctx3):
     assert build_lattice(ctx3, 1, ctx3.zero()).is_riemann_integral()
     # u0 moves by an element of (1/2)I that is not in I
-    broken = PolarizedLattice(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3))
+    broken = lattice_of_pairs(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3))
     assert not broken.is_riemann_integral()
 
 
@@ -171,14 +173,13 @@ def test_unimodularity_agrees_with_the_fraction_determinant(ctx4, ctx3):
     # determinant of the whole Fraction form agrees
     # on the index-2 sublattice, on non-integral forms of determinant 1 and
     # not 1, and on the perturbed generators of another family
-    lat = build_lattice(ctx4, 2, ctx4.zero())
-    (u0, v0), (u1, v1), *rest = lat.generators
+    (u0, v0), (u1, v1), *rest = generator_pairs(ctx4, ctx4.zero())
     cases = [[(2 * u0, 2 * v0), (u1, v1), *rest],
              [(2 * u0, 2 * v0), (u1 / 2, v1 / 2), *rest],
              [(u0 / 3, v0 / 3), (u1, v1), *rest],
              [(3 * u0, 3 * v0), (u1 / 2, v1 / 2), *rest]]
-    lattices = [PolarizedLattice(ctx4, 2, ctx4.zero(), pairs) for pairs in cases]
-    lattices.append(PolarizedLattice(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3)))
+    lattices = [lattice_of_pairs(ctx4, 2, ctx4.zero(), pairs) for pairs in cases]
+    lattices.append(lattice_of_pairs(ctx3, 1, ctx3.zero(), _perturbed_pairs(ctx3)))
     assert [sub.is_unimodular() for sub in lattices] == [False, True, False, False, False]
     assert not lattices[1].is_riemann_integral()
     for sub in lattices:
@@ -212,11 +213,10 @@ def test_certificate_lattice_builds_few_fractions(monkeypatch):
 
 
 def test_unimodularity_breaks_on_index_two_sublattice(ctx4):
-    lat = build_lattice(ctx4, 2, ctx4.zero())
-    pairs = list(lat.generators)
+    pairs = generator_pairs(ctx4, ctx4.zero())
     u0, v0 = pairs[0]
     pairs[0] = (2 * u0, 2 * v0)
-    sub = PolarizedLattice(ctx4, 2, ctx4.zero(), pairs)
+    sub = lattice_of_pairs(ctx4, 2, ctx4.zero(), pairs)
     assert sub.is_riemann_integral()
     assert not sub.is_unimodular()
     assert abs(fraction_determinant(symplectic(sub))) == 4
@@ -232,12 +232,12 @@ def test_twist_translation_invariance():
     for m in (4, 5, 12):
         ctx = get_ctx(m)
         x = random_element(ctx, rng)
-        delta = sum((rng.randint(-2, 2) * a for a in ctx.codiff_basis), ctx.zero())
+        delta = sum((rng.randint(-2, 2) * a for a in codiff_basis(ctx)), ctx.zero())
         lat1 = build_lattice(ctx, Fraction(3, 2), x)
         lat2 = build_lattice(ctx, Fraction(3, 2), x + delta)
-        for u, v in lat1.generators:
+        for u, v in generator_pairs(ctx, x):
             assert contains(lat2, u, v)
-        for u, v in lat2.generators:
+        for u, v in generator_pairs(ctx, x + delta):
             assert contains(lat1, u, v)
 
 
@@ -250,7 +250,7 @@ def test_contains_matches_block_formula():
         for _ in range(4):
             x = random_element(ctx, rng)
             lat = build_lattice(ctx, Fraction(rng.randint(4, 32), 8), x)
-            gens = lat.generators
+            gens = generator_pairs(ctx, x)
             for _ in range(5):
                 coeffs = [Fraction(rng.randint(-3, 3)) for _ in gens]
                 if rng.random() < 0.5:
@@ -277,9 +277,9 @@ def test_g_stability_requires_conjugated_twist(ctx4):
     # which is not unit-stable
     x = Fraction(1, 3) * ctx4.zeta(1)
     good = build_lattice(ctx4, 1, x)
-    gens = ([(a, ctx4.zero()) for a in ctx4.codiff_basis]
-            + [(x * b, b) for b in ctx4.ok_basis])
-    bad = PolarizedLattice(ctx4, 1, x, gens)
+    gens = ([(a, ctx4.zero()) for a in codiff_basis(ctx4)]
+            + [(x * b, b) for b in ok_basis(ctx4)])
+    bad = lattice_of_pairs(ctx4, 1, x, gens)
     assert good.is_g_stable()
     assert not bad.is_g_stable()
 
@@ -317,12 +317,12 @@ def test_rejects_generators_that_are_not_triangular():
     for m in (3, 5, 12):
         ctx = get_ctx(m)
         x = random_element(ctx, rng)
-        gens = list(build_lattice(ctx, 1, x).generators)
+        gens = generator_pairs(ctx, x)
         shuffled = gens[::-1]
         repeated = [gens[0], gens[0], *gens[2:]]
         for pairs in (shuffled, _mixed(gens, rng), repeated, gens[:-1]):
             with pytest.raises(ValueError, match="lower triangular"):
-                PolarizedLattice(ctx, 1, x, pairs)
+                lattice_of_pairs(ctx, 1, x, pairs)
 
 
 def test_membership_matches_elimination():
@@ -337,16 +337,16 @@ def test_membership_matches_elimination():
     for m in (3, 4, 5, 8, 12, 30):
         ctx = get_ctx(m)
         x = random_element(ctx, rng)
-        gens = build_lattice(ctx, 1, x).generators
+        gens = generator_pairs(ctx, x)
         k = rng.randrange(len(gens))
         sub = [*gens[:k], (2 * gens[k][0], 2 * gens[k][1]), *gens[k + 1:]]
         j = ctx.g + rng.randrange(ctx.g)
         perturbed = list(gens)
-        perturbed[j] = (gens[j][0] + Fraction(1, 2) * ctx.codiff_basis[0], gens[j][1])
+        perturbed[j] = (gens[j][0] + Fraction(1, 2) * codiff_basis(ctx)[0], gens[j][1])
         z, zi = ctx.zeta(1), ctx.zeta(-1)
         t = z + zi
         for pairs in (gens, sub, perturbed):
-            lat = PolarizedLattice(ctx, 1, x, pairs)
+            lat = lattice_of_pairs(ctx, 1, x, pairs)
             got = [lat.is_g_stable(), lat.has_real_multiplication()]
             want = [elimination_spans(ctx, pairs, [(z * u, zi * v) for u, v in pairs]),
                     elimination_spans(ctx, pairs, [(t * u, t * v) for u, v in pairs])]
@@ -369,19 +369,66 @@ def test_checks_need_no_field_multiplication(monkeypatch):
     # membership back-substitutes against those rows, never through an
     # elimination
     ctx = get_ctx(12)
-    lat = build_lattice(ctx, Fraction(5, 2), Fraction(1, 8) * ctx.codiff_basis[1])
+    x = Fraction(1, 8) * codiff_basis(ctx)[1]
+    lat = build_lattice(ctx, Fraction(5, 2), x)
+    u, v = generator_pairs(ctx, x)[ctx.g + 1]
 
     def no_field_arithmetic(*args):
         raise AssertionError("field multiplication in a structural check")
     monkeypatch.setattr(CyclotomicContext, "mul", no_field_arithmetic)
-    monkeypatch.setattr(CyclotomicContext, "conj", no_field_arithmetic)
+    monkeypatch.setattr(CyclotomicContext, "coords_in_codiff", no_field_arithmetic)
 
     def no_elimination(*args):
         raise AssertionError("elimination in a structural check")
     monkeypatch.setattr(linalg, "eliminate", no_elimination)
     assert lat.is_g_stable() and lat.has_real_multiplication()
-    assert contains(lat, *lat.generators[3])
-    assert not contains(lat, Fraction(1, 2) * lat.generators[3][0], lat.generators[3][1])
+    assert contains(lat, u, v)
+    assert not contains(lat, Fraction(1, 2) * u, v)
+
+
+def _twists(ctx, rng):
+    """Twists for the closed-form rows: zero, two search draws at the seed
+    denominator, two random Fraction points and a 53-bit point of the
+    codifferent."""
+    denom = SearchConfig._field_defaults["denom"]
+    return [ctx.zero(), sample_x(ctx, denom, rng), sample_x(ctx, denom, rng),
+            random_element(ctx, rng), random_element(ctx, rng),
+            sum((Fraction(rng.getrandbits(53), 1 << 53) * a for a in codiff_basis(ctx)),
+                ctx.zero())]
+
+
+def test_closed_form_rows_match_the_generator_pairs():
+    # build_lattice writes [d e_j, 0] and [zeta^-j y, d e_j] over d for
+    # y = Phi_m'(zeta) x; the rows of the paper's (u, v) generators, with
+    # field products and conjugates, must be the same integers over the
+    # same denominator, on every field with g <= 12
+    rng = random.Random(71)
+    fields = [m for m in range(3, 43) if phi(m) <= 12]
+    assert len(fields) == 24
+    for m in fields:
+        ctx = get_ctx(m)
+        for x in _twists(ctx, rng):
+            lat = build_lattice(ctx, Fraction(3, 2), x)
+            assert (lat._rows, lat._den) == rows_of_pairs(ctx, generator_pairs(ctx, x)), (m, x)
+
+
+def test_build_makes_one_field_product(monkeypatch):
+    # the codifferent coordinates of x are the one product; the twisted rows
+    # are the unit action on them, and the conjugates are powers of zeta
+    rng = random.Random(73)
+    mul, calls = CyclotomicContext.mul, []
+
+    def counting(self, a, b):
+        calls.append(self.m)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(CyclotomicContext, "mul", counting)
+    for m in (3, 5, 12, 22, 30):
+        ctx = get_ctx(m)
+        for x in (ctx.zero(), random_element(ctx, rng)):
+            calls.clear()
+            build_lattice(ctx, Fraction(5, 2), x)
+            assert calls == [m]
 
 
 def test_serialization_schema(ctx4):

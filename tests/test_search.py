@@ -19,8 +19,8 @@ from cyclopack.search import (NoQualifyingRadius, SearchBudgetExceeded, SearchCo
 from cyclopack.svp import norm_counts, shortest_norm_sq
 from conftest import get_ctx
 from mc import mc_j_value
-from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_coords, codiff_gram,
-                     contains_interval, fractions, midpoint, prepared_form, refine_chi_norm_sq,
+from oracles import (ball_with_norms, box_points_in_ball, chi, codiff_basis, codiff_coords,
+                     codiff_gram, conj, contains_interval, fractions, midpoint, prepared_form, refine_chi_norm_sq,
                      vector_j_value, real_gram, volume_chi_norm_sq, width)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -341,7 +341,7 @@ def test_count_invariant_under_codifferent_shift():
         r_sq = Fraction(3)
         for _ in range(5):
             x = sample_x(ctx, 8, rng)
-            delta = sum((rng.randint(-2, 2) * a for a in ctx.codiff_basis), ctx.zero())
+            delta = sum((rng.randint(-2, 2) * a for a in codiff_basis(ctx)), ctx.zero())
             assert (count_N(build_lattice(ctx, r_sq, x), EPS)
                     == count_N(build_lattice(ctx, r_sq, x + delta), EPS))
 
@@ -359,7 +359,7 @@ def _quad(gram, v):
 
 def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
     """count_N by box scans: every nonzero ring vector b, its center
-    -coords_in_codiff(x conj(b)) computed in the field, every codifferent
+    minus the codifferent coordinates of x conj(b), every codifferent
     vector a near it, and chi on |r a + r x conj(b) + (i/r) b|^2."""
     r_sq = Fraction(r_sq)
     r2_hi = chi_radius_sq(ctx, epsilon, precision + 32).hi
@@ -369,7 +369,7 @@ def brute_count_N(ctx, r_sq, x, epsilon=EPS, precision=128):
             continue
         t = _quad(ctx.ok_gram, bvec)
         rem_hi = (r2_hi - t / r_sq) / r_sq
-        center = [-c for c in codiff_coords(ctx, x * ctx.element(bvec).conj())]
+        center = [-c for c in codiff_coords(ctx, x * conj(ctx.element(bvec)))]
         for avec in box_points_in_ball(gram_cd, center, rem_hi):
             qa = _quad(gram_cd, [a - c for a, c in zip(avec, center)])
             if chi_norm_sq(2 * ctx.g, r_sq * qa + t / r_sq, ctx.m - epsilon, precision):

@@ -13,8 +13,8 @@ from cyclopack.checker import certificate_from_json_dict, chi_radius_sq
 from cyclopack.svp import (ball_volume, enumerate_in_ball_with_norms, norm_counts,
                            shortest_norm_sq)
 from conftest import get_ctx
-from oracles import (ball_with_norms, box_points_in_ball, box_shortest_norm_sq, codiff_gram,
-                     contains_interval, enumerate_in_ball, fraction_determinant,
+from oracles import (ball_with_norms, box_points_in_ball, box_shortest_norm_sq, codiff_basis,
+                     codiff_gram, contains_interval, enumerate_in_ball, fraction_determinant,
                      fraction_lll_reduce, identity, integer_matrix, mat_mul, midpoint,
                      packing_density, prepared_form, rational_enumerate,
                      rational_enumerate_in_ball, rational_lll_reduce, real_gram, width)
@@ -231,7 +231,7 @@ def twisted_lattices():
         ctx = get_ctx(m)
         for bits in (0, 3, 53):
             x = sum((Fraction(rng.getrandbits(bits), 1 << bits) * a
-                     for a in ctx.codiff_basis), ctx.zero())
+                     for a in codiff_basis(ctx)), ctx.zero())
             yield ctx, build_lattice(ctx, r_sq, x)
 
 
