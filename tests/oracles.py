@@ -15,16 +15,15 @@ from __future__ import annotations
 import argparse
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, isqrt, lcm
 
 import mpmath
 
 from cyclopack import cli, linalg
 from cyclopack.checker import chi_norm_sq, refine
-from cyclopack.cyclotomic import cyclotomic_polynomial
+from cyclopack.cyclotomic import CycloElement, CyclotomicContext, cyclotomic_polynomial
 from cyclopack.intervals import IntervalValue, _arctan_inv_sums, int_nth_root
-from cyclopack.lattice import PolarizedLattice
 from cyclopack.search import SearchConfig
 from cyclopack.svp import (PreparedForm, ball_volume, enumerate_in_ball_with_norms, lll_reduce,
                           shortest_norm_sq)
@@ -375,11 +374,14 @@ def block_contains(ctx, x, u, v) -> bool:
 
 # -- the twisted lattice from its definition -------------------------------------
 #
-# build_lattice writes its rows in closed form from the unit action. These
-# build them as the paper defines the lattice, and as PolarizedLattice once
-# took them: (u, v) pairs of field elements, the twisted ones by field
-# products with conjugates, then the codifferent and power-basis coordinates
-# of each pair over one denominator.
+# build_lattice writes its twist block in closed form from the unit action,
+# and PolarizedLattice its forms and checks in closed form from that block.
+# These build the lattice as the paper defines it: (u, v) pairs of field
+# elements, the twisted ones by field products with conjugates, then the
+# codifferent and power-basis coordinates of each pair over one denominator.
+# RowLattice is the reference for the forms and checks: PolarizedLattice as
+# it was when it took any lower-triangular rows, multiplied them with the
+# trace pairings and back-substituted membership against them.
 
 def conj(a):
     """Complex conjugation, sum_k a_k zeta^(-k), summed from the powers of
@@ -412,9 +414,160 @@ def rows_of_pairs(ctx, pairs) -> tuple[list[list[int]], int]:
     return integer_matrix([codiff_coords(ctx, u) + list(v.coords) for u, v in pairs])
 
 
-def lattice_of_pairs(ctx, r_sq, x, pairs) -> PolarizedLattice:
-    """The PolarizedLattice whose generators are the (u, v) pairs."""
-    return PolarizedLattice(ctx, r_sq, x, *rows_of_pairs(ctx, pairs))
+def block_rows(lat) -> tuple[list[list[int]], int]:
+    """(rows, den) of a PolarizedLattice: [[D I, 0], [Y, D I]] over D, for
+    its twist block Y over D."""
+    g, d = lat.ctx.g, lat.den
+    diag = [[d if i == j else 0 for i in range(g)] for j in range(g)]
+    return [e + [0] * g for e in diag] + [list(y) + e for y, e in zip(lat.twist, diag)], d
+
+
+def reference(lat) -> RowLattice:
+    """The RowLattice with lat's generators: lat itself if it is one."""
+    return lat if isinstance(lat, RowLattice) else RowLattice(lat.ctx, lat.r_sq, lat.x,
+                                                              *block_rows(lat))
+
+
+def lattice_of_pairs(ctx, r_sq, x, pairs) -> RowLattice:
+    """The reference lattice whose generators are the (u, v) pairs."""
+    return RowLattice(ctx, r_sq, x, *rows_of_pairs(ctx, pairs))
+
+
+class RowLattice:
+    """Lattice with exact real Gram matrix and integer symplectic form.
+
+    The generators are the integer rows over den (codifferent coordinates of
+    u, then power-basis coordinates of v), kept in lowest terms as _rows over
+    _den. gram and skew are (rows, den) of the real and the imaginary part of
+    the hermitian product of the generators, and form is the PreparedForm of
+    gram. Each is built on first read: the stability and divisibility checks
+    and a search's losing twists never read skew, and the stability check
+    reads none of them.
+    """
+
+    def __init__(self, ctx: CyclotomicContext, r_sq, x: CycloElement, rows, den: int) -> None:
+        r_sq = Fraction(r_sq)
+        if r_sq <= 0:
+            raise ValueError(f"r^2 must be positive, got {r_sq}")
+        self.ctx = ctx
+        self.r_sq = r_sq
+        self.x = x
+        self._rows, self._den = linalg.lowest_terms(rows, den)
+        if len(self._rows) != 2 * ctx.g or not all(
+                row[i] and not any(row[i + 1:]) for i, row in enumerate(self._rows)):
+            raise ValueError("generator rows must be lower triangular with a nonzero diagonal")
+
+    # Tr(u conj(u')) = a G a'^T with G = codiff_gram_num / e, and
+    # Tr(v conj(u')) = a' P b^T with P = codiff_pairing integral. With r^2 = p/q,
+    # the Gram matrix is (p^2 A + q^2 e B) / (p q e D^2) and the symplectic
+    # form is (C - C^T) / D^2, entry by entry, for the integer matrices
+    # A = U G U^T, B = V T V^T and C = V P U^T of the u parts U and v parts V
+    # of the rows. N is lower triangular, so the first g rows of V are zero:
+    # B is zero outside its bottom-right g x g block and C outside its bottom
+    # g rows, and neither is multiplied there. G and T are symmetric, so a
+    # row of U G is G applied to a row of U, and A and B are filled on and
+    # below the diagonal and mirrored.
+
+    @cached_property
+    def gram(self) -> tuple[list[list[int]], int]:
+        ctx, g = self.ctx, self.ctx.g
+        us = [r[:g] for r in self._rows]
+        vs = [r[g:] for r in self._rows[g:]]
+        e = ctx.codiff_gram_den
+        p, q = self.r_sq.numerator, self.r_sq.denominator
+        pp, qq = p * p, q * q * e
+        low = [[pp * a for a in linalg.mat_vec(us[:i + 1], linalg.mat_vec(ctx.codiff_gram_num, u))]
+               for i, u in enumerate(us)]
+        for k, v in enumerate(vs):
+            row = low[g + k]
+            row[g:] = [a + qq * b for a, b in
+                       zip(row[g:], linalg.mat_vec(vs[:k + 1], linalg.mat_vec(ctx.ok_gram, v)))]
+        return linalg.lowest_terms(
+            [row + [low[j][i] for j in range(i + 1, 2 * g)] for i, row in enumerate(low)],
+            p * q * e * self._den ** 2)
+
+    @cached_property
+    def form(self) -> PreparedForm:
+        """The Gram matrix prepared for enumeration: LLL-reduced and factored
+        on first read, then shared by shortest_norm_sq and count_N, in the
+        order checker._certificate_at states."""
+        return PreparedForm(*self.gram)
+
+    @cached_property
+    def skew(self) -> tuple[list[list[int]], int]:
+        """(rows, den) of the symplectic form: C - C^T over D^2, with C the
+        bottom g rows c of V P U^T, as the rows above them are zero."""
+        g, pairing = self.ctx.g, self.ctx.codiff_pairing
+        us = [r[:g] for r in self._rows]
+        c = [linalg.mat_vec(us, linalg.mat_vec(pairing, r[g:])) for r in self._rows[g:]]
+        ct = list(zip(*c))
+        return linalg.lowest_terms(
+            [[0] * g + [-a for a in col] for col in ct[:g]]
+            + [row[:g] + [a - b for a, b in zip(row[g:], col)] for row, col in zip(c, ct[g:])],
+            self._den ** 2)
+
+    # -- checks ----------------------------------------------------------------
+
+    def is_riemann_integral(self) -> bool:
+        """True iff the imaginary part of the form is integer on the lattice,
+        i.e. D^2 divides every entry of C - C^T."""
+        return self.skew[1] == 1
+
+    def symplectic_int(self) -> list[list[int]]:
+        if not self.is_riemann_integral():
+            raise ValueError("symplectic form is not integral")
+        return [list(row) for row in self.skew[0]]
+
+    def is_unimodular(self) -> bool:
+        """True iff the symplectic form has |det| 1, i.e. the polarization is
+        principal, which needs no integrality. Its top-left g x g block is
+        zero, so for its (rows, den) the determinant is det(B)^2 with B the
+        top-right block, and |det| = 1 iff |det B| = den^g."""
+        rows, den = self.skew
+        g = self.ctx.g
+        return abs(linalg.determinant([r[g:] for r in rows[:g]])) == den ** g
+
+    def det_real_gram(self) -> Fraction:
+        rows, den = self.gram
+        return Fraction(linalg.determinant(rows), den ** len(rows))
+
+    def _spans(self, rows) -> bool:
+        """True iff the integer rows W (D times point coordinates) are W = C N
+        for an integer C: each row reduces to zero against the lower-triangular
+        N by back-substitution, from its last coordinate down."""
+        for w in rows:
+            w = list(w)
+            for h in reversed(self._rows):
+                q, rem = divmod(w.pop(), h[len(w)])
+                if rem:
+                    return False
+                if q:
+                    w = [a - q * b for a, b in zip(w, h)]
+        return True
+
+    def _maps_into_itself(self, mu, mv) -> bool:
+        """True iff (u, v) -> (a u, b v) maps the lattice into itself, for
+        the integral multiplication matrices mu of a and mv of b; the first g
+        rows have v = 0, which mv maps to 0."""
+        g, rows = self.ctx.g, self._rows
+        return self._spans([linalg.mat_vec(mu, r[:g]) + [0] * g for r in rows[:g]]
+                           + [linalg.mat_vec(mu, r[:g]) + linalg.mat_vec(mv, r[g:])
+                              for r in rows[g:]])
+
+    def is_g_stable(self) -> bool:
+        """Stability under the order-m unit group: it is enough to check the
+        generator zeta, whose action sends (u, v) to (zeta u, conj(zeta) v)."""
+        ctx = self.ctx
+        return self._maps_into_itself(ctx.mul_matrix(ctx.zeta(1)),
+                                      ctx.mul_matrix(ctx.zeta(-1)))
+
+    def has_real_multiplication(self) -> bool:
+        """Stability under multiplication by zeta + zeta^-1, which generates
+        the ring of integers of the maximal totally real subfield."""
+        b = self.ctx.mul_matrix(self.ctx.zeta(1) + self.ctx.zeta(-1))
+        return self._maps_into_itself(b, b)
+
+
 
 
 # -- Fraction interval arithmetic ------------------------------------------------
@@ -786,9 +939,11 @@ def packing_density(gram, n: int, precision: int = 128) -> IntervalValue:
 
 
 def contains(lat, u, v) -> bool:
-    """True iff r*u + (i/r)*v is a point of the PolarizedLattice lat."""
-    w = [c * lat._den for c in codiff_coords(lat.ctx, u) + list(v.coords)]
-    return all(c.denominator == 1 for c in w) and lat._spans([[int(c) for c in w]])
+    """True iff r*u + (i/r)*v is a point of lat, a PolarizedLattice or a
+    RowLattice, by back-substitution against its generator rows."""
+    ref = reference(lat)
+    w = [c * ref._den for c in codiff_coords(lat.ctx, u) + list(v.coords)]
+    return all(c.denominator == 1 for c in w) and ref._spans([[int(c) for c in w]])
 
 
 def scanned_inverse_phi_max(g_max: int) -> dict[int, int]:

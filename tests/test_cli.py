@@ -13,10 +13,11 @@ from cyclopack import linalg, verify
 from cyclopack.checker import CHECK_NAMES, MAX_G, certificate_from_json_dict
 from cyclopack.cli import COMMANDS, main, parse_args
 from cyclopack.cyclotomic import CyclotomicContext
+from cyclopack.lattice import PolarizedLattice
 from cyclopack.search import SearchConfig
 from cyclopack.tables import bound_table, primorial_row
 from cyclopack.verify import SuiteResult
-from oracles import argparse_parser, codiff_basis, lattice_of_pairs, ok_basis
+from oracles import argparse_parser
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,11 +92,14 @@ def test_unwritable_out_names_the_given_path(tmp_path, capsys, target):
     (["--m", "5", "--r2", "7/2", "--x", "1/3,-2/7,0,5/11"], "construct_m5.json"),
     (["--m", "12", "--r2", "3", "--x", "0"], "construct_m12.json"),
     (["--m", "22", "--r2", "21/2", "--x", "1/3,-2/7,0,5/11,1/2,-3/4,2/9,0,7/13,-1/5"],
-     "construct_m22.json")])
+     "construct_m22.json"),
+    (["--m", "13", "--r2", "20", "--x", "1/3,-2/7,0,5/11,1/2,-3/4,2/9,0,7/13,-1/5,3/8,-1/6"],
+     "construct_m13.json")])
 def test_construct_output_is_pinned_byte_for_byte(capsys, argv, name):
     # tests/data holds these commands' stdout: m = 5 and 12 as the Fraction
     # Gram view wrote it, m = 22 (g = 10) as the integer forms wrote it before
-    # they skipped the zero blocks
+    # they skipped the zero blocks, and m = 13 (g = 12) as the lower-triangular
+    # rows wrote it before the forms were written from the twist block
     code, out, _ = run(capsys, "construct", *argv)
     assert code == 0
     assert out == (ROOT / "tests" / "data" / name).read_text()
@@ -372,14 +376,17 @@ def test_verify_rejects_nonpositive_trials(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    # simulate a broken conjugation: build_lattice twists by conj(b), so a
-    # lattice twisted by b itself loses its principal polarization and its
-    # unit action, while norm invariance holds (the trace form and the
-    # zeta^-k of the unit action need no lattice); the CLI must dump the
-    # first failing instance
-    monkeypatch.setattr(verify, "build_lattice", lambda ctx, r_sq, x: lattice_of_pairs(
-        ctx, r_sq, x, [(a, ctx.zero()) for a in codiff_basis(ctx)]
-        + [(x * b, b) for b in ok_basis(ctx)]))
+    # simulate a broken conjugation: build_lattice twists by conj(b), so its
+    # block rows are zeta^-j y; a lattice twisted by b itself, block rows
+    # zeta^j y, loses its principal polarization and its unit action, while
+    # norm invariance holds (the trace form and the zeta^-k of the unit
+    # action need no lattice); verify's own checks must catch it and the CLI
+    # must dump the first failing instance
+    def unconjugated(ctx, r_sq, x):
+        y = ctx.coords_in_codiff(x)
+        return PolarizedLattice(ctx, r_sq, x, [ctx.mul_zeta(j, y).num for j in range(ctx.g)],
+                                y.den)
+    monkeypatch.setattr(verify, "build_lattice", unconjugated)
     code, out, err = run(capsys, "verify", "--m", "4", "--trials", "10")
     assert code == 1
     lines = out.splitlines()

@@ -9,12 +9,12 @@ from cyclopack import linalg
 from cyclopack.checker import run_checks
 from cyclopack.cli import lattice_json_dict
 from cyclopack.cyclotomic import CyclotomicContext, phi
-from cyclopack.lattice import build_lattice
+from cyclopack.lattice import PolarizedLattice, build_lattice
 from cyclopack.search import SearchConfig, sample_x
 from conftest import get_ctx
-from oracles import (block_contains, codiff_basis, conj, contains, elimination_spans,
+from oracles import (block_contains, block_rows, codiff_basis, conj, contains, elimination_spans,
                      fraction_determinant, generator_pairs, identity, lattice_of_pairs, ok_basis,
-                     real_gram, rows_of_pairs, symplectic)
+                     real_gram, reference, rows_of_pairs, symplectic)
 from test_cyclotomic import random_element
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -72,7 +72,8 @@ def test_gram_formulas_match_oracle():
             re, im = gram_oracle(ctx, r_sq, x, generator_pairs(ctx, x))
             assert real_gram(lat) == re
             assert symplectic(lat) == im
-    # the forms are bilinear in arbitrary generators, not only in this family
+    # the reference's forms are bilinear in arbitrary generators, not only
+    # in this family
     for m in (3, 12):
         ctx = get_ctx(m)
         pairs = _perturbed_pairs(ctx)
@@ -80,9 +81,10 @@ def test_gram_formulas_match_oracle():
         re, im = gram_oracle(ctx, Fraction(3, 2), ctx.zero(), pairs)
         assert real_gram(lat) == re
         assert symplectic(lat) == im
-    # the forms skip the blocks that lower-triangular generators leave zero;
-    # other triangular generators, an index-2 sublattice (one row doubled in
-    # each half) and the unconjugated twist x * b, must agree there too
+    # the reference skips the blocks that lower-triangular generators leave
+    # zero; other triangular generators, an index-2 sublattice (one row
+    # doubled in each half) and the unconjugated twist x * b, must agree
+    # there too
     for m in (3, 12, 11, 22):
         ctx = get_ctx(m)
         for pairs, r_sq, x in _triangular_variants(ctx, rng):
@@ -106,11 +108,11 @@ def _triangular_variants(ctx, rng):
 
 
 def test_structural_checks_match_elimination_on_triangular_generators():
-    # the unit action and real multiplication skip the v part of the first g
-    # rows, and unimodularity takes the determinant of one g x g block; on
-    # generators outside the family they must still agree with an
-    # elimination of the acted generators against the generators and with
-    # the determinant of the whole form
+    # the reference's unit action and real multiplication skip the v part
+    # of the first g rows, and unimodularity takes the determinant of one
+    # g x g block; on generators outside the family they must still agree
+    # with an elimination of the acted generators against the generators
+    # and with the determinant of the whole form
     rng = random.Random(52)
     for m in (4, 12, 11):
         ctx = get_ctx(m)
@@ -327,11 +329,12 @@ def test_rejects_generators_that_are_not_triangular():
 
 def test_membership_matches_elimination():
     # contains and both checks against the [N^T | W^T] elimination, on
-    # build_lattice's generators, an index-2 sublattice of them (a doubled
-    # row) and the same generators with half a codifferent vector added to
-    # one twisted row (X perturbed), each triangular; the points are integer
-    # combinations of build_lattice's generators, about half of them with a
-    # half-step along one
+    # build_lattice's lattice, and on the reference lattices of an index-2
+    # sublattice of its generators (a doubled row) and of the same
+    # generators with half a codifferent vector added to one twisted row
+    # (X perturbed), each triangular; the points are integer combinations of
+    # build_lattice's generators, about half of them with a half-step along
+    # one
     rng = random.Random(67)
     answers = []
     for m in (3, 4, 5, 8, 12, 30):
@@ -346,7 +349,8 @@ def test_membership_matches_elimination():
         z, zi = ctx.zeta(1), ctx.zeta(-1)
         t = z + zi
         for pairs in (gens, sub, perturbed):
-            lat = lattice_of_pairs(ctx, 1, x, pairs)
+            lat = (build_lattice(ctx, 1, x) if pairs is gens
+                   else lattice_of_pairs(ctx, 1, x, pairs))
             got = [lat.is_g_stable(), lat.has_real_multiplication()]
             want = [elimination_spans(ctx, pairs, [(z * u, zi * v) for u, v in pairs]),
                     elimination_spans(ctx, pairs, [(t * u, t * v) for u, v in pairs])]
@@ -409,7 +413,74 @@ def test_closed_form_rows_match_the_generator_pairs():
         ctx = get_ctx(m)
         for x in _twists(ctx, rng):
             lat = build_lattice(ctx, Fraction(3, 2), x)
-            assert (lat._rows, lat._den) == rows_of_pairs(ctx, generator_pairs(ctx, x)), (m, x)
+            assert block_rows(lat) == rows_of_pairs(ctx, generator_pairs(ctx, x)), (m, x)
+
+
+CHECKS = ("is_riemann_integral", "is_unimodular", "is_g_stable", "has_real_multiplication")
+
+
+def _forms_and_checks(lat):
+    return lat.gram, lat.skew, [getattr(lat, name)() for name in CHECKS]
+
+
+def test_closed_forms_match_the_reference():
+    # gram, skew and the four checks are products of g x g blocks of the
+    # twist block Y; the reference multiplies the whole rows
+    # [[D I, 0], [Y, D I]] with the trace pairings and back-substitutes the
+    # acted rows against them, on every field with g <= 12, for integral and
+    # non-integral r^2
+    rng = random.Random(75)
+    fields = [m for m in range(3, 43) if phi(m) <= 12]
+    assert len(fields) == 24
+    for m in fields:
+        ctx = get_ctx(m)
+        for x in _twists(ctx, rng):
+            for r_sq in (Fraction(rng.randint(1, 6)), Fraction(rng.randint(4, 32), 7)):
+                lat = build_lattice(ctx, r_sq, x)
+                assert _forms_and_checks(lat) == _forms_and_checks(reference(lat)), (m, x, r_sq)
+
+
+def _wrong_blocks(ctx, x, rng):
+    """Twist blocks over D = den of y = Phi_m'(zeta) x that build_lattice
+    does not write: the unconjugated rows zeta^j y, the true rows zeta^-j y
+    with one entry moved by 1, and a random integer block."""
+    y = ctx.coords_in_codiff(x)
+    g, d = ctx.g, y.den
+    moved = [list(ctx.mul_zeta(-j, y).num) for j in range(g)]
+    moved[rng.randrange(g)][rng.randrange(g)] += 1
+    return [([ctx.mul_zeta(j, y).num for j in range(g)], d), (moved, d),
+            ([[rng.randint(-d, d) for _ in range(g)] for _ in range(g)], d)]
+
+
+def test_closed_forms_match_the_reference_on_wrong_blocks():
+    # the same comparison on lattices of the family's shape whose block is
+    # wrong, so that failing checks agree too
+    rng = random.Random(77)
+    fields = [m for m in range(3, 43) if phi(m) <= 12]
+    failed = set()
+    denom = SearchConfig._field_defaults["denom"]
+    for m in fields:
+        ctx = get_ctx(m)
+        for x in (sample_x(ctx, denom, rng), random_element(ctx, rng)):
+            r_sq = Fraction(rng.randint(4, 32), 7)
+            for twist, den in _wrong_blocks(ctx, x, rng):
+                lat = PolarizedLattice(ctx, r_sq, x, twist, den)
+                got = _forms_and_checks(lat)
+                assert got == _forms_and_checks(reference(lat)), (m, x, twist)
+                failed.update(name for name, ok in zip(CHECKS, got[2]) if not ok)
+    assert failed == {"is_riemann_integral", "is_g_stable", "has_real_multiplication"}
+
+
+def test_rejects_malformed_twist_blocks(ctx4):
+    zero = ctx4.zero()
+    assert PolarizedLattice(ctx4, 2, zero, ((0, 0), (0, 0)), 1).gram == build_lattice(
+        ctx4, 2, zero).gram
+    for twist, den in [([[0, 0]], 1), ([[0, 0], [0]], 1), ([[0, 0]] * 3, 1),
+                       ([[0, 0.5], [0, 0]], 1), ([[Fraction(1, 2), 0], [0, 0]], 1),
+                       ([[True, 0], [0, 0]], 1), (3, 1), ([[0, 0], [0, 0]], 0),
+                       ([[0, 0], [0, 0]], -1), ([[0, 0], [0, 0]], 1.0)]:
+        with pytest.raises(ValueError, match="twist block"):
+            PolarizedLattice(ctx4, 2, zero, twist, den)
 
 
 def test_build_makes_one_field_product(monkeypatch):
